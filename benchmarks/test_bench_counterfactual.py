@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import render_counterfactual
+from repro.core.report import counterfactual_result
 
 
 @pytest.fixture(scope="module")
@@ -13,7 +13,7 @@ def report(bench_study):
 def test_bench_counterfactual(benchmark, bench_study, report_sink):
     analyzer = bench_study.counterfactual()
     result = benchmark(analyzer.analyze)
-    report_sink.append(render_counterfactual(result))
+    report_sink.append(counterfactual_result(result).render_text())
 
 
 def test_baseline_near_67_node_hours(report):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.propagation import PropagationAnalyzer
-from repro.core.report import render_figure5
+from repro.core.report import figure5_result
 from repro.faults.xid import Xid
 
 
@@ -25,7 +25,7 @@ def test_bench_propagation_analysis(benchmark, bench_study, report_sink):
 
     graph = benchmark.pedantic(analyze, rounds=3, iterations=1)
     assert graph.source_counts
-    report_sink.append(render_figure5(PropagationAnalyzer(errors)))
+    report_sink.append(figure5_result(PropagationAnalyzer(errors)).render_text())
 
 
 def test_gsp_overwhelmingly_self_or_fatal(propagation):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import render_figure6
+from repro.core.report import figure6_result
 from repro.faults.xid import Xid
 
 
@@ -19,7 +19,7 @@ def graph(propagation):
 def test_bench_nvlink_involvement(benchmark, propagation, report_sink):
     involvement = benchmark(propagation.nvlink_involvement)
     assert involvement.total_errors > 0
-    report_sink.append(render_figure6(propagation))
+    report_sink.append(figure6_result(propagation).render_text())
 
 
 def test_nvlink_self_recurrence(graph):

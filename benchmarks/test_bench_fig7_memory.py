@@ -12,7 +12,7 @@ from repro.cluster import build_delta_cluster
 from repro.core.parsing import parse_syslog
 from repro.core.coalesce import coalesce_errors
 from repro.core.propagation import PropagationAnalyzer
-from repro.core.report import render_figure7
+from repro.core.report import figure7_result
 from repro.faults import AMPERE_CALIBRATION, FaultInjector, InjectorConfig
 from repro.faults.xid import Xid
 from repro.syslog import render_trace
@@ -34,7 +34,7 @@ def memory_propagation():
 def test_bench_memory_paths(benchmark, memory_propagation, report_sink):
     paths = benchmark(memory_propagation.memory_recovery_paths)
     assert paths
-    report_sink.append(render_figure7(memory_propagation))
+    report_sink.append(figure7_result(memory_propagation).render_text())
 
 
 def test_dbe_remap_success_rate(memory_propagation):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import render_figure9
+from repro.core.report import figure9_result
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +19,7 @@ def availability(bench_study):
 
 def test_bench_figure9_renders(benchmark, impact, availability, report_sink):
     text = benchmark.pedantic(
-        lambda: render_figure9(impact, availability), rounds=3, iterations=1
+        lambda: figure9_result(impact, availability).render_text(), rounds=3, iterations=1
     )
     report_sink.append(text)
 

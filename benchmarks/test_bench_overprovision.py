@@ -7,7 +7,7 @@ from repro.core.overprovision import (
     OverprovisionSimulator,
     required_overprovision_analytic,
 )
-from repro.core.report import render_overprovision
+from repro.core.report import overprovision_result
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def test_bench_overprovision_des(benchmark):
 
 
 def test_paper_anchor_40min_20_percent(sweep_results, report_sink):
-    report_sink.append(render_overprovision(sweep_results))
+    report_sink.append(overprovision_result(sweep_results).render_text())
     assert sweep_results[(40.0, 0.995)] == pytest.approx(0.20, abs=0.03)
 
 

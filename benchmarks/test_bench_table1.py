@@ -9,7 +9,7 @@ over an order of magnitude.
 import pytest
 
 from repro.core.mtbe import ErrorStatistics
-from repro.core.report import render_table1
+from repro.core.report import table1_result
 from repro.faults.calibration import AMPERE_CALIBRATION
 from repro.faults.xid import Xid
 
@@ -31,7 +31,7 @@ def test_bench_table1_statistics(benchmark, bench_study, bench_scale, report_sin
     assert len(rows) == 10  # the ten Table-1 codes
 
     stats = bench_study.error_statistics()
-    report_sink.append(render_table1(stats, AMPERE_CALIBRATION, scale=bench_scale))
+    report_sink.append(table1_result(stats, AMPERE_CALIBRATION, scale=bench_scale).render_text())
 
 
 def test_counts_track_paper(stats, bench_scale):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.jobimpact import JobImpactAnalyzer
-from repro.core.report import render_table2
+from repro.core.report import table2_result
 from repro.faults.calibration import PAPER_TABLE2
 from repro.faults.xid import Xid
 
@@ -25,7 +25,7 @@ def test_bench_table2_classification(benchmark, bench_study, report_sink):
     rows = benchmark.pedantic(classify, rounds=3, iterations=1)
     assert rows
 
-    report_sink.append(render_table2(JobImpactAnalyzer(database, errors)))
+    report_sink.append(table2_result(JobImpactAnalyzer(database, errors)).render_text())
 
 
 def test_mmu_failure_probability(impact):

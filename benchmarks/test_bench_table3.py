@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.jobimpact import JobImpactAnalyzer
-from repro.core.report import render_table3
+from repro.core.report import table3_result
 from repro.slurm.workload import SIZE_BUCKETS
 
 
@@ -16,7 +16,7 @@ def test_bench_table3(benchmark, bench_study, report_sink):
     impact = bench_study.job_impact()
     table = benchmark(impact.table3)
     assert len(table) == len(SIZE_BUCKETS)
-    report_sink.append(render_table3(impact))
+    report_sink.append(table3_result(impact).render_text())
 
 
 def test_count_shares_match_paper(rows):

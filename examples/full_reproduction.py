@@ -22,15 +22,15 @@ import time
 from repro import DeltaStudy, H100Analyzer, synthesize_delta, synthesize_h100
 from repro.core import OverprovisionConfig, OverprovisionSimulator
 from repro.core.report import (
-    render_counterfactual,
-    render_figure5,
-    render_figure6,
-    render_figure7,
-    render_figure9,
-    render_overprovision,
-    render_table1,
-    render_table2,
-    render_table3,
+    counterfactual_result,
+    figure5_result,
+    figure6_result,
+    figure7_result,
+    figure9_result,
+    overprovision_result,
+    table1_result,
+    table2_result,
+    table3_result,
 )
 from repro.faults import AMPERE_CALIBRATION
 
@@ -70,33 +70,33 @@ def main() -> None:
     propagation = study.propagation()
 
     banner("Table 1 - GPU error statistics")
-    print(render_table1(stats, AMPERE_CALIBRATION, scale=args.scale))
+    print(table1_result(stats, AMPERE_CALIBRATION, scale=args.scale).render_text())
 
     banner("Figures 5-7 - error propagation")
-    print(render_figure5(propagation))
+    print(figure5_result(propagation).render_text())
     print()
-    print(render_figure6(propagation))
+    print(figure6_result(propagation).render_text())
     print()
-    print(render_figure7(propagation))
+    print(figure7_result(propagation).render_text())
 
     banner("Table 2 - job failure probability per XID")
-    print(render_table2(impact))
+    print(table2_result(impact).render_text())
 
     banner("Table 3 - job distribution")
-    print(render_table3(impact))
+    print(table3_result(impact).render_text())
 
     banner("Figure 9 - job impact and availability")
-    print(render_figure9(impact, availability))
+    print(figure9_result(impact, availability).render_text())
 
     banner("Section 5.4 - overprovisioning projection")
     simulator = OverprovisionSimulator(OverprovisionConfig(seed=args.seed))
-    print(render_overprovision(simulator.sweep(
+    print(overprovision_result(simulator.sweep(
         recovery_minutes=(5.0, 10.0, 20.0, 40.0),
         availabilities=(0.995, 0.9987),
-    )))
+    )).render_text())
 
     banner("Section 5.5 - counterfactual improvements")
-    print(render_counterfactual(study.counterfactual().analyze()))
+    print(counterfactual_result(study.counterfactual().analyze()).render_text())
 
     banner("Section 6 - emerging H100 errors")
     h100 = synthesize_h100(seed=args.seed)

@@ -16,7 +16,7 @@ Usage::
 import sys
 
 from repro import DeltaStudy, synthesize_delta
-from repro.core.report import render_figure5, render_table1
+from repro.core.report import figure5_result, table1_result
 from repro.faults import AMPERE_CALIBRATION
 
 
@@ -37,9 +37,9 @@ def main() -> None:
     stats = study.error_statistics()
 
     print()
-    print(render_table1(stats, AMPERE_CALIBRATION, scale=scale))
+    print(table1_result(stats, AMPERE_CALIBRATION, scale=scale).render_text())
     print()
-    print(render_figure5(study.propagation()))
+    print(figure5_result(study.propagation()).render_text())
     print()
 
     availability = study.availability().report()

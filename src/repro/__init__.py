@@ -64,7 +64,7 @@ from repro.results import (
 )
 from repro.slurm import SlurmDatabase
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ClusterInventory",

@@ -26,6 +26,12 @@ class CliError(Exception):
     """Bad input detected by a command handler; exits with code 2."""
 
 
+def require_positive(flag: str, value: Optional[int]) -> None:
+    """Reject a count flag below 1 before the command does any work."""
+    if value is not None and value < 1:
+        raise CliError(f"{flag} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ExitCase:
     """One executable example of the exit-code contract.

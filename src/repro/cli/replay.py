@@ -6,7 +6,7 @@ import argparse
 from pathlib import Path
 
 from repro.cli.common import emit_result, parse_query_args
-from repro.cli.registry import CliError, Command, ExitCase, Flags, register
+from repro.cli.registry import CliError, Command, ExitCase, Flags, register, require_positive
 
 
 def _add_replay_source(parser: argparse.ArgumentParser) -> None:
@@ -90,8 +90,7 @@ def _record_source(args: argparse.Namespace):
 
     if (args.store is None) == (args.logs is None):
         raise CliError("pass exactly one of --store DIR or --logs DIR")
-    if args.workers < 1:
-        raise CliError("--workers must be >= 1")
+    require_positive("--workers", args.workers)
     query = parse_query_args(args)
     if args.store is not None:
         store = EventStore.open(args.store)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.cli.registry import Command, ExitCase, Flags, register
+from repro.cli.registry import Command, ExitCase, Flags, register, require_positive
 
 
 def _configure_simulate(parser: argparse.ArgumentParser) -> None:
@@ -44,6 +44,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         for name, description in list_scenarios():
             print(f"{name:<20} {description}")
         return 0
+    require_positive("--workers", args.workers)
     output_format = args.format or ("json" if args.json else "text")
     try:
         config = SweepConfig(
@@ -103,5 +104,6 @@ register(Command(
                   "--useful-hours", "6"), 0),
         ExitCase("unknown scenario", ("simulate", "--scenario", "z9000"), 2),
         ExitCase("unknown policy", ("simulate", "--policy", "teleport"), 2),
+        ExitCase("zero workers", ("simulate", "--workers", "0"), 2),
     ),
 ))

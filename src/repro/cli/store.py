@@ -14,6 +14,7 @@ from repro.cli.registry import (
     Flags,
     add_common,
     register,
+    require_positive,
 )
 
 
@@ -84,6 +85,8 @@ def _store_build(args: argparse.Namespace) -> int:
     from repro.pipeline import FileSetSource
     from repro.store import DEFAULT_SEGMENT_RECORDS, EventStore
 
+    require_positive("--workers", args.workers)
+    require_positive("--segment-records", args.segment_records)
     logs_dir = (args.dataset / "logs" if (args.dataset / "logs").is_dir()
                 else args.dataset)
     if not logs_dir.is_dir():
@@ -101,7 +104,7 @@ def _store_build(args: argparse.Namespace) -> int:
     store = EventStore.open_or_create(args.store_dir, meta=meta)
     segments = store.ingest(
         FileSetSource(logs_dir),
-        workers=max(1, args.workers),
+        workers=args.workers,
         segment_records=args.segment_records or DEFAULT_SEGMENT_RECORDS,
     )
     print(f"ingested {store.n_records:,} records into {len(segments)} "
@@ -193,5 +196,11 @@ register(Command(
         ExitCase("rebuilding an already-built store",
                  ("store", "build", "{dataset}", "{built_store}",
                   "--scale", "0.004", "--seed", "3"), 2),
+        ExitCase("zero workers",
+                 ("store", "build", "{dataset}", "{tmp}/events",
+                  "--workers", "0"), 2),
+        ExitCase("negative segment size",
+                 ("store", "build", "{dataset}", "{tmp}/events",
+                  "--segment-records", "-5"), 2),
     ),
 ))

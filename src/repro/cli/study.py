@@ -7,7 +7,7 @@ import argparse
 from pathlib import Path
 
 from repro.cli.common import write_result_dir
-from repro.cli.registry import Command, ExitCase, Flags, register
+from repro.cli.registry import Command, ExitCase, Flags, register, require_positive
 
 #: The experiments the ``study`` report prints, in paper order.
 STUDY_SEQUENCE = (
@@ -64,8 +64,9 @@ def _configure_overprovision(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_overprovision(args: argparse.Namespace) -> int:
     from repro.core import OverprovisionConfig, OverprovisionSimulator
-    from repro.core.report import render_overprovision
+    from repro.core.report import overprovision_result
 
+    require_positive("--nodes", args.nodes)
     simulator = OverprovisionSimulator(
         OverprovisionConfig(n_nodes=args.nodes, seed=args.seed)
     )
@@ -73,7 +74,7 @@ def _cmd_overprovision(args: argparse.Namespace) -> int:
         recovery_minutes=(5.0, 10.0, 20.0, 40.0),
         availabilities=(0.995, 0.9987),
     )
-    print(render_overprovision(results))
+    print(overprovision_result(results).render_text())
     return 0
 
 
@@ -150,6 +151,7 @@ register(Command(
         ExitCase("small sweep",
                  ("overprovision", "--nodes", "120", "--seed", "3"), 0),
         ExitCase("non-integer nodes", ("overprovision", "--nodes", "x"), 2),
+        ExitCase("zero nodes", ("overprovision", "--nodes", "0"), 2),
     ),
 ))
 

@@ -48,10 +48,9 @@ class DeltaStudy:
     historical in-memory shape) or any
     :class:`~repro.pipeline.sources.Source`; ``workers`` shards
     extraction across processes when the source supports it (file sets
-    do, in-memory line streams do not), and ``engine`` selects the
-    coalescing implementation — the vectorized batch fast path by
-    default, or the streaming coalescer for ordered sources (both
-    produce identical errors).
+    do, in-memory line streams do not).  Coalescing runs the vectorized
+    batch engine; the streaming coalescer it matches serves the live
+    paths.
     """
 
     def __init__(
@@ -65,7 +64,6 @@ class DeltaStudy:
         coalesce_config: CoalesceConfig | None = None,
         propagation_window: float = 60.0,
         workers: int = 1,
-        engine: str = "vectorized",
     ) -> None:
         from repro.pipeline.sources import LinesSource, Source
 
@@ -78,7 +76,6 @@ class DeltaStudy:
         self.coalesce_config = coalesce_config or CoalesceConfig()
         self.propagation_window = propagation_window
         self.workers = workers
-        self.engine = engine
         if isinstance(log_lines, Source):
             self.source: Source = log_lines
         else:
@@ -287,9 +284,9 @@ class DeltaStudy:
         materialized; the coalesced errors are what stays resident.
         """
         if self._errors is None:
-            from repro.pipeline.stages import make_stage
+            from repro.pipeline.stages import VectorizedCoalesce
 
-            stage = make_stage(self.engine, self.coalesce_config)
+            stage = VectorizedCoalesce(self.coalesce_config)
             self._errors = stage.run(self.iter_records()).errors
         return self._errors
 

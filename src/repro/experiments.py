@@ -387,7 +387,7 @@ def _build_manifest(
         window_hours=float(study.window_hours),
         n_nodes=int(study.n_nodes),
         n_gpus=int(study.n_gpus) if study.n_gpus is not None else None,
-        engine=study.engine,
+        engine="vectorized",
         dataset=getattr(study, "dataset_label", None),
         config_hashes=hashes,
         package_version=__version__,

@@ -10,7 +10,7 @@ provenance recorded next to a result names exactly the wiring that
 produced it.
 
 The digest covers only the *data-determining* fields (scale, seed,
-dataset, store, engine).  Execution knobs (``workers``, ``jobs``) and
+dataset, store).  Execution knobs (``workers``, ``jobs``) and
 presentation knobs (``format``, ``output_dir``) are excluded on
 purpose: the repo's identity contracts promise byte-identical results
 for any worker or job count, and a digest that shifted with them would
@@ -55,7 +55,6 @@ class RunConfig:
     store: Optional[Path] = None
     output_dir: Optional[Path] = None
     format: str = "text"
-    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -100,5 +99,4 @@ class RunConfig:
             "seed": self.seed,
             "dataset": str(self.dataset) if self.dataset else None,
             "store": str(self.store) if self.store else None,
-            "engine": self.engine,
         })

@@ -13,7 +13,7 @@ is built **once** in the parent and shipped to each worker exactly once
   the workers coalesce the exact records the parent extracted.
 
 Both reconstructions carry the parent study's full provenance
-(window/node/GPU counts, engine, store hash, dataset label), so the
+(window/node/GPU counts, store hash, dataset label), so the
 manifests written by a parallel run are byte-identical to a serial one.
 """
 
@@ -36,7 +36,6 @@ class StudySpec:
     window_hours: float
     n_nodes: int
     n_gpus: Optional[int]
-    engine: str
     scale: float
     seed: int
     workers: int
@@ -64,7 +63,6 @@ def spec_for(session: "Session") -> StudySpec:
         window_hours=float(study.window_hours),
         n_nodes=int(study.n_nodes),
         n_gpus=study.n_gpus,
-        engine=study.engine,
         scale=session.scale,
         seed=session.config.seed,
         workers=session.config.workers,
@@ -91,7 +89,6 @@ def rebuild_study(spec: StudySpec) -> "DeltaStudy":
             window_hours=spec.window_hours,
             n_nodes=spec.n_nodes,
             slurm_db=spec.slurm_db,
-            engine=spec.engine,
         )
     else:
         study = DeltaStudy.from_records(
@@ -101,7 +98,6 @@ def rebuild_study(spec: StudySpec) -> "DeltaStudy":
             n_gpus=spec.n_gpus,
             slurm_db=spec.slurm_db,
             coalesce_config=spec.coalesce_config,
-            engine=spec.engine,
         )
     if spec.n_gpus is not None:
         study.n_gpus = spec.n_gpus

@@ -148,8 +148,7 @@ class Session:
                 workers=config.workers,
             )
             return DeltaStudy.from_store(
-                store, slurm_db=slurm_db, workers=config.workers,
-                engine=config.engine,
+                store, slurm_db=slurm_db, workers=config.workers
             )
         return DeltaStudy.from_log_directory(
             dataset_dir / "logs",
@@ -157,7 +156,6 @@ class Session:
             n_nodes=n_nodes,
             slurm_db=slurm_db,
             workers=config.workers,
-            engine=config.engine,
         )
 
     def _study_from_memory(self) -> "DeltaStudy":
@@ -178,12 +176,9 @@ class Session:
                 },
             )
             return DeltaStudy.from_store(
-                store, slurm_db=dataset.slurm_db,
-                workers=self.config.workers, engine=self.config.engine,
+                store, slurm_db=dataset.slurm_db, workers=self.config.workers
             )
-        return DeltaStudy.from_dataset(
-            dataset, workers=self.config.workers, engine=self.config.engine
-        )
+        return DeltaStudy.from_dataset(dataset, workers=self.config.workers)
 
     # ------------------------------------------------------------------
     # Experiment execution

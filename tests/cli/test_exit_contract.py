@@ -35,6 +35,13 @@ def test_exit_case(case, placeholders):
     assert run_cli(argv) == case.expect
 
 
+@pytest.mark.parametrize("flag", ["--workers=0", "--segment-records=-5"])
+def test_bad_store_build_flag_writes_nothing(flag, contract_dataset, tmp_path):
+    target = tmp_path / "events"
+    assert run_cli(["store", "build", str(contract_dataset), str(target), flag]) == 2
+    assert not target.exists()
+
+
 def test_every_command_declares_the_contract():
     """Each command pins at least a success and a bad-input example."""
     for name, command in COMMANDS.items():
