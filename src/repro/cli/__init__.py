@@ -43,7 +43,7 @@ workers included — without changing a single output byte.  Inspect with
 ``repro-delta trace summary|tree|export DIR``.
 
 Exit codes: 0 = success, 1 = a tolerance/gate failure (``verify``),
-2 = bad input or a store error.
+2 = bad input, a store error or a dead worker process.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro import obs
     from repro.session import SessionError
     from repro.store import StoreError
+    from repro.util.fanout import FanoutError
 
     parser = build_parser(__doc__)
     args = parser.parse_args(argv)
@@ -79,7 +80,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with obs.span(f"cli.{args.command}"):
                 return command.run(args)
         return command.run(args)
-    except (CliError, SessionError, StoreError) as error:
+    except (CliError, SessionError, StoreError, FanoutError) as error:
         print(f"error: {error}")
         return 2
     finally:

@@ -4,7 +4,8 @@ Every subcommand is a :class:`Command`: a name, a help line, a handler,
 a :class:`Flags` declaration of which *shared* flag groups it takes, an
 optional ``configure`` hook for command-specific arguments, and a tuple
 of :class:`ExitCase` examples pinning the exit-code contract (0 =
-success, 1 = tolerance/gate failure, 2 = bad input or store error).
+success, 1 = tolerance/gate failure, 2 = bad input, a store error or a
+dead worker process).
 
 The shared flag groups — run knobs (``--scale``/``--seed``), extraction
 ``--workers``, fan-out ``--jobs``, ``--store`` read-through and
@@ -55,7 +56,7 @@ class Flags:
     #: Default value for ``--seed`` (``None`` = the command has no seed).
     seed: Optional[int] = None
     #: Help text for ``--workers`` (``None`` = no flag).  The flag's
-    #: default is ``None`` ("all cores"), resolved by ``RunConfig``.
+    #: default is ``None`` ("every usable core"), resolved by ``RunConfig``.
     workers: Optional[str] = None
     jobs: bool = False
     store: bool = False

@@ -125,8 +125,8 @@ register(Command(
     flags=Flags(
         scale=True,
         workers="processes for sharded log extraction over an on-disk "
-                "--dataset (default: all cores; 1 forces the serial path; "
-                "identical results either way)",
+                "--dataset (default: every core this process may use; "
+                "1 forces the serial path; identical results either way)",
         jobs=True,
         store=True,
         output=True,

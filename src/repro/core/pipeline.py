@@ -109,11 +109,11 @@ class DeltaStudy:
     ) -> "DeltaStudy":
         """Build over already-extracted records (Stage I pre-paid).
 
-        The session layer ships a parent study's record list to worker
-        processes this way: the list seeds the Stage-I cache directly,
-        so the rebuilt study coalesces and analyzes the exact records
-        the parent extracted — the identity behind parallel experiment
-        execution.
+        The list seeds the Stage-I cache directly, so the study coalesces
+        and analyzes exactly these records.  ``Session.run_many`` sends
+        its ``--jobs`` workers a study rebuilt this way, with the parent's
+        provenance, unless the study is store-backed: such workers stream
+        the store instead.
         """
         from repro.pipeline.sources import RecordsSource
 
@@ -252,7 +252,7 @@ class DeltaStudy:
         otherwise streams straight off the source — without building the
         full list when the source is re-iterable (file sets, stores),
         which is what lets store-backed studies run in O(open state)
-        memory instead of O(record count).
+        memory instead of O(record count), in ``--jobs`` workers too.
         """
         if self._records is not None:
             yield from self._records

@@ -1,8 +1,8 @@
 """Extract: turn a source's shards into one ordered record stream.
 
 The serial path streams each shard lazily; the parallel path fans the
-shards out over a ``multiprocessing.Pool`` (the same idiom as
-:mod:`repro.sim.sweep`) and collects per-shard record lists.  Both paths
+shards out with :func:`repro.util.fanout.ordered_map` and collects
+per-shard record lists in shard order.  Both paths
 then combine the per-shard streams the same way — a k-way merge by
 timestamp when the source declares its shards time-ordered, plain
 concatenation otherwise — so the resulting stream is *identical*
@@ -21,13 +21,13 @@ fixed by the source — never by which worker finished first.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import operator
 from typing import Iterator, List
 
 from repro import obs
 from repro.core.parsing import RawXidRecord
 from repro.pipeline.sources import Source
+from repro.util.fanout import ordered_map
 
 
 def _parse_shard(shard) -> List[RawXidRecord]:
@@ -36,11 +36,6 @@ def _parse_shard(shard) -> List[RawXidRecord]:
         records = list(shard.iter_records())
         span.add("pipeline.shard_records", len(records))
         return records
-
-
-def _init_extract_worker(context) -> None:
-    """Pool initializer: adopt the parent's trace context (or none)."""
-    obs.activate_context(context)
 
 
 def iter_source_records(source: Source, *, workers: int = 1) -> Iterator[RawXidRecord]:
@@ -60,18 +55,11 @@ def iter_source_records(source: Source, *, workers: int = 1) -> Iterator[RawXidR
     shards = list(source.shards())
     if workers > 1 and source.parallelizable and len(shards) > 1:
         n_workers = min(workers, len(shards))
-        chunksize = max(1, len(shards) // (n_workers * 4))
         with obs.span("pipeline.extract", shards=len(shards), workers=n_workers):
-            # Captured inside the span so worker root spans parent here.
-            context = obs.current_context(label="extract")
-            with multiprocessing.Pool(
-                processes=n_workers,
-                initializer=_init_extract_worker,
-                initargs=(context,),
-            ) as pool:
-                streams: List[List[RawXidRecord]] = pool.map(
-                    _parse_shard, shards, chunksize=chunksize
-                )
+            streams: List[List[RawXidRecord]] = ordered_map(
+                _parse_shard, shards, workers=n_workers, label="extract",
+                chunksize=max(1, len(shards) // (n_workers * 4)),
+            )
     else:
         streams = [shard.iter_records() for shard in shards]  # type: ignore[misc]
 

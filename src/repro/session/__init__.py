@@ -5,9 +5,9 @@
   ``config_hashes["run"]`` digest;
 * :mod:`repro.session.session` — :class:`Session`, which owns dataset
   synthesis, store read-through, study construction (lazy, cached) and
-  experiment execution;
-* :mod:`repro.session.parallel` — the process-pool fan-out behind
-  ``--jobs``, byte-identical to serial execution.
+  experiment execution, fanned out over ``--jobs`` processes with
+  :func:`repro.util.fanout.ordered_map` and byte-identical to serial
+  execution.
 """
 
 from repro.session.config import (

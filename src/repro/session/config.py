@@ -70,8 +70,9 @@ class RunConfig:
     def from_args(cls, args, **overrides) -> "RunConfig":
         """Build from an argparse namespace; absent flags keep defaults.
 
-        ``--workers`` may arrive as ``None`` ("all cores"): that resolves
-        here, so every consumer downstream sees a concrete count.
+        ``--workers`` may arrive as ``None``: that resolves here, to the
+        CPUs this process may run on, so every consumer downstream sees a
+        concrete count.
         """
         import os
 
@@ -85,7 +86,8 @@ class RunConfig:
         if workers is not None:
             values["workers"] = workers
         elif hasattr(args, "workers"):
-            values["workers"] = os.cpu_count() or 1
+            affinity = getattr(os, "sched_getaffinity", None)
+            values["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
         values.update(overrides)
         return cls(**values)
 

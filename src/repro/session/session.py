@@ -16,9 +16,9 @@ written once:
 * experiments run through :meth:`run` / :meth:`run_many`, which stamp
   each result's manifest with the session's
   :meth:`~repro.session.config.RunConfig.digest`;
-* ``jobs > 1`` fans :meth:`run_many` over a process pool
-  (:mod:`repro.session.parallel`) with the shared study shipped to the
-  workers — byte-identical to the serial path.
+* ``jobs > 1`` fans :meth:`run_many` out with
+  :func:`~repro.util.fanout.ordered_map`: each worker receives a copy of
+  the session, study included, once — byte-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -209,6 +209,33 @@ class Session:
             result = obs.stamp_result(result, tracer=tracer, before=before)
         return result
 
+    def _portable_study(self) -> "DeltaStudy":
+        """The study as ``--jobs`` workers receive it, provenance included.
+
+        A store-backed study keeps its store source, which pickles as a
+        path and a manifest, so each worker streams the store itself and
+        the parent never decodes it.  Any other study travels as the
+        parent's Stage-I records.
+        """
+        from repro.core import DeltaStudy
+
+        study = self.study
+        provenance = dict(
+            window_hours=study.window_hours,
+            n_nodes=study.n_nodes,
+            n_gpus=study.n_gpus,
+            slurm_db=study.slurm_db,
+            coalesce_config=study.coalesce_config,
+            propagation_window=study.propagation_window,
+        )
+        if study.store_hash is not None:
+            portable = DeltaStudy(study.source, **provenance)
+        else:
+            portable = DeltaStudy.from_records(study.records, **provenance)
+        portable.store_hash = study.store_hash
+        portable.dataset_label = study.dataset_label
+        return portable
+
     def run_many(
         self, identifiers: Sequence[str], *, jobs: Optional[int] = None
     ) -> List["ExperimentResult"]:
@@ -227,6 +254,11 @@ class Session:
         jobs = min(jobs, len(identifiers))
         if jobs <= 1:
             return [self.run(identifier) for identifier in identifiers]
-        from repro.session.parallel import run_parallel
+        from repro import obs
+        from repro.util.fanout import ordered_map
 
-        return run_parallel(self, identifiers, jobs=jobs)
+        with obs.span("session.dispatch", jobs=jobs, experiments=len(identifiers)):
+            # Workers run :meth:`run` on this copy of the session.
+            worker = Session(self.config)
+            worker._study = self._portable_study()
+            return ordered_map(worker.run, identifiers, workers=jobs, label="job")

@@ -14,7 +14,7 @@ A policy answers two questions the event loop asks:
 
 Policies are plain data; all clock-advancing behaviour lives in the
 engine, keyed off these flags, so a policy is trivially picklable for the
-multiprocessing sweep runner.
+sweep runner's worker processes.
 """
 
 from __future__ import annotations

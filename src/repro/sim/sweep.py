@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -24,6 +24,7 @@ from repro.results.artifact import RunManifest
 from repro.sim.engine import SimulationConfig, simulate_training_run
 from repro.sim.metrics import RunMetrics, aggregate_metrics
 from repro.sim.scenarios import build_scenario
+from repro.util.fanout import ordered_map
 
 
 @dataclass(frozen=True)
@@ -89,19 +90,13 @@ class SweepResult:
         return out
 
 
-def _run_replica(task: Tuple[SweepConfig, int]) -> Tuple[int, Dict[str, object]]:
-    """One replica (module-level so multiprocessing can pickle it)."""
-    sweep, replica = task
+def _run_replica(sweep: SweepConfig, replica: int) -> Tuple[int, Dict[str, object]]:
+    """One replica (module-level so pool workers can pickle it)."""
     with obs.span("sim.replica", replica=replica, policy=sweep.policy):
         metrics = simulate_training_run(
             sweep.build(), seed=sweep.seed, replica=replica
         )
     return replica, metrics.to_dict()
-
-
-def _init_sim_worker(context) -> None:
-    """Pool initializer: adopt the dispatching process's trace context."""
-    obs.activate_context(context)
 
 
 def _cache_path(cache_dir: str, digest: str) -> str:
@@ -151,26 +146,16 @@ def run_sweep(
 
     wanted = range(config.replicas)
     missing = [i for i in wanted if i not in cached]
-    tasks = [(config, i) for i in missing]
 
-    fresh: List[Tuple[int, Dict[str, object]]] = []
     with obs.span(
         "sim.sweep", scenario=config.scenario, policy=config.policy,
         workers=workers,
     ) as sweep_span:
-        sweep_span.add("sim.replicas_run", len(tasks))
+        sweep_span.add("sim.replicas_run", len(missing))
         sweep_span.add("sim.replicas_cached", len(cached))
-        if tasks:
-            if workers == 1 or len(tasks) == 1:
-                fresh = [_run_replica(task) for task in tasks]
-            else:
-                context = obs.current_context(label="sim")
-                with multiprocessing.Pool(
-                    processes=min(workers, len(tasks)),
-                    initializer=_init_sim_worker,
-                    initargs=(context,),
-                ) as pool:
-                    fresh = pool.map(_run_replica, tasks, chunksize=1)
+        fresh: List[Tuple[int, Dict[str, object]]] = ordered_map(
+            partial(_run_replica, config), missing, workers=workers, label="sim"
+        )
 
     if cache_file is not None and fresh:
         with open(cache_file, "a", encoding="utf-8") as handle:

@@ -1,7 +1,8 @@
 """Shared utilities: time handling, RNG streams, statistics, table rendering.
 
 These helpers are deliberately dependency-light (NumPy + stdlib only) so that
-every other subpackage can import them without cycles.
+every other subpackage can import them without cycles.  The process pool,
+:mod:`repro.util.fanout`, also uses the stdlib-only :mod:`repro.obs`.
 """
 
 from repro.util.rng import RngStreams, spawn_rng

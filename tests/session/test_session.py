@@ -70,12 +70,21 @@ class TestRunConfig:
         assert make_config(store=Path("s")).digest() != base.digest()
         assert make_config(dataset=Path("d")).digest() != base.digest()
 
-    def test_from_args_resolves_all_cores(self):
+    def test_from_args_resolves_all_cores(self, monkeypatch):
+        """An absent --workers counts only the CPUs this process may use."""
         import os
 
         args = argparse.Namespace(scale=SCALE, seed=SEED, workers=None)
-        config = RunConfig.from_args(args)
-        assert config.workers == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        # Pinned to one CPU (taskset -c 3) on a 64-CPU host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert RunConfig.from_args(args).workers == 1
+        # Platforms without affinity fall back to the CPU count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert RunConfig.from_args(args).workers == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert RunConfig.from_args(args).workers == 1
 
     def test_from_args_ignores_absent_flags(self):
         config = RunConfig.from_args(argparse.Namespace(seed=11))
@@ -159,6 +168,28 @@ class TestParallelIdentity:
             make_config(store=store_dir, jobs=3)
         ).run_many(self.IDS)
         assert self.render(serial) == self.render(fanned)
+
+    def test_store_backed_fanout_leaves_the_store_to_the_workers(
+        self, tmp_path, monkeypatch
+    ):
+        """The parent never decodes the store: each worker streams it."""
+        import os
+
+        from repro.core import DeltaStudy
+
+        store_dir = tmp_path / "events"
+        Session(make_config(store=store_dir)).study  # builds the store
+        parent, decoded = os.getpid(), []
+        records = DeltaStudy.records
+
+        def counting(study):
+            if os.getpid() == parent:
+                decoded.append(study)
+            return records.fget(study)
+
+        monkeypatch.setattr(DeltaStudy, "records", property(counting))
+        Session(make_config(store=store_dir, jobs=2)).run_many(self.IDS)
+        assert decoded == []
 
     def test_jobs_cap_at_identifier_count(self):
         # jobs > len(ids) must not spawn idle workers or change results.
