@@ -14,41 +14,49 @@ def _configure_monitor(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from repro.pipeline import FileSetSource, IngestPipeline, StreamingCoalesce
+    from repro import obs
+    from repro.core.streaming import StreamingCoalescer
+    from repro.pipeline import FileSetSource, iter_source_records
     from repro.util.timeutil import format_duration, format_timestamp
 
+    if args.alarm_minutes <= 0:
+        raise CliError("--alarm-minutes must be positive")
     if not args.logs.is_dir():
         raise CliError(f"{args.logs} is not a directory")
 
-    # The same staged pipeline the batch study rides, with the streaming
-    # coalescer as the Coalesce stage: records stream through the k-way
-    # time merge (which preserves each node file's per-GPU order), alarms
-    # fire the moment an open run crosses the threshold, and
-    # keep_closed=False keeps memory O(open runs).
-    def _print_alarm(alarm) -> None:
-        print(
-            f"ALARM {format_timestamp(alarm.start_time)} {alarm.node_id} "
-            f"{alarm.pci_bus} XID {alarm.xid}: error open for "
-            f"{format_duration(alarm.open_persistence)} "
-            f"({alarm.n_raw:,} duplicate lines so far)"
-        )
+    # Stage I's k-way time merge preserves each node file's per-GPU
+    # order, so the streaming coalescer can watch the stream as it flows:
+    # alarms print the moment an open run crosses the threshold, and
+    # keep_closed=False keeps memory O(open runs).  A watched directory
+    # can legitimately regress in time (clock reset, a demo/emitter re-run
+    # appending a fresh window): the watchdog restarts the affected run
+    # instead of dying.
+    n_errors = 0
 
-    pipeline = IngestPipeline(
-        FileSetSource(args.logs),
-        coalesce=StreamingCoalesce(
-            alarm_after_seconds=args.alarm_minutes * 60.0,
-            keep_closed=False,
-            on_alarm=_print_alarm,
-            # A watched directory can legitimately regress in time (clock
-            # reset, a demo/emitter re-run appending a fresh window): the
-            # live watchdog restarts the affected run instead of dying.
-            time_regression="restart",
-        ),
+    def _count_error(_error) -> None:
+        nonlocal n_errors
+        n_errors += 1
+
+    coalescer = StreamingCoalescer(
+        alarm_after_seconds=args.alarm_minutes * 60.0,
+        keep_closed=False,
+        on_close=_count_error,
+        time_regression="restart",
     )
-    result = pipeline.run()
+    records = iter_source_records(FileSetSource(args.logs))
+    with obs.span("pipeline.coalesce", engine="streaming") as span:
+        for alarm in coalescer.feed_many(records):
+            print(
+                f"ALARM {format_timestamp(alarm.start_time)} {alarm.node_id} "
+                f"{alarm.pci_bus} XID {alarm.xid}: error open for "
+                f"{format_duration(alarm.open_persistence)} "
+                f"({alarm.n_raw:,} duplicate lines so far)"
+            )
+        coalescer.flush()
+        span.add("pipeline.errors", n_errors)
     print(
-        f"stream complete: {result.n_errors:,} coalesced errors, "
-        f"{len(result.alarms)} persistence alarms"
+        f"stream complete: {n_errors:,} coalesced errors, "
+        f"{len(coalescer.alarms)} persistence alarms"
     )
     return 0
 
@@ -98,6 +106,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise CliError("--speedup must be positive")
     if args.alarm_minutes <= 0:
         raise CliError("--alarm-minutes must be positive")
+    if not 0 <= args.port <= 65535:
+        raise CliError(f"--port must be in 0..65535, got {args.port}")
+    if args.duration is not None and args.duration < 0:
+        raise CliError("--duration must not be negative")
 
     risk_scorer = None
     if args.trained_risk:
@@ -164,7 +176,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if emitter is not None:
             emitter.stop()
         metrics_text = service.render_metrics()
-        service.stop()  # drains the queue and flushes the store writer
+        try:
+            service.stop()  # drains the queue and flushes the store writer
+        except Exception as error:
+            raise CliError(
+                f"fleet ingest thread died ({service.records_ingested:,} "
+                f"records ingested): {type(error).__name__}: {error}"
+            ) from error
         summary = service.summary()
         if jsonl_sink is not None:
             jsonl_sink.close()
@@ -204,6 +222,8 @@ register(Command(
         ExitCase("watchdog over synthesized logs",
                  ("monitor", "{logs}", "--alarm-minutes", "30"), 0),
         ExitCase("missing log directory", ("monitor", "{absent}"), 2),
+        ExitCase("non-positive alarm threshold",
+                 ("monitor", "{logs}", "--alarm-minutes", "0"), 2),
     ),
 ))
 
@@ -225,5 +245,8 @@ register(Command(
                   "--speedup", "0"), 2),
         ExitCase("missing logs without --simulate",
                  ("serve", "{absent}"), 2),
+        ExitCase("port out of range", ("serve", "{logs}", "--port", "99999"), 2),
+        ExitCase("negative duration",
+                 ("serve", "{logs}", "--duration", "-1"), 2),
     ),
 ))

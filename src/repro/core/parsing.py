@@ -68,9 +68,9 @@ def parse_line(line: str) -> Optional[RawXidRecord]:
 def iter_parse_syslog(lines: Iterable[str]) -> Iterator[RawXidRecord]:
     """The shared record-iterator: lines in, parsed XID records out.
 
-    Every ingestion surface — the batch study, the monitor, the fleet
-    tailers, the staged pipeline — reduces to this one loop over
-    :func:`parse_line`.
+    Every ingestion surface — the Stage-I sources behind the study,
+    ``monitor`` and ``store build``, and the fleet tailers — reduces to
+    this one loop over :func:`parse_line`.
     """
     for line in lines:
         record = parse_line(line)

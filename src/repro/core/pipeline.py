@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 from repro.core.availability import AvailabilityAnalyzer, AvailabilityReport
-from repro.core.coalesce import CoalesceConfig, CoalescedError
+from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors
 from repro.core.counterfactual import CounterfactualAnalyzer, CounterfactualReport
 from repro.core.jobimpact import JobImpactAnalyzer
 from repro.core.mtbe import ErrorStatistics
@@ -42,15 +42,17 @@ class StudyReport:
 class DeltaStudy:
     """Run the characterization pipeline over one dataset's observables.
 
-    Stages I and II ride :mod:`repro.pipeline` — the staged ingestion
-    pipeline shared with the monitor and the fleet health service.  The
+    Stage I rides :mod:`repro.pipeline` — the extraction front-end
+    shared with ``monitor``, ``store build`` and ``replay --logs``.  The
     first argument accepts either an iterable of raw syslog lines (the
     historical in-memory shape) or any
     :class:`~repro.pipeline.sources.Source`; ``workers`` shards
-    extraction across processes when the source supports it (file sets
-    do, in-memory line streams do not).  Coalescing runs the vectorized
-    batch engine; the streaming coalescer it matches serves the live
-    paths.
+    extraction across processes when the source has several shards (file
+    sets and stores do, in-memory line streams do not).  Stage II feeds
+    that stream straight to batch Algorithm 1
+    (:func:`~repro.core.coalesce.coalesce_errors`); the
+    :class:`~repro.core.streaming.StreamingCoalescer` it matches serves
+    the live paths.
     """
 
     def __init__(
@@ -284,10 +286,13 @@ class DeltaStudy:
         materialized; the coalesced errors are what stays resident.
         """
         if self._errors is None:
-            from repro.pipeline.stages import VectorizedCoalesce
+            from repro import obs
 
-            stage = VectorizedCoalesce(self.coalesce_config)
-            self._errors = stage.run(self.iter_records()).errors
+            with obs.span("pipeline.coalesce", engine="vectorized") as span:
+                self._errors = coalesce_errors(
+                    self.iter_records(), self.coalesce_config
+                )
+                span.add("pipeline.errors", len(self._errors))
         return self._errors
 
     def error_statistics(self) -> ErrorStatistics:

@@ -252,33 +252,48 @@ def _sim_fleets(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def _pipeline_parity(ctx: ExperimentContext) -> ExperimentResult:
-    """Methodology check: batch and streaming Coalesce stages agree.
+    """Methodology check: batch and streaming Algorithm 1 agree.
 
     Runs the study's extracted records (sorted into the time order the
     extraction front-end's k-way merge produces for on-disk datasets)
-    through both Coalesce implementations and compares the resulting
-    error sequences and Table-1 headline statistics.
+    through both engines — batch
+    :func:`~repro.core.coalesce.coalesce_errors` and a drained
+    :class:`~repro.core.streaming.StreamingCoalescer` — and compares the
+    resulting error sequences and Table-1 headline statistics.
     """
+    from repro import obs
+    from repro.core.coalesce import coalesce_errors
     from repro.core.mtbe import ErrorStatistics
     from repro.core.report import _metric
-    from repro.pipeline.stages import StreamingCoalesce, VectorizedCoalesce
+    from repro.core.streaming import StreamingCoalescer
 
     study = ctx.study
+    config = study.coalesce_config
     records = sorted(
         study.records, key=lambda r: (r.time, r.node_id, r.pci_bus, r.xid)
     )
-    batch = VectorizedCoalesce(study.coalesce_config).run(records)
-    stream = StreamingCoalesce(study.coalesce_config).run(records)
+    with obs.span("pipeline.coalesce", engine="vectorized") as span:
+        batch = coalesce_errors(records, config)
+        span.add("pipeline.errors", len(batch))
+    coalescer = StreamingCoalescer(
+        window_seconds=config.window_seconds,
+        max_persistence=config.max_persistence,
+    )
+    with obs.span("pipeline.coalesce", engine="streaming") as span:
+        for record in records:
+            coalescer.feed(record)
+        stream = coalescer.flush()
+        span.add("pipeline.errors", len(stream))
     identical = [
         (e.time, e.gpu_key, e.xid, round(e.persistence, 9), e.n_raw)
-        for e in batch.errors
+        for e in batch
     ] == [
         (e.time, e.gpu_key, e.xid, round(e.persistence, 9), e.n_raw)
-        for e in stream.errors
+        for e in stream
     ]
     stats = {
-        name: ErrorStatistics(out.errors, study.window_hours, study.n_nodes)
-        for name, out in (("batch", batch), ("streaming", stream))
+        name: ErrorStatistics(errors, study.window_hours, study.n_nodes)
+        for name, errors in (("batch", batch), ("streaming", stream))
     }
     metrics = (
         _metric("raw_records", len(records)),
@@ -290,7 +305,7 @@ def _pipeline_parity(ctx: ExperimentContext) -> ExperimentResult:
                 float(stats["streaming"].overall_mtbe_node_hours())),
         _metric("sequences_identical", bool(identical),
                 "pipeline.parity.sequences_identical"),
-        _metric("streaming_alarms", len(stream.alarms)),
+        _metric("streaming_alarms", len(coalescer.alarms)),
     )
     return ExperimentResult(
         experiment_id="pipeline.parity",

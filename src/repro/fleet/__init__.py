@@ -1,4 +1,4 @@
-"""Fleet health service: live monitoring built on the streaming pipeline.
+"""Fleet health service: live monitoring built on the streaming coalescer.
 
 The always-on counterpart of the batch characterization — the operational
 shape Section 4.3's guidance ("continuously monitor the errors at the

@@ -1,17 +1,15 @@
 """The fleet health service: tailers -> registry -> rules -> exposition.
 
-:class:`FleetHealthService` owns the whole live path, and the live path
-rides the staged ingestion pipeline (:mod:`repro.pipeline`):
+:class:`FleetHealthService` owns the whole live path:
 
-* a :class:`~repro.pipeline.sources.TailSource` (wrapping
-  :class:`~repro.fleet.tailer.DirectoryTailer`) follows the per-node log
-  files through one bounded queue (the backpressure boundary);
-* an extract-only :class:`~repro.pipeline.engine.IngestPipeline` drives
-  the stream through a consumer that feeds each record into the
+* a :class:`~repro.fleet.tailer.DirectoryTailer` follows the per-node
+  log files through one bounded queue (the backpressure boundary);
+* one ingest thread drains that queue and feeds each record to the
   :class:`~repro.fleet.registry.HealthRegistry` (sharded state, streaming
-  coalescing with ``keep_closed=False`` — live memory stays O(open runs))
-  and forwards onset/alarm facts to the
-  :class:`~repro.fleet.rules.RuleEngine`;
+  coalescing with ``keep_closed=False`` — live memory stays O(open runs)),
+  forwards onset/alarm facts to the :class:`~repro.fleet.rules.RuleEngine`,
+  and, given a store, hands the record to a
+  :class:`~repro.store.writer.StoreWriter`;
 * an optional :class:`~repro.fleet.exposition.MetricsServer` serves
   Prometheus text format at ``/metrics``.
 
@@ -26,13 +24,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from repro.core.parsing import RawXidRecord
 from repro.fleet.exposition import MetricsServer, render_prometheus
 from repro.obs import CounterSet
 from repro.fleet.registry import HealthRegistry, RiskScorer
 from repro.fleet.rules import AlertRule, AlertSink, RuleEngine, default_rules
-from repro.pipeline.engine import Consumer, IngestPipeline
-from repro.pipeline.sources import TailSource
+from repro.fleet.tailer import DirectoryTailer
 
 
 @dataclass(frozen=True)
@@ -63,23 +59,6 @@ class FleetServiceConfig:
     store_segment_records: int = 20_000
     store_flush_seconds: Optional[float] = 5.0
     warm_start: bool = True
-
-
-class _RegistryFeed(Consumer):
-    """Pipeline consumer: registry ingestion + rule-engine fact routing."""
-
-    def __init__(self, service: "FleetHealthService") -> None:
-        self.service = service
-
-    def on_record(self, record: RawXidRecord) -> None:
-        service = self.service
-        result = service.registry.ingest(record)
-        service.records_ingested += 1
-        service.counters.inc("fleet.records_ingested")
-        if result.onset:
-            service.engine.observe_onset(record, result.health)
-        if result.alarm is not None:
-            service.engine.observe_alarm(result.alarm)
 
 
 class FleetHealthService:
@@ -139,19 +118,12 @@ class FleetHealthService:
                 # log files from the top would double-ingest everything
                 # the store already holds.
                 from_start = False
-        self.source = TailSource(
+        self.tailer = DirectoryTailer(
             config.logs_dir,
             queue_size=config.queue_size,
             workers=config.workers,
             poll_interval=config.poll_interval,
             from_start=from_start,
-        )
-        self.tailer = self.source.tailer
-        consumers: Tuple[Consumer, ...] = (_RegistryFeed(self),)
-        if self.store_writer is not None:
-            consumers = consumers + (self.store_writer,)
-        self.pipeline = IngestPipeline(
-            self.source, coalesce=None, consumers=consumers
         )
         self.metrics_server: Optional[MetricsServer] = None
         if config.metrics_port is not None:
@@ -161,6 +133,8 @@ class FleetHealthService:
                 port=config.metrics_port,
             )
         self._consumer: Optional[threading.Thread] = None
+        #: What killed the ingest thread, re-raised by :meth:`stop`.
+        self._ingest_error: Optional[Exception] = None
         self._started = False
         self._stopped = False
         self.records_ingested = 0
@@ -184,7 +158,10 @@ class FleetHealthService:
         return self
 
     def stop(self, *, timeout: float = 30.0) -> None:
-        """Stop tailing, drain the queue, shut the endpoint down."""
+        """Stop tailing, drain the queue, shut the endpoint down.
+
+        Raises whatever killed the ingest thread, after that shutdown.
+        """
         if not self._started or self._stopped:
             return
         self._stopped = True
@@ -200,6 +177,8 @@ class FleetHealthService:
             close = getattr(sink, "close", None)
             if callable(close):
                 close()
+        if self._ingest_error is not None:
+            raise self._ingest_error
 
     def _replay_store(self) -> None:
         """Warm-start the registry from durable history (restart path).
@@ -219,9 +198,26 @@ class FleetHealthService:
             self.records_replayed += 1
 
     def _consume(self) -> None:
-        # Extract-only pipeline run: the sharded registry owns the
-        # streaming coalescers, so the Coalesce stage lives in its shards.
-        self.pipeline.run()
+        """Ingest thread: each record feeds the registry (whose shards own
+        the streaming coalescers), then the rules, then the store."""
+        registry, engine, writer = self.registry, self.engine, self.store_writer
+        try:
+            try:
+                for record in self.tailer.records():
+                    result = registry.ingest(record)
+                    self.records_ingested += 1
+                    self.counters.inc("fleet.records_ingested")
+                    if result.onset:
+                        engine.observe_onset(record, result.health)
+                    if result.alarm is not None:
+                        engine.observe_alarm(result.alarm)
+                    if writer is not None:
+                        writer.on_record(record)
+            finally:
+                if writer is not None:
+                    writer.close()
+        except Exception as error:  # raised again by stop()
+            self._ingest_error = error
 
     # ------------------------------------------------------------------
 
@@ -271,12 +267,13 @@ class FleetHealthService:
         """Wait until ingestion has been quiet for ``idle_for`` seconds.
 
         "Quiet" = no new records ingested and the queue empty — the state
-        a finished emitter leaves behind.  Returns False on timeout.
+        a finished emitter leaves behind.  Returns False on timeout, or at
+        once when the ingest thread has died (:meth:`stop` raises why).
         """
         deadline = self.clock() + timeout
         last_count = -1
         quiet_since: Optional[float] = None
-        while self.clock() < deadline:
+        while self.clock() < deadline and self._ingest_error is None:
             count = self.records_ingested
             if count != last_count or self.tailer.queue_depth > 0:
                 last_count = count

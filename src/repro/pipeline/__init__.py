@@ -1,12 +1,14 @@
-"""The staged ingestion pipeline: Source -> Extract -> Coalesce -> Consumers.
+"""Stage I's front-end: Sources and the extraction that reads them.
 
 One code path for every way records enter the system — batch file sets,
-in-memory line streams, live tails, and synthetic record streams — with
-a parallel sharded extraction front-end and interchangeable batch /
-streaming coalescing.  See ``docs/pipeline.md`` for the design.
+event-store segments, in-memory line streams and synthetic record
+streams — with a parallel sharded extraction front-end whose record
+stream is identical for every worker count.  Callers hand that stream
+straight to Algorithm 1: batch :func:`~repro.core.coalesce.coalesce_errors`
+or the incremental :class:`~repro.core.streaming.StreamingCoalescer`.
+See ``docs/pipeline.md`` for the design.
 """
 
-from repro.pipeline.engine import Consumer, IngestPipeline, PipelineResult
 from repro.pipeline.extract import extract_records, iter_source_records
 from repro.pipeline.sources import (
     FileSetSource,
@@ -14,20 +16,9 @@ from repro.pipeline.sources import (
     LinesSource,
     RecordsSource,
     Source,
-    TailSource,
-)
-from repro.pipeline.stages import (
-    CoalesceOutcome,
-    CoalesceStage,
-    StreamingCoalesce,
-    VectorizedCoalesce,
-    make_stage,
 )
 
 __all__ = [
-    "Consumer",
-    "IngestPipeline",
-    "PipelineResult",
     "extract_records",
     "iter_source_records",
     "FileSetSource",
@@ -35,10 +26,4 @@ __all__ = [
     "LinesSource",
     "RecordsSource",
     "Source",
-    "TailSource",
-    "CoalesceOutcome",
-    "CoalesceStage",
-    "StreamingCoalesce",
-    "VectorizedCoalesce",
-    "make_stage",
 ]

@@ -1,10 +1,10 @@
-"""Sources: where records enter the staged ingestion pipeline.
+"""Sources: where Stage-I records come from.
 
 A :class:`Source` describes *where raw records come from* and nothing
 else; Extract (:mod:`repro.pipeline.extract`) decides *how* to pull them
-out (serially or sharded over a process pool) and Coalesce
-(:mod:`repro.pipeline.stages`) turns them into errors.  Three shapes
-cover every ingestion surface in the repository:
+out (serially or sharded over a process pool), and the caller hands the
+stream to Algorithm 1.  Two shapes cover every batch ingestion surface
+in the repository:
 
 * **file sets** (:class:`FileSetSource`) — a directory or explicit list
   of per-node syslog files, the batch-study shape.  Each file is an
@@ -14,14 +14,11 @@ cover every ingestion surface in the repository:
 * **in-memory line streams** (:class:`LinesSource`) — an iterable of raw
   syslog text, the in-memory study and adapter shape.  One shard, no
   ordering promise.
-* **live tails** (:class:`TailSource`) — a directory being appended to,
-  wrapped around :class:`~repro.fleet.tailer.DirectoryTailer`.  Live
-  sources have no shard list (the stream is unbounded); records arrive
-  in arrival order, which preserves per-GPU time order.
 
 :class:`RecordsSource` closes the loop for simulated streams: already-
-parsed (or synthetically generated) records enter the very same pipeline
-the batch and live paths use.
+parsed (or synthetically generated) records enter the very same
+front-end the file-set path uses.  The live fleet path follows growing
+files with :class:`~repro.fleet.tailer.DirectoryTailer` instead.
 """
 
 from __future__ import annotations
@@ -80,37 +77,26 @@ class RecordShard:
 class Source:
     """Base class: a description of where records come from.
 
-    Class attributes describe the contract Extract relies on:
+    Extract fans the shards out over worker processes, and k-way merges
+    the per-shard streams by time, exactly when there is more than one
+    shard.  A source with several shards must therefore make each one
+    picklable and time-ordered on its own, as file sets and stores do.
 
-    ``live``
-        The stream is unbounded and arrives over time; there is no shard
-        list and :meth:`iter_records` blocks until the source is stopped.
-    ``parallelizable``
-        Shards are picklable and independent, so Extract may fan them
-        out over worker processes.
-    ``merge_by_time``
-        Every shard's records are individually time-ordered, so Extract
-        k-way-merges the per-shard streams into one globally
-        time-ordered stream (required for the streaming coalescer's
-        ordering contract; harmless for the batch path, which sorts).
     ``reiterable``
         :meth:`shards` may be called repeatedly and every pass yields
         the same records (files and store segments are; one-shot
-        in-memory iterables are not).  Consumers that would otherwise
+        in-memory iterables are not).  Callers that would otherwise
         materialize the stream (the study's record cache) may stream
         instead when the source is reiterable.
     """
 
-    live: bool = False
-    parallelizable: bool = False
-    merge_by_time: bool = False
     reiterable: bool = False
 
     def shards(self) -> Sequence[object]:
         raise NotImplementedError
 
     def iter_records(self) -> Iterator[RawXidRecord]:
-        """Serial record stream (live sources override this)."""
+        """Serial record stream."""
         from repro.pipeline.extract import iter_source_records
 
         return iter_source_records(self, workers=1)
@@ -119,8 +105,6 @@ class Source:
 class FileSetSource(Source):
     """A fixed set of node log files (a directory, or explicit paths)."""
 
-    parallelizable = True
-    merge_by_time = True
     reiterable = True
 
     def __init__(
@@ -153,62 +137,10 @@ class LinesSource(Source):
 
 
 class RecordsSource(Source):
-    """Already-parsed records entering the pipeline directly.
+    """Already-parsed records entering the front-end directly (one shard)."""
 
-    ``ordered=True`` declares the records time-ordered (a replayed trace,
-    a simulator's event stream), which lets the streaming coalescer run
-    downstream.
-    """
-
-    def __init__(
-        self, records: Iterable[RawXidRecord], *, ordered: bool = False
-    ) -> None:
+    def __init__(self, records: Iterable[RawXidRecord]) -> None:
         self._shard = RecordShard(records)
-        self.merge_by_time = ordered
 
     def shards(self) -> Sequence[RecordShard]:
         return [self._shard]
-
-
-class TailSource(Source):
-    """Live tail of a directory of appended-to node logs.
-
-    Wraps :class:`~repro.fleet.tailer.DirectoryTailer`; the tailer's
-    bounded queue remains the backpressure boundary.  The caller owns the
-    lifecycle: :meth:`start` before consuming, :meth:`stop` to end the
-    stream (the record iterator finishes once the workers drain out).
-    """
-
-    live = True
-
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        queue_size: int = 4096,
-        workers: int = 2,
-        poll_interval: float = 0.05,
-        from_start: bool = True,
-    ) -> None:
-        from repro.fleet.tailer import DirectoryTailer
-
-        self.tailer = DirectoryTailer(
-            directory,
-            queue_size=queue_size,
-            workers=workers,
-            poll_interval=poll_interval,
-            from_start=from_start,
-        )
-
-    def start(self) -> "TailSource":
-        self.tailer.start()
-        return self
-
-    def stop(self) -> None:
-        self.tailer.stop()
-
-    def join(self, timeout: float | None = None) -> None:
-        self.tailer.join(timeout)
-
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        return self.tailer.records()

@@ -1,9 +1,9 @@
 """Columnar on-disk event store for coalesced XID records.
 
-The persistent, indexed home of the merged record stream the staged
-pipeline produces: immutable per-column numpy segments with zone-map
-footers, one atomically-committed manifest, crash-safe append and
-compaction, and a pushdown query layer that yields records in global
+The persistent, indexed home of the merged record stream Stage I's
+extraction front-end produces: immutable per-column numpy segments with
+zone-map footers, one atomically-committed manifest, crash-safe append
+and compaction, and a pushdown query layer that yields records in global
 timestamp order — byte-identical to the pipeline stream the store was
 built from.  See ``docs/store.md`` for the format and recovery
 semantics.

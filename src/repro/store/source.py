@@ -1,7 +1,7 @@
 """The store as a pipeline source: segments are shards.
 
-:class:`StoreSource` lets everything downstream of extraction — the
-coalesce stages, the study, every consumer — read from a built store
+:class:`StoreSource` lets everything downstream of extraction — both
+Algorithm-1 engines, the study, ``replay`` — read from a built store
 exactly the way it reads from raw log files, except that "extraction"
 is now a columnar decode instead of a regex scan.  Each segment is one
 picklable shard (a path plus the query), so ``workers > 1`` fans decode
@@ -38,8 +38,6 @@ class SegmentShard:
 class StoreSource(Source):
     """Read a built :class:`~repro.store.store.EventStore` as a pipeline source."""
 
-    parallelizable = True
-    merge_by_time = True
     reiterable = True
 
     def __init__(

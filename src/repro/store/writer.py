@@ -1,12 +1,13 @@
-"""Pipeline consumer that persists the record stream into an event store.
+"""Persist a record stream into an event store, segment by segment.
 
-Attach a :class:`StoreWriter` to any :class:`~repro.pipeline.engine.IngestPipeline`
-and every record the pipeline observes lands in the store: batch builds
-flush a segment per ``segment_records``, live tails additionally flush
-whatever has accumulated every ``flush_seconds`` of wall time so a
+Feed a :class:`StoreWriter` one record at a time through
+:meth:`~StoreWriter.on_record` and every record lands in the store.  It
+flushes a segment per ``segment_records`` and, given ``flush_seconds``,
+whatever has accumulated every ``flush_seconds`` of wall time, so a
 long-lived ``repro-delta serve`` leaves durable history behind even at
-low event rates.  ``close()`` (called by the pipeline's ``finally``)
-flushes the remainder — no records are lost on a clean stop.
+low event rates.  ``close()`` (which the fleet service's ingest thread
+calls in a ``finally``) flushes the remainder — no records are lost on
+a clean stop.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core.parsing import RawXidRecord
-from repro.pipeline.engine import Consumer
 from repro.store.store import DEFAULT_SEGMENT_RECORDS, EventStore
 
 
-class StoreWriter(Consumer):
+class StoreWriter:
     """Buffer records and append them to an :class:`EventStore` in segments."""
 
     def __init__(

@@ -85,6 +85,7 @@ class TestMetricsServer:
         bad = server.url.replace("/metrics", "/nope")
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(bad, timeout=5)
+        err.value.close()
         assert err.value.code == 404
 
     def test_provider_failure_becomes_500(self):
@@ -96,6 +97,7 @@ class TestMetricsServer:
         try:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(server.url, timeout=5)
+            err.value.close()
             assert err.value.code == 500
         finally:
             server.stop()

@@ -1,6 +1,10 @@
-"""FleetHealthService wiring: injectable clock, sink lifecycle, staleness."""
+"""FleetHealthService wiring: injectable clock, sink lifecycle, staleness,
+and a dead ingest thread."""
 
 import json
+import time
+
+import pytest
 
 from repro.fleet import JsonLinesSink
 from repro.fleet.registry import HealthRegistry
@@ -110,3 +114,32 @@ class TestIngestStaleness:
             assert float(line.split()[-1]) == 7.0
         finally:
             service.stop(timeout=10.0)
+
+
+class _FullDiskSink:
+    """An alert sink whose every write fails."""
+
+    def emit(self, alert) -> None:
+        raise OSError(28, "No space left on device")
+
+
+class TestIngestFailure:
+    LINE = (
+        "2022-03-14T02:11:09.113 gpub042 kernel: NVRM: Xid (PCI:0000:C7:00): "
+        "79, pid=8821, GPU has fallen off the bus"
+    )
+
+    def test_stop_raises_what_killed_the_ingest_thread(self, tmp_path):
+        service = _service(tmp_path, sinks=(_FullDiskSink(),))
+        # The first XID 79 fires the drain alert, whose sink write fails.
+        (tmp_path / "logs" / "gpub042.log").write_text(
+            "\n".join([self.LINE] * 3) + "\n"
+        )
+        service.start()
+        assert service.wait_for(lambda s: s.records_ingested, timeout=10.0)
+        started = time.monotonic()
+        assert service.wait_idle(timeout=30.0) is False
+        assert time.monotonic() - started < 10.0  # gave up, did not time out
+        with pytest.raises(OSError, match="No space left on device"):
+            service.stop(timeout=10.0)
+        assert service.records_ingested == 1

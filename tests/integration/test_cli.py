@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.core.coalesce import coalesce_errors
+from repro.pipeline import FileSetSource, extract_records
 
 
 class TestCli:
@@ -54,9 +56,16 @@ class TestCli:
         main(["synthesize", str(out_dir), "--scale", "0.004", "--seed", "3"])
         capsys.readouterr()
         assert main(["monitor", str(out_dir / "logs"), "--alarm-minutes", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "stream complete" in out
-        assert "ALARM" in out  # the offender GPU trips the watchdog
+        lines = capsys.readouterr().out.splitlines()
+        n_alarms = sum(line.startswith("ALARM ") for line in lines)
+        assert n_alarms >= 1  # the offender GPU trips the watchdog
+        n_errors = len(coalesce_errors(
+            extract_records(FileSetSource(out_dir / "logs"))
+        ))
+        assert lines[-1] == (
+            f"stream complete: {n_errors:,} coalesced errors, "
+            f"{n_alarms} persistence alarms"
+        )
 
     def test_serve_simulate(self, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -76,6 +85,27 @@ class TestCli:
     def test_serve_rejects_missing_directory(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "absent")]) == 2
         assert "not a directory" in capsys.readouterr().out
+
+    def test_serve_fails_when_its_ingest_thread_dies(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.fleet import StdoutSink
+
+        def _full_disk(self, alert):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(StdoutSink, "emit", _full_disk)
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "gpub042.log").write_text(
+            "2022-03-14T02:11:09.113 gpub042 kernel: NVRM: Xid "
+            "(PCI:0000:C7:00): 79, pid=8821, GPU has fallen off the bus\n"
+        )
+        assert main(["serve", str(logs), "--duration", "0"]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "error: fleet ingest thread died (1 records ingested): "
+            "OSError: [Errno 28] No space left on device"
+        )
 
     def test_experiment_listing(self, capsys):
         assert main(["experiment"]) == 0

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.coalesce import coalesce_errors
 from repro.core.parsing import RawXidRecord, iter_directory_records
+from repro.core.streaming import StreamingCoalescer
 from repro.pipeline.extract import extract_records, iter_source_records
 from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
 
@@ -37,6 +39,16 @@ class TestParallelIdentity:
             serial, key=lambda r: (r.time, r.node_id, r.pci_bus, r.xid, r.message)
         )
         assert merged == unmerged
+
+    def test_both_engines_coalesce_the_merged_stream_alike(self, serial):
+        """The merge's time order is the streaming engine's input contract:
+        drained, it returns exactly the batch engine's errors."""
+        coalescer = StreamingCoalescer()
+        for record in serial:
+            coalescer.feed(record)
+        batch = coalesce_errors(serial)
+        assert len(batch) > 100
+        assert coalescer.flush() == batch
 
 
 class TestExtractSemantics:

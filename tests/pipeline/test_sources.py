@@ -1,16 +1,11 @@
-"""Sources: shard exposure, ordering declarations, record iteration."""
+"""Sources: shard exposure and record iteration."""
 
 import gzip
 
 import pytest
 
 from repro.core.parsing import RawXidRecord
-from repro.pipeline.sources import (
-    FileSetSource,
-    LinesSource,
-    RecordsSource,
-    TailSource,
-)
+from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
 
 LINE = (
     "2022-03-14T02:11:09.113 gpub042 kernel: NVRM: Xid (PCI:0000:C7:00): "
@@ -50,11 +45,6 @@ class TestFileSetSource:
         records = list(FileSetSource(tmp_path).iter_records())
         assert len(records) == 1 and records[0].xid == 79
 
-    def test_declares_parallel_time_ordered(self):
-        assert FileSetSource.parallelizable
-        assert FileSetSource.merge_by_time
-        assert not FileSetSource.live
-
 
 class TestLinesSource:
     def test_parses_lines(self):
@@ -64,8 +54,6 @@ class TestLinesSource:
     def test_single_unordered_shard(self):
         source = LinesSource([LINE])
         assert len(source.shards()) == 1
-        assert not source.merge_by_time
-        assert not source.parallelizable
 
 
 class TestRecordsSource:
@@ -73,18 +61,3 @@ class TestRecordsSource:
         records = [_record(1.0), _record(2.0)]
         assert list(RecordsSource(records).iter_records()) == records
 
-    def test_ordered_flag_enables_time_merge_declaration(self):
-        assert RecordsSource([], ordered=True).merge_by_time
-        assert not RecordsSource([]).merge_by_time
-
-
-class TestTailSource:
-    def test_streams_live_appends(self, tmp_path):
-        source = TailSource(tmp_path, poll_interval=0.01)
-        assert source.live
-        (tmp_path / "n1.log").write_text(LINE + "\n")
-        source.start()
-        source.stop()
-        records = list(source.iter_records())
-        source.join(timeout=5.0)
-        assert len(records) == 1 and records[0].node_id == "gpub042"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import DeltaStudy
-from repro.pipeline.engine import IngestPipeline
+from repro.pipeline.extract import iter_source_records
 from repro.pipeline.sources import FileSetSource
 from repro.store import EventStore, Query, StoreSource, StoreWriter
 
@@ -114,10 +114,9 @@ class TestStoreWriter:
     ):
         store = EventStore.create(tmp_path / "events")
         writer = StoreWriter(store, segment_records=600)
-        pipeline = IngestPipeline(
-            FileSetSource(logs_dir), coalesce=None, consumers=(writer,)
-        )
-        pipeline.run()
+        for record in iter_source_records(FileSetSource(logs_dir)):
+            writer.on_record(record)
+        writer.close()
         assert writer.records_written == len(pipeline_stream)
         assert list(store.query()) == pipeline_stream
 

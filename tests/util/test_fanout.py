@@ -103,8 +103,6 @@ class _DyingShard:
 
 
 class _DyingSource(Source):
-    parallelizable = True
-
     def shards(self):
         return [_DyingShard(), _DyingShard()]
 
