@@ -16,95 +16,20 @@ Quickstart::
     study = DeltaStudy.from_dataset(dataset)
     report = study.run()
     print(report.statistics.overall_mtbe_node_hours())
+
+The package re-exports only the four entry points the examples start from;
+every other name is imported from the module that defines it.
 """
 
-from repro.cluster import ClusterInventory, DeltaShape, build_delta_cluster
-from repro.core import (
-    AvailabilityAnalyzer,
-    CoalesceConfig,
-    CoalescedError,
-    CounterfactualAnalyzer,
-    DeltaStudy,
-    ErrorStatistics,
-    H100Analyzer,
-    JobImpactAnalyzer,
-    OverprovisionConfig,
-    OverprovisionSimulator,
-    PersistenceAnalyzer,
-    PropagationAnalyzer,
-    StudyReport,
-    coalesce_errors,
-    parse_syslog,
-    required_overprovision_analytic,
-)
-from repro.datasets import (
-    DeltaDataset,
-    DeltaDatasetConfig,
-    synthesize_delta,
-    synthesize_h100,
-)
-from repro.faults import (
-    AMPERE_CALIBRATION,
-    DELTA_CALIBRATION,
-    H100_CALIBRATION,
-    FaultInjector,
-    InjectorConfig,
-    Xid,
-)
-from repro.results import (
-    ExperimentResult,
-    Metric,
-    PaperExpectation,
-    ResultTable,
-    RunManifest,
-    Tolerance,
-    VerificationReport,
-    verify_result,
-    verify_results,
-)
-from repro.slurm import SlurmDatabase
+from repro.core import DeltaStudy, H100Analyzer
+from repro.datasets import synthesize_delta, synthesize_h100
 
 __version__ = "2.0.0"
 
 __all__ = [
-    "ClusterInventory",
-    "DeltaShape",
-    "build_delta_cluster",
-    "AvailabilityAnalyzer",
-    "CoalesceConfig",
-    "CoalescedError",
-    "CounterfactualAnalyzer",
     "DeltaStudy",
-    "ErrorStatistics",
     "H100Analyzer",
-    "JobImpactAnalyzer",
-    "OverprovisionConfig",
-    "OverprovisionSimulator",
-    "PersistenceAnalyzer",
-    "PropagationAnalyzer",
-    "StudyReport",
-    "coalesce_errors",
-    "parse_syslog",
-    "required_overprovision_analytic",
-    "DeltaDataset",
-    "DeltaDatasetConfig",
     "synthesize_delta",
     "synthesize_h100",
-    "AMPERE_CALIBRATION",
-    "DELTA_CALIBRATION",
-    "H100_CALIBRATION",
-    "FaultInjector",
-    "InjectorConfig",
-    "Xid",
-    "ExperimentResult",
-    "Metric",
-    "PaperExpectation",
-    "ResultTable",
-    "RunManifest",
-    "Tolerance",
-    "VerificationReport",
-    "verify_result",
-    "verify_results",
-    "SlurmDatabase",
     "__version__",
 ]

@@ -147,6 +147,9 @@ register(Command(
                  ("experiment", "--output-dir", "{tmp}/out"), 2),
         ExitCase("id and --all together",
                  ("experiment", "fig5", "--all"), 2),
+        ExitCase("--dataset without slurm.jsonl",
+                 ("experiment", "fig5", "--dataset", "{logs}",
+                  "--scale", "0.004"), 2),
     ),
 ))
 
@@ -166,5 +169,8 @@ register(Command(
                  ("verify", "table1", "--scale", "0.02", "--seed", "1234",
                   "--tolerance-scale", "1e-6"), 1),
         ExitCase("unknown ids", ("verify", "nope", "--scale", "0.02"), 2),
+        ExitCase("--dataset without logs/",
+                 ("verify", "table1", "--dataset", "{no_logs}",
+                  "--scale", "0.004"), 2),
     ),
 ))

@@ -27,10 +27,11 @@ class CliError(Exception):
     """Bad input detected by a command handler; exits with code 2."""
 
 
-def require_positive(flag: str, value: Optional[int]) -> None:
-    """Reject a count flag below 1 before the command does any work."""
-    if value is not None and value < 1:
-        raise CliError(f"{flag} must be >= 1, got {value}")
+def require_positive(flag: str, value: Optional[float]) -> None:
+    """Reject a count or scale flag that is not above zero before the
+    command does any work."""
+    if value is not None and not value > 0:
+        raise CliError(f"{flag} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,9 @@ class ExitCase:
     """One executable example of the exit-code contract.
 
     ``argv`` may reference fixture placeholders (``{dataset}``,
-    ``{logs}``, ``{built_store}``, ``{demo_store}``, ``{tmp}``,
-    ``{absent}``) that the contract tests resolve against a small
-    shared dataset.
+    ``{logs}``, ``{no_logs}``, ``{built_store}``, ``{demo_store}``,
+    ``{traced}``, ``{tmp}``, ``{absent}``) that the contract tests
+    resolve against a small shared dataset.
     """
 
     label: str

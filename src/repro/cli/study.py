@@ -7,7 +7,9 @@ import argparse
 from pathlib import Path
 
 from repro.cli.common import write_result_dir
-from repro.cli.registry import Command, ExitCase, Flags, register, require_positive
+from repro.cli.registry import (
+    CliError, Command, ExitCase, Flags, register, require_positive,
+)
 
 #: The experiments the ``study`` report prints, in paper order.
 STUDY_SEQUENCE = (
@@ -24,6 +26,9 @@ def _configure_synthesize(parser: argparse.ArgumentParser) -> None:
 def _cmd_synthesize(args: argparse.Namespace) -> int:
     from repro.datasets import synthesize_delta
 
+    require_positive("--scale", args.scale)
+    if args.output.exists() and not args.output.is_dir():
+        raise CliError(f"{args.output} exists and is not a directory")
     dataset = synthesize_delta(scale=args.scale, seed=args.seed)
     args.output.mkdir(parents=True, exist_ok=True)
     paths = dataset.write_logs(args.output / "logs", compress=args.compress)
@@ -115,6 +120,10 @@ register(Command(
                  ("synthesize", "{tmp}/data", "--scale", "0.004",
                   "--seed", "3"), 0),
         ExitCase("missing output directory argument", ("synthesize",), 2),
+        ExitCase("nonpositive scale",
+                 ("synthesize", "{tmp}/data", "--scale", "0"), 2),
+        ExitCase("output is an existing file",
+                 ("synthesize", "{dataset}/slurm.jsonl", "--scale", "0.004"), 2),
     ),
 ))
 
@@ -138,6 +147,11 @@ register(Command(
                  ("study", "--scale", "0.004", "--seed", "3"), 0),
         ExitCase("nonpositive workers",
                  ("study", "--scale", "0.004", "--workers", "0"), 2),
+        ExitCase("missing --dataset directory",
+                 ("study", "--dataset", "{absent}", "--scale", "0.004"), 2),
+        ExitCase("--dataset without logs/, fanned out",
+                 ("study", "--dataset", "{no_logs}", "--scale", "0.004",
+                  "--jobs", "2"), 2),
     ),
 ))
 

@@ -14,67 +14,38 @@ Stage III — statistics (:mod:`repro.core.mtbe`, :mod:`repro.core.persistence`)
 
 :mod:`repro.core.pipeline` chains the stages end-to-end;
 :mod:`repro.core.report` renders paper-style tables and figures.
+
+The package re-exports only the names that other code and the docs import
+from it; every other name is imported from the module that defines it.
 """
 
-from repro.core.parsing import RawXidRecord, parse_syslog, parse_line
-from repro.core.coalesce import CoalescedError, coalesce_errors, CoalesceConfig
+from repro.core.coalesce import coalesce_errors
+from repro.core.comparison import GenerationComparison
+from repro.core.h100 import H100Analyzer
 from repro.core.mtbe import ErrorStatistics
-from repro.core.persistence import PersistenceAnalyzer
-from repro.core.propagation import PropagationAnalyzer, PropagationGraph
-from repro.core.jobimpact import JobImpactAnalyzer
-from repro.core.availability import AvailabilityAnalyzer
 from repro.core.overprovision import (
     OverprovisionConfig,
     OverprovisionSimulator,
     required_overprovision_analytic,
 )
-from repro.core.counterfactual import CounterfactualAnalyzer
-from repro.core.h100 import H100Analyzer
-from repro.core.pipeline import DeltaStudy, StudyReport
-from repro.core.comparison import GenerationComparison
+from repro.core.pipeline import DeltaStudy
 from repro.core.prediction import PersistencePredictor, extract_runs
-from repro.core.reliability import (
-    fit_exponential,
-    fit_weibull,
-    mtbe_confidence_interval,
-    trend_test,
-)
-from repro.core.spatial import SpatialAnalyzer, gini_coefficient
-from repro.core.streaming import PersistenceAlarm, StreamingCoalescer
-from repro.core.swo import SwoAnalyzer, SystemWideOutage, delta_swos
+from repro.core.propagation import PropagationAnalyzer
+from repro.core.spatial import SpatialAnalyzer
+from repro.core.streaming import StreamingCoalescer
 
 __all__ = [
-    "RawXidRecord",
-    "parse_syslog",
-    "parse_line",
-    "CoalescedError",
     "coalesce_errors",
-    "CoalesceConfig",
+    "GenerationComparison",
+    "H100Analyzer",
     "ErrorStatistics",
-    "PersistenceAnalyzer",
-    "PropagationAnalyzer",
-    "PropagationGraph",
-    "JobImpactAnalyzer",
-    "AvailabilityAnalyzer",
     "OverprovisionConfig",
     "OverprovisionSimulator",
     "required_overprovision_analytic",
-    "CounterfactualAnalyzer",
-    "H100Analyzer",
     "DeltaStudy",
-    "StudyReport",
     "PersistencePredictor",
     "extract_runs",
-    "PersistenceAlarm",
-    "StreamingCoalescer",
-    "SwoAnalyzer",
-    "SystemWideOutage",
-    "delta_swos",
-    "GenerationComparison",
-    "fit_exponential",
-    "fit_weibull",
-    "mtbe_confidence_interval",
-    "trend_test",
+    "PropagationAnalyzer",
     "SpatialAnalyzer",
-    "gini_coefficient",
+    "StreamingCoalescer",
 ]

@@ -1,6 +1,5 @@
 """One-call synthetic-Delta dataset builders."""
 
-from repro.datasets.cache import load_dataset, save_dataset
 from repro.datasets.delta import (
     DeltaDataset,
     DeltaDatasetConfig,
@@ -14,8 +13,6 @@ from repro.datasets.incidents import (
 )
 
 __all__ = [
-    "load_dataset",
-    "save_dataset",
     "DeltaDataset",
     "DeltaDatasetConfig",
     "synthesize_delta",

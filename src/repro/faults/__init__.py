@@ -15,7 +15,6 @@ from repro.faults.calibration import (
     CalibrationProfile,
     XidCalibration,
 )
-from repro.faults.diagnostics import CalibrationReport, check_calibration
 from repro.faults.events import ErrorEvent, FaultTrace
 from repro.faults.injector import FaultInjector, InjectorConfig
 from repro.faults.variants import (
@@ -31,8 +30,6 @@ __all__ = [
     "H100_CALIBRATION",
     "CalibrationProfile",
     "XidCalibration",
-    "CalibrationReport",
-    "check_calibration",
     "ErrorEvent",
     "FaultTrace",
     "FaultInjector",

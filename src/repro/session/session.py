@@ -129,6 +129,12 @@ class Session:
         from repro.faults import AMPERE_CALIBRATION
         from repro.slurm import SlurmDatabase
 
+        for path in (dataset_dir, dataset_dir / "slurm.jsonl", dataset_dir / "logs"):
+            if not path.exists():
+                raise SessionError(
+                    f"--dataset: {path} does not exist (the 'synthesize' "
+                    "command writes a dataset directory)"
+                )
         config = self.config
         slurm_db = SlurmDatabase.load(dataset_dir / "slurm.jsonl")
         window_hours = AMPERE_CALIBRATION.window_days * 24.0 * config.scale

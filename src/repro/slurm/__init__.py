@@ -16,10 +16,8 @@ from repro.slurm.checkpointing import (
     CheckpointConfig,
     expected_overhead,
     optimal_interval,
-    simulate_run,
 )
 from repro.slurm.failures import CouplingConfig, FailureCoupler, CouplingResult
-from repro.slurm.lifecycle import LifecycleConfig, NodeLifecycle, NodeState
 
 __all__ = [
     "ExitCode",
@@ -40,8 +38,4 @@ __all__ = [
     "CheckpointConfig",
     "expected_overhead",
     "optimal_interval",
-    "simulate_run",
-    "LifecycleConfig",
-    "NodeLifecycle",
-    "NodeState",
 ]

@@ -2,23 +2,21 @@
 
 The paper notes that while checkpointing lets jobs survive GPU errors,
 "checkpointing routines have high overhead up to 40% including management,
-storage, and restore".  This model quantifies that trade-off for a job
-exposed to the measured failure process, supporting the job-recovery
-discussion and the long-job MMU-masking behaviour the coupler applies:
+storage, and restore".  This analytic model quantifies that trade-off for a
+job exposed to the measured failure process:
 
-* without checkpointing, a failure loses all progress (resubmit from zero);
 * with interval ``tau``, steady-state overhead is ``C/tau`` (write cost)
   plus expected rework of ``tau/2`` and restore ``R`` per failure;
 * :func:`optimal_interval` is the Young/Daly first-order optimum
   ``sqrt(2 C M)`` for MTBF ``M``.
+
+The what-if engine (:mod:`repro.sim`) simulates runs under these intervals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.util.validation import check_positive
 
@@ -62,68 +60,3 @@ def expected_overhead(config: CheckpointConfig, interval_hours: float) -> float:
     write = config.checkpoint_cost_hours / interval_hours
     rework = (interval_hours / 2.0 + config.restore_cost_hours) / config.mtbf_hours
     return write + rework
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    wall_hours: float
-    n_failures: int
-    n_checkpoints: int
-
-    def overhead(self, useful_hours: float) -> float:
-        return self.wall_hours / useful_hours - 1.0
-
-
-def simulate_run(
-    useful_hours: float,
-    config: CheckpointConfig,
-    interval_hours: float | None = None,
-    *,
-    seed: int = 7,
-    checkpointing: bool = True,
-) -> RunOutcome:
-    """Simulate one job execution under Poisson failures.
-
-    With ``checkpointing=False`` a failure restarts the job from zero —
-    the regime in which long jobs essentially cannot finish once their
-    length passes a few MTBFs.
-    """
-    check_positive("useful_hours", useful_hours)
-    tau = interval_hours if interval_hours is not None else optimal_interval(config)
-    rng = np.random.default_rng(seed)
-    progress = 0.0  # durable (checkpointed) progress
-    wall = 0.0
-    since_checkpoint = 0.0
-    n_failures = 0
-    n_checkpoints = 0
-    #: Hard cap so a no-checkpoint run of a too-long job terminates.
-    max_wall = useful_hours * 200.0
-
-    next_failure = rng.exponential(config.mtbf_hours)
-    while progress < useful_hours and wall < max_wall:
-        # Time until the next interesting boundary.
-        to_checkpoint = tau - since_checkpoint if checkpointing else math.inf
-        to_done = useful_hours - (progress + since_checkpoint)
-        step = min(to_checkpoint, to_done)
-        if wall + step < next_failure:
-            wall += step
-            since_checkpoint += step
-            if checkpointing and since_checkpoint >= tau and progress + since_checkpoint < useful_hours:
-                progress += since_checkpoint
-                since_checkpoint = 0.0
-                wall += config.checkpoint_cost_hours
-                n_checkpoints += 1
-            elif progress + since_checkpoint >= useful_hours:
-                progress += since_checkpoint
-                since_checkpoint = 0.0
-        else:
-            # Failure strikes mid-segment: lose work since the last durable
-            # point, pay the restore cost.
-            wall = next_failure
-            n_failures += 1
-            since_checkpoint = 0.0
-            if not checkpointing:
-                progress = 0.0
-            wall += config.restore_cost_hours
-            next_failure = wall + rng.exponential(config.mtbf_hours)
-    return RunOutcome(wall_hours=wall, n_failures=n_failures, n_checkpoints=n_checkpoints)

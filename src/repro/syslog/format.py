@@ -13,12 +13,9 @@ one error with the generated persistence.
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
 from typing import Dict, Iterable, Iterator, List
-
-import numpy as np
 
 from repro.faults.events import ErrorEvent
 from repro.faults.xid import Xid
@@ -60,35 +57,6 @@ def _event_detail(event: ErrorEvent) -> int:
             acc ^= byte
             acc = (acc * 1099511628211) % (1 << 64)
     return acc % 0xFFFF
-
-
-def render_line(event: ErrorEvent, at_time: float, pid: int | None = None) -> str:
-    """One syslog line for ``event`` stamped at ``at_time``."""
-    message = XID_MESSAGES[event.xid].format(detail=_event_detail(event), pci=event.pci_bus)
-    pid_text = str(pid) if pid is not None else "'<unknown>'"
-    return (
-        f"{format_timestamp(at_time)} {event.node_id} kernel: "
-        f"NVRM: Xid (PCI:{event.pci_bus}): {int(event.xid)}, pid={pid_text}, {message}"
-    )
-
-
-def burst_offsets(persistence: float, rng: np.random.Generator) -> np.ndarray:
-    """Line offsets for a duplicate burst spanning ``persistence`` seconds.
-
-    Always includes 0.0; for positive persistence the last offset is exactly
-    ``persistence`` and consecutive offsets differ by less than the
-    coalescing window.
-    """
-    if persistence <= 0.0:
-        return np.zeros(1)
-    # Enough gaps that their cumulative sum is guaranteed to cover the span
-    # (sizing by the mean gap can leave a >window hole at the burst's end,
-    # which would split the error in two during coalescing).
-    n_gaps = max(1, int(math.ceil(persistence / BURST_GAP_LOW)) + 1)
-    gaps = rng.uniform(BURST_GAP_LOW, BURST_GAP_HIGH, size=n_gaps)
-    offsets = np.concatenate(([0.0], np.cumsum(gaps)))
-    offsets = offsets[offsets < persistence]
-    return np.concatenate((offsets, [persistence]))
 
 
 def _event_seed(seed: int, event: ErrorEvent) -> int:

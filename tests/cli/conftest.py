@@ -1,12 +1,15 @@
 """Fixtures resolving the registry's ExitCase placeholders.
 
 Each :class:`~repro.cli.registry.ExitCase` argv may reference
-``{dataset}``, ``{logs}``, ``{built_store}``, ``{demo_store}``,
-``{tmp}`` and ``{absent}``; the session-scoped fixtures here build the
-small shared artifacts once so the contract suite stays fast.
+``{dataset}``, ``{logs}``, ``{no_logs}``, ``{built_store}``,
+``{demo_store}``, ``{traced}``, ``{tmp}`` and ``{absent}``; the
+session-scoped fixtures here build the small shared artifacts once so
+the contract suite stays fast.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import pytest
 
@@ -22,6 +25,14 @@ def contract_dataset(tmp_path_factory):
     directory = tmp_path_factory.mktemp("cli-contract") / "data"
     assert main(["synthesize", str(directory),
                  "--scale", SCALE, "--seed", SEED]) == 0
+    return directory
+
+
+@pytest.fixture(scope="session")
+def contract_dataset_without_logs(contract_dataset, tmp_path_factory):
+    """A dataset directory holding slurm.jsonl but no logs/."""
+    directory = tmp_path_factory.mktemp("cli-contract-no-logs")
+    shutil.copy(contract_dataset / "slurm.jsonl", directory)
     return directory
 
 
@@ -55,11 +66,13 @@ def contract_trace(contract_dataset, tmp_path_factory):
 
 
 @pytest.fixture
-def placeholders(contract_dataset, contract_store, contract_demo_store,
-                 contract_trace, tmp_path):
+def placeholders(contract_dataset, contract_dataset_without_logs,
+                 contract_store, contract_demo_store, contract_trace,
+                 tmp_path):
     return {
         "dataset": contract_dataset,
         "logs": contract_dataset / "logs",
+        "no_logs": contract_dataset_without_logs,
         "built_store": contract_store,
         "demo_store": contract_demo_store,
         "traced": contract_trace,

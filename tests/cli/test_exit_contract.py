@@ -1,10 +1,11 @@
 """The CLI exit-code contract, driven by the command registry.
 
 Exit codes: 0 = success, 1 = tolerance/gate failure, 2 = bad input or
-store error.  Every registered command carries executable
-:class:`~repro.cli.registry.ExitCase` examples; parametrizing over the
-registry means a newly registered command is covered here with no test
-edits — and the coverage test below fails if it ships without cases.
+store error, reported on one ``error:`` line.  Every registered command
+carries executable :class:`~repro.cli.registry.ExitCase` examples;
+parametrizing over the registry means a newly registered command is
+covered here with no test edits — and the coverage test below fails if
+it ships without cases.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ def run_cli(argv):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_exit_case(case, placeholders):
+def test_exit_case(case, placeholders, capsys):
     argv = [arg.format_map(placeholders) for arg in case.argv]
+    capsys.readouterr()
     assert run_cli(argv) == case.expect
+    if case.expect == 2:
+        captured = capsys.readouterr()
+        output = (captured.out + captured.err).splitlines()
+        assert len([line for line in output if "error:" in line]) == 1, output
 
 
 @pytest.mark.parametrize("flag", ["--workers=0", "--segment-records=-5"])

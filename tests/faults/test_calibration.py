@@ -108,6 +108,14 @@ class TestRootSolving:
         for xid, target in totals.items():
             assert reproduced[xid] == pytest.approx(target, rel=0.01), xid
 
+    def test_h100_roots_reproduce_totals(self):
+        totals = {xid: float(c.count) for xid, c in H100_CALIBRATION.xids.items()}
+        reproduced = expected_totals(
+            solve_root_counts(totals, H100_CALIBRATION.kernel), H100_CALIBRATION.kernel
+        )
+        for xid, target in totals.items():
+            assert reproduced[xid] == pytest.approx(target, abs=max(0.02 * target, 1.0)), xid
+
     def test_roots_nonnegative(self):
         totals = {xid: float(c.count) for xid, c in AMPERE_CALIBRATION.xids.items()}
         for value in solve_root_counts(totals, AMPERE_KERNEL).values():

@@ -75,6 +75,23 @@ class TestFaultTrace:
         )
         assert len(trace.events_on_gpu("gpua001", "0000:07:00")) == 1
 
+    def test_save_load_round_trip(self, tmp_path):
+        trace = FaultTrace(
+            [_event(1.5, persistence=2.0, chain_id=3, chain_pos=1, inoperable=True),
+             _event(4.0, xid=Xid.GSP)],
+            window_seconds=10.0, node_ids=("gpua001",), seed=5,
+        )
+        trace.save(tmp_path / "trace.jsonl")
+        restored = FaultTrace.load(tmp_path / "trace.jsonl")
+        assert restored.events == trace.events
+        assert (restored.window_seconds, restored.node_ids, restored.seed) == (10.0, ("gpua001",), 5)
+
+    def test_load_rejects_bad_header(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"kind": "other"}\n')
+        with pytest.raises(ValueError):
+            FaultTrace.load(path)
+
 
 class TestHelpers:
     def test_filter_window_half_open(self):

@@ -29,6 +29,11 @@ class TestCounts:
                 continue  # tiny rows are dominated by chain stochasticity
             assert counts[int(xid)] == pytest.approx(target, rel=0.15), xid
 
+    def test_uncontained_count_within_five_percent(self, ampere_trace):
+        realized = len(ampere_trace.events_of(Xid.UNCONTAINED))
+        target = AMPERE_CALIBRATION.scaled_counts(0.05)[Xid.UNCONTAINED]
+        assert realized == pytest.approx(target, rel=0.05)
+
     def test_deterministic_given_seed(self, delta_cluster):
         config = InjectorConfig(scale=0.01, seed=5)
         t1 = FaultInjector(AMPERE_CALIBRATION, config).generate(delta_cluster)
@@ -93,6 +98,16 @@ class TestPlacement:
         per_gpu = Counter(e.gpu_key for e in events)
         assert per_gpu.most_common(1)[0][1] < len(events) * 0.1
 
+    def test_uncontained_arrivals_bursty_gsp_memoryless(self, ampere_trace):
+        # Section 4.4: the offender's errors come in bursts; GSP errors
+        # arrive like a Poisson process (coefficient of variation near 1).
+        def variation(xid):
+            gaps = np.diff([e.time for e in ampere_trace.events_of(xid)])
+            return gaps.std() / gaps.mean()
+
+        assert variation(Xid.UNCONTAINED) > 2.0
+        assert variation(Xid.GSP) == pytest.approx(1.0, abs=0.25)
+
 
 class TestSeparation:
     def test_same_gpu_same_xid_events_never_overlap(self, ampere_trace):
@@ -156,6 +171,11 @@ class TestH100Injection:
         injector = FaultInjector(H100_CALIBRATION, InjectorConfig(scale=1.0, seed=2))
         trace = injector.generate(delta_cluster)
         assert not trace.events_of(Xid.RRE)
+
+    def test_h100_xid136_count_realizes(self, delta_cluster):
+        injector = FaultInjector(H100_CALIBRATION, InjectorConfig(scale=1.0, seed=99))
+        trace = injector.generate(delta_cluster)
+        assert len(trace.events_of(Xid.XID_136)) == pytest.approx(70, abs=3)
 
     def test_empty_population_rejected(self, delta_cluster):
         from repro.cluster.inventory import ClusterInventory

@@ -1,7 +1,6 @@
 """Property-based tests on substrate invariants: scheduler, propagation,
 overprovisioning, rendering."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +12,9 @@ from repro.faults.events import ErrorEvent
 from repro.faults.xid import Xid
 from repro.slurm.job import JobSpec
 from repro.slurm.scheduler import GpuScheduler
-from repro.syslog.format import burst_offsets, render_event_lines
+from repro.syslog.format import render_event_lines
 from repro.core.parsing import parse_line
+from repro.util.timeutil import parse_timestamp
 
 _CLUSTER = build_delta_cluster(DeltaShape(1, 2, 2, 1, 1))
 
@@ -148,8 +148,11 @@ def test_rendered_burst_parses_and_coalesces_whole(persistence):
 @given(persistence=st.floats(min_value=0.001, max_value=2_000.0), seed=st.integers(0, 10))
 @settings(max_examples=100, deadline=None)
 def test_burst_offsets_cover_span(persistence, seed):
-    rng = np.random.default_rng(seed)
-    offsets = burst_offsets(persistence, rng)
-    assert offsets[0] == 0.0
-    assert abs(offsets[-1] - persistence) < 1e-9
-    assert all(b - a < 5.0 for a, b in zip(offsets, offsets[1:]))
+    event = ErrorEvent(
+        time=1_000.0, node_id="n1", pci_bus="0000:07:00", xid=Xid.GSP,
+        persistence=persistence,
+    )
+    times = [parse_timestamp(line.split(" ")[0]) for line in render_event_lines(event, seed=seed)]
+    assert times[0] == event.time
+    assert abs(times[-1] - (event.time + persistence)) <= 0.001
+    assert all(b - a < 5.0 for a, b in zip(times, times[1:]))

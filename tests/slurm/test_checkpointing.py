@@ -8,7 +8,6 @@ from repro.slurm.checkpointing import (
     CheckpointConfig,
     expected_overhead,
     optimal_interval,
-    simulate_run,
 )
 
 
@@ -30,7 +29,13 @@ class TestAnalytics:
         config = CheckpointConfig(
             checkpoint_cost_hours=0.5, restore_cost_hours=1.0, mtbf_hours=6.0
         )
-        assert expected_overhead(config, optimal_interval(config)) > 0.35
+        assert 0.35 < expected_overhead(config, optimal_interval(config)) < 0.8
+
+    def test_overhead_modest_at_measured_mtbf(self):
+        # At Delta's 67h MTBF the optimal overhead is a few percent, far from
+        # the 40% worst case the paper cites for aggressive settings.
+        config = CheckpointConfig(mtbf_hours=67.0)
+        assert expected_overhead(config, optimal_interval(config)) < 0.10
 
     def test_degenerate_interval_clamped_to_mtbf(self):
         # Checkpoint cost at/above the MTBF: sqrt(2CM) > M is outside the
@@ -53,48 +58,3 @@ class TestAnalytics:
             CheckpointConfig(mtbf_hours=0.0)
         with pytest.raises(ValueError):
             expected_overhead(CheckpointConfig(), 0.0)
-
-
-class TestSimulation:
-    def test_no_failures_no_overhead_beyond_checkpoints(self):
-        config = CheckpointConfig(mtbf_hours=1e9)
-        outcome = simulate_run(10.0, config, interval_hours=2.0, seed=1)
-        assert outcome.n_failures == 0
-        # 10h of work + 4 intermediate checkpoints of 0.1h.
-        assert outcome.wall_hours == pytest.approx(10.0 + 4 * 0.1)
-
-    def test_checkpointed_long_job_finishes_with_modest_overhead(self):
-        config = CheckpointConfig(mtbf_hours=67.0)
-        outcome = simulate_run(200.0, config, seed=2)
-        assert outcome.n_failures >= 1
-        assert outcome.overhead(200.0) < 0.5
-
-    def test_uncheckpointed_long_job_cannot_finish(self):
-        # Useful length many MTBFs: restart-from-zero almost never reaches
-        # the end; the simulation hits its wall-clock cap instead.
-        config = CheckpointConfig(mtbf_hours=10.0)
-        outcome = simulate_run(100.0, config, checkpointing=False, seed=3)
-        assert outcome.wall_hours >= 100.0 * 100  # burned the cap
-
-    def test_uncheckpointed_short_job_usually_fine(self):
-        config = CheckpointConfig(mtbf_hours=67.0)
-        outcome = simulate_run(1.0, config, checkpointing=False, seed=4)
-        assert outcome.wall_hours < 5.0
-
-    def test_deterministic_per_seed(self):
-        config = CheckpointConfig()
-        a = simulate_run(50.0, config, seed=9)
-        b = simulate_run(50.0, config, seed=9)
-        assert a == b
-
-    def test_simulated_overhead_tracks_analytic(self):
-        config = CheckpointConfig(mtbf_hours=30.0)
-        tau = optimal_interval(config)
-        outcomes = [
-            simulate_run(300.0, config, interval_hours=tau, seed=s)
-            for s in range(8)
-        ]
-        mean_overhead = sum(o.overhead(300.0) for o in outcomes) / len(outcomes)
-        assert mean_overhead == pytest.approx(
-            expected_overhead(config, tau), abs=0.06
-        )

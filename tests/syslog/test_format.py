@@ -10,9 +10,7 @@ from repro.syslog.format import (
     BURST_GAP_HIGH,
     BURST_GAP_LOW,
     XID_MESSAGES,
-    burst_offsets,
     render_event_lines,
-    render_line,
     render_trace,
 )
 from repro.util.timeutil import parse_timestamp
@@ -25,20 +23,24 @@ def _event(t=100.0, persistence=0.0, xid=Xid.GSP):
     )
 
 
+def _times(lines):
+    return np.array([parse_timestamp(line.split(" ")[0]) for line in lines])
+
+
 class TestRenderLine:
     def test_contains_nvrm_marker_and_code(self):
-        line = render_line(_event(), 100.0)
+        (line,) = render_event_lines(_event())
         assert "NVRM: Xid (PCI:0000:C7:00): 119," in line
         assert line.split(" ")[1] == "gpub042"
 
     def test_pid_rendering(self):
-        assert "pid=4242," in render_line(_event(), 100.0, pid=4242)
-        assert "pid='<unknown>'," in render_line(_event(), 100.0)
+        assert "pid=4242," in render_event_lines(_event(), pid=4242)[0]
+        assert "pid='<unknown>'," in render_event_lines(_event())[0]
 
     def test_every_xid_has_template(self):
         for xid in Xid:
             assert xid in XID_MESSAGES
-            line = render_line(_event(xid=xid), 50.0)
+            (line,) = render_event_lines(_event(t=50.0, xid=xid))
             assert f"): {int(xid)}," in line
 
 
@@ -49,16 +51,13 @@ class TestBurstStructure:
 
     def test_burst_spans_exact_persistence(self):
         event = _event(persistence=30.0)
-        lines = render_event_lines(event, seed=3)
-        times = [parse_timestamp(line.split(" ")[0]) for line in lines]
+        times = _times(render_event_lines(event, seed=3))
         assert times[0] == pytest.approx(event.time, abs=0.001)
         assert times[-1] == pytest.approx(event.time + 30.0, abs=0.001)
 
     def test_burst_gaps_below_coalescing_window(self):
         event = _event(persistence=200.0)
-        lines = render_event_lines(event, seed=3)
-        times = sorted(parse_timestamp(line.split(" ")[0]) for line in lines)
-        gaps = np.diff(times)
+        gaps = np.diff(_times(render_event_lines(event, seed=3)))
         assert gaps.max() < 5.0
 
     def test_burst_lines_identical_except_timestamp(self):
@@ -78,16 +77,13 @@ class TestBurstStructure:
 
 class TestBurstOffsets:
     def test_includes_zero_and_persistence(self):
-        rng = np.random.default_rng(0)
-        offsets = burst_offsets(47.3, rng)
-        assert offsets[0] == 0.0
-        assert offsets[-1] == pytest.approx(47.3)
+        times = _times(render_event_lines(_event(persistence=47.3)))
+        assert times[0] == 100.0
+        assert times[-1] == pytest.approx(100.0 + 47.3, abs=0.001)
 
     def test_gaps_bounded(self):
-        rng = np.random.default_rng(0)
-        offsets = burst_offsets(300.0, rng)
-        gaps = np.diff(offsets)
-        assert gaps.max() <= BURST_GAP_HIGH + 1e-9
+        gaps = np.diff(_times(render_event_lines(_event(persistence=300.0))))
+        assert gaps.max() <= BURST_GAP_HIGH + 0.001
         assert gaps.min() > 0.0
 
     def test_gap_parameters_stay_below_window(self):
