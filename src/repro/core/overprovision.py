@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.util.rng import spawn_rng
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_fraction, check_positive, check_probability
 
 #: Calibrated from the paper's anchors (see module docstring / DESIGN.md):
 #: solving  q997(8h * (a + b*40min)) = 160  and  q997(8h * (a + b*5min)) = 40.
@@ -58,7 +58,6 @@ def _rate_scale_for_availability(availability: float) -> float:
     Availability = MTTF/(MTTF+MTTR) with MTTR fixed, so the failure rate
     scales with (1-A)/A relative to the base level.
     """
-    check_probability("availability", availability)
     base_odds = (1.0 - BASE_AVAILABILITY) / BASE_AVAILABILITY
     odds = (1.0 - availability) / availability
     return odds / base_odds
@@ -84,6 +83,9 @@ class OverprovisionConfig:
         check_positive("duration_days", self.duration_days)
         check_probability("failure_prob_per_hour", self.failure_prob_per_hour)
         check_positive("recovery_minutes", self.recovery_minutes)
+        check_fraction("availability", self.availability, allow_zero=False)
+        check_probability("max_blocked_fraction", self.max_blocked_fraction)
+        check_positive("n_trials", self.n_trials)
 
     @property
     def effective_failure_rate_per_hour(self) -> float:
@@ -134,6 +136,41 @@ def required_overprovision_analytic(
     return spares / config.n_nodes
 
 
+def _failures(
+    rng: np.random.Generator, rate: float, hold_mean: float, horizon: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrival and repair-completion times of the failures before ``horizon``.
+
+    The variates are those of a loop that alternates the gap to the next
+    failure, ``rng.exponential(1 / rate)``, with that failure's hold,
+    ``rng.exponential(hold_mean)``, until a gap crosses the horizon:
+    ``exponential(s)`` is ``s * standard_exponential()`` draw for draw, so
+    even draws scale to gaps and odd ones to holds.  Draws come in chunks
+    sized to the expected failure count; the rng is private to the trial, so
+    over-drawing is harmless.  ``cumsum`` adds left to right, so arrival
+    times equal the loop's running ``t += gap`` bit for bit.
+    """
+    if rate <= 0:
+        return np.zeros(0), np.zeros(0)
+    gap_mean = 1.0 / rate
+    expected = rate * horizon
+    chunk = int(expected + 4.0 * math.sqrt(expected)) + 8
+    arrivals: List[np.ndarray] = []
+    holds: List[np.ndarray] = []
+    t = 0.0
+    while True:
+        draws = rng.standard_exponential(2 * chunk)
+        times = np.cumsum(np.concatenate(([t], draws[0::2] * gap_mean)))[1:]
+        n = int(np.searchsorted(times, horizon, side="left"))
+        arrivals.append(times[:n])
+        holds.append(draws[1::2][:n])
+        if n < chunk:
+            break
+        t = float(times[-1])
+    times = np.concatenate(arrivals)
+    return times, times + np.concatenate(holds) * hold_mean
+
+
 class OverprovisionSimulator:
     """Discrete-event simulation of the spare-pool scenario."""
 
@@ -143,44 +180,64 @@ class OverprovisionSimulator:
     # ------------------------------------------------------------------
 
     def run_trial(self, spares: int, trial: int = 0) -> TrialResult:
-        """One simulated job execution with a fixed spare count."""
+        """One simulated job execution with a fixed spare count.
+
+        Failures arrive as a Poisson process; each holds its node out of the
+        pool until its repair completes.  Whenever more than ``spares`` nodes
+        are down the job is blocked until enough repairs complete, and every
+        failure stalls the job for the recovery time.  The trial is computed
+        in batch: arrivals, holds and down counts are whole arrays, and only
+        the blocked arrivals are walked one by one.
+        """
         config = self.config
         rng = spawn_rng(config.seed, "overprovision", str(trial), str(spares))
         horizon = config.duration_days * 24.0
-        rate = config.effective_failure_rate_per_hour
-        hold_mean = config.hold_mean_hours
-        recovery_hours = config.recovery_minutes / 60.0
+        arrivals, completions = _failures(
+            rng, config.effective_failure_rate_per_hour, config.hold_mean_hours, horizon
+        )
+        n_failures = len(arrivals)
+        if n_failures == 0:
+            return TrialResult(0.0, 0.0, 0, 0)
 
-        t = 0.0
-        down: List[float] = []  # heap of repair-completion times
+        # Failure j is down from its own arrival until the first arrival at
+        # or after its repair completes (always at least its own arrival).
+        index = np.arange(1, n_failures + 1)
+        released = np.maximum(np.searchsorted(arrivals, completions, side="left"), index)
+        n_down = index - np.cumsum(np.bincount(released, minlength=n_failures + 1)[:-1])
+        # The job stalls for the recovery time on every failure (overlapping
+        # stalls are not merged: they are short against the calibrated
+        # interarrival times, and the paper's metric is capacity, not
+        # goodput).  Accumulated one by one, like a running total.
+        stalls = np.full(n_failures, config.recovery_minutes / 60.0)
+        stall_time = float(np.add.accumulate(stalls)[-1])
+
+        # At a blocked arrival the job waits for the (spares+1)-th latest
+        # repair among the nodes down.  Every repair already completed is
+        # earlier than every one still pending, so this is also the
+        # (spares+1)-th latest completion among all failures so far: the
+        # root of a min-heap holding the spares+1 latest.  Only a failure
+        # still down at some blocked arrival can be that root, so only
+        # those are pushed.
         blocked_time = 0.0
         blocked_until = 0.0  # high-water mark so overlapping blocks don't double-count
-        stall_time = 0.0
-        peak_down = 0
-        n_failures = 0
-        while True:
-            step = rng.exponential(1.0 / rate) if rate > 0 else horizon
-            t_next = t + step
-            if t_next >= horizon:
-                break
-            # Advance: clear any repairs completing before the failure.
-            while down and down[0] <= t_next:
-                heapq.heappop(down)
-            t = t_next
-            n_failures += 1
-            heapq.heappush(down, t + rng.exponential(hold_mean))
-            n_down = len(down)
-            peak_down = max(peak_down, n_down)
-            # The job stalls for the checkpoint-recovery time on every
-            # failure (overlapping stalls coalesce is ignored: stalls are
-            # short relative to failure interarrivals in the calibrated
-            # regime, and the paper's metric is capacity, not goodput).
-            stall_time += recovery_hours
-            if n_down > spares:
-                # Not enough spares: blocked until the down count falls back
-                # to the spare level; overlapping block intervals merge via
-                # the high-water mark.
-                deficit_until = min(sorted(down)[n_down - spares - 1], horizon)
+        is_blocked = n_down > spares
+        blocked = np.flatnonzero(is_blocked)
+        if blocked.size:
+            # Failure j is needed if an arrival in [j, released[j]) blocks.
+            blocked_before = np.concatenate(([0], np.cumsum(is_blocked)))
+            needed = np.flatnonzero(blocked_before[released] > blocked_before[:-1])
+            repairs = completions[needed].tolist()
+            latest = repairs[: spares + 1]
+            heapq.heapify(latest)
+            pushed = spares + 1
+            for t, stop in zip(
+                arrivals[blocked].tolist(),
+                np.searchsorted(needed, blocked, side="right").tolist(),
+            ):
+                for repair in repairs[pushed:stop]:
+                    heapq.heappushpop(latest, repair)
+                pushed = stop
+                deficit_until = min(latest[0], horizon)
                 start = max(t, blocked_until)
                 if deficit_until > start:
                     blocked_time += deficit_until - start
@@ -188,7 +245,7 @@ class OverprovisionSimulator:
         return TrialResult(
             blocked_fraction=min(1.0, blocked_time / horizon),
             stall_fraction=min(1.0, stall_time / horizon),
-            peak_down=peak_down,
+            peak_down=int(n_down.max()),
             n_failures=n_failures,
         )
 

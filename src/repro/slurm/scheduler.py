@@ -261,6 +261,17 @@ class GpuScheduler:
         analysis because a job's *node*-hours (Figure 9a's loss accounting)
         and its exposure to node-local errors scale with it.
         """
+        if k == 1:
+            # The window below would pick the heap head whenever no blackout
+            # delays it: every other candidate is ready no earlier than its
+            # own release, which is no earlier than the head's, and ties
+            # break on (release, gpu).  Heap entries are distinct, so later
+            # pops do not depend on how the heap is laid out.
+            release, gpu = heap[0]
+            ready = max(submit_time, release)
+            if self._skip_blackout(gpu, ready) == ready:
+                heapq.heappop(heap)
+                return [(ready, gpu)]
         # Pop a candidate window: enough to usually contain a same-node set.
         window = min(len(heap), max(4 * k, 24))
         candidates: List[Tuple[float, float, GpuKey]] = []  # (ready, release, gpu)

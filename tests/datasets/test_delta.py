@@ -1,5 +1,7 @@
 """Dataset synthesis orchestration."""
 
+import hashlib
+
 import pytest
 
 from repro.core import DeltaStudy
@@ -60,6 +62,26 @@ class TestSynthesizeDelta:
         loaded = SlurmDatabase.load(tmp_path / "db.jsonl")
         assert len(loaded) == len(dataset.slurm_db)
         assert len(loaded.node_events) == len(dataset.slurm_db.node_events)
+
+
+def _schedule_digest(dataset):
+    rows = [(j.job_id, j.start_time, j.end_time, j.gpus) for j in dataset.slurm_db.jobs]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+class TestSchedulePinned:
+    """The shared datasets' job placements, pinned so any drift in the
+    scheduler's choices fails here."""
+
+    def test_ampere_schedule(self, dataset):
+        assert _schedule_digest(dataset) == (
+            "c194665a832c16671a22b27e6596bacf965269bef57500b790e797361d187ca5"
+        )
+
+    def test_h100_schedule(self, h100_dataset):
+        assert _schedule_digest(h100_dataset) == (
+            "45fe4b71ab514905f1736c8f1a9dab561065a908485f7abeb398ce7d7963737d"
+        )
 
 
 class TestCordons:

@@ -1,7 +1,11 @@
 """GPU scheduler: placement invariants, packing, blackouts, occupancy."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.slurm.job import JobSpec, JobState
 from repro.slurm.scheduler import GpuScheduler, OccupancyIndex, PARTITIONS
@@ -212,6 +216,59 @@ class TestDrainSubstitution:
             [_spec(1, submit=0.0, gpus=4)], WINDOW
         )
         assert schedule.jobs[0].start_time >= lift
+
+
+def _window_pick(heap, submit, blackouts):
+    """The ``(ready, release, gpu)`` a single-GPU job takes under the window
+    rule: pop up to 24 heap entries and keep the earliest ready one."""
+    candidates = []
+    for _ in range(min(len(heap), 24)):
+        release, gpu = heapq.heappop(heap)
+        ready = max(submit, release)
+        for start, end in sorted(blackouts.get(gpu, ())):
+            if start <= ready < end:
+                ready = end
+        candidates.append((ready, release, gpu))
+    return min(candidates)
+
+
+@st.composite
+def single_gpu_pools(draw, gpus):
+    """A heap over a random subset of ``gpus``, a submit time, and blackouts
+    before, over or after the heap head's ready time."""
+    chosen = draw(st.lists(st.sampled_from(gpus), min_size=1, unique=True))
+    # Few distinct release times, so ties are common.
+    heap = [(draw(st.sampled_from([0.0, 50.0, 100.0, 400.0])), gpu) for gpu in chosen]
+    heapq.heapify(heap)
+    submit = draw(st.sampled_from([0.0, 50.0, 75.0, 500.0]))
+    head_ready = max(submit, heap[0][0])
+    placements = {
+        "before": (head_ready - 30.0, head_ready - 10.0),
+        "over": (head_ready - 10.0, head_ready + 700.0),
+        "after": (head_ready + 10.0, head_ready + 30.0),
+    }
+    blackouts = {}
+    for gpu in draw(st.lists(st.sampled_from(chosen), unique=True)):
+        blackouts[gpu] = [
+            placements[where]
+            for where in draw(st.sets(st.sampled_from(sorted(placements)), min_size=1))
+        ]
+    return heap, submit, blackouts
+
+
+class TestSingleGpuAllocation:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_window_rule(self, small_cluster, data):
+        gpus = [gpu.key for node in small_cluster.gpu_nodes for gpu in node.gpus]
+        heap, submit, blackouts = data.draw(single_gpu_pools(gpus))
+        scheduler = GpuScheduler(small_cluster, blackouts=blackouts)
+
+        ready, release, gpu = _window_pick(list(heap), submit, blackouts)
+        remaining = sorted(entry for entry in heap if entry != (release, gpu))
+
+        assert scheduler._allocate(heap, submit, 1) == [(ready, gpu)]
+        assert sorted(heap) == remaining
 
 
 class TestOccupancyIndex:
