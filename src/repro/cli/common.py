@@ -78,10 +78,14 @@ def parse_query_args(args: argparse.Namespace):
 
     since, until = _moment(args.since), _moment(args.until)
     xids = _split(args.xids)
+    try:
+        codes = [int(x) for x in xids] if xids else None
+    except ValueError:
+        raise CliError(f"--xids takes comma-separated integers, got {args.xids!r}") from None
     return Query(
         time_range=(since, until) if (since is not None or until is not None)
         else None,
-        xids=[int(x) for x in xids] if xids else None,
+        xids=codes,
         nodes=_split(args.nodes),
         serials=_split(args.serials),
     )

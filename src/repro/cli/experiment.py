@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from repro.cli.common import emit_result, write_result_dir
-from repro.cli.registry import CliError, Command, ExitCase, Flags, register
+from repro.cli.registry import CliError, Command, ExitCase, Flags, register, require_positive
 
 _WORKERS_HELP = ("processes for sharded log extraction over an on-disk "
                  "--dataset or --store build (identical results for any "
@@ -102,6 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.results import DEFAULT_MIN_SUPPORT, verify_results
     from repro.session import Session
 
+    require_positive("--tolerance-scale", args.tolerance_scale)
     if args.ids:
         unknown = [i for i in args.ids if i not in EXPERIMENTS]
         if unknown:
@@ -169,6 +170,9 @@ register(Command(
                  ("verify", "table1", "--scale", "0.02", "--seed", "1234",
                   "--tolerance-scale", "1e-6"), 1),
         ExitCase("unknown ids", ("verify", "nope", "--scale", "0.02"), 2),
+        ExitCase("negative tolerance scale",
+                 ("verify", "table1", "--scale", "0.004",
+                  "--tolerance-scale", "-1"), 2),
         ExitCase("--dataset without logs/",
                  ("verify", "table1", "--dataset", "{no_logs}",
                   "--scale", "0.004"), 2),

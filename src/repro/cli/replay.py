@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 from repro.cli.common import emit_result, parse_query_args
@@ -91,6 +92,9 @@ def _record_source(args: argparse.Namespace):
     if (args.store is None) == (args.logs is None):
         raise CliError("pass exactly one of --store DIR or --logs DIR")
     require_positive("--workers", args.workers)
+    require_positive("--window-hours", args.window_hours)
+    if not math.isfinite(args.window_hours):
+        raise CliError("--window-hours must be finite")
     query = parse_query_args(args)
     if args.store is not None:
         store = EventStore.open(args.store)
@@ -128,6 +132,8 @@ def _record_source(args: argparse.Namespace):
 def _cmd_replay(args: argparse.Namespace) -> int:
     if args.replay_command == "demo":
         return _replay_demo(args)
+    if args.replay_command == "backtest":
+        require_positive("--horizon-minutes", args.horizon_minutes)
     factory, label, fingerprint = _record_source(args)
     if args.speed is not None and args.speed <= 0:
         raise CliError("--speed must be positive")
@@ -215,5 +221,16 @@ register(Command(
                  ("replay", "backtest"), 2),
         ExitCase("backtest over the demo store",
                  ("replay", "backtest", "--store", "{demo_store}"), 0),
+        ExitCase("zero cursor window",
+                 ("replay", "backtest", "--store", "{demo_store}",
+                  "--window-hours", "0"), 2),
+        ExitCase("infinite cursor window",
+                 ("replay", "backtest", "--store", "{demo_store}",
+                  "--window-hours", "inf"), 2),
+        ExitCase("negative horizon",
+                 ("replay", "backtest", "--store", "{demo_store}",
+                  "--horizon-minutes", "-5"), 2),
+        ExitCase("non-integer xids",
+                 ("replay", "run", "--store", "{demo_store}", "--xids", "x"), 2),
     ),
 ))

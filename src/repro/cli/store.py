@@ -145,8 +145,9 @@ def _store_query(args: argparse.Namespace) -> int:
     from repro.store import EventStore
     from repro.util.timeutil import format_timestamp
 
-    store = EventStore.open(args.store_dir)
+    require_positive("--limit", args.limit)
     query = parse_query_args(args)
+    store = EventStore.open(args.store_dir)
     candidates, skipped = store.plan(query)
     if args.count:
         print(store.count(query))
@@ -170,6 +171,7 @@ def _store_compact(args: argparse.Namespace) -> int:
     from repro.store import EventStore
     from repro.store.store import DEFAULT_COMPACT_THRESHOLD
 
+    require_positive("--threshold", args.threshold)
     store = EventStore.open(args.store_dir)
     threshold = (DEFAULT_COMPACT_THRESHOLD if args.threshold is None
                  else args.threshold)
@@ -202,5 +204,11 @@ register(Command(
         ExitCase("negative segment size",
                  ("store", "build", "{dataset}", "{tmp}/events",
                   "--segment-records", "-5"), 2),
+        ExitCase("non-integer xids",
+                 ("store", "query", "{built_store}", "--xids", "abc"), 2),
+        ExitCase("zero limit",
+                 ("store", "query", "{built_store}", "--limit", "0"), 2),
+        ExitCase("zero compaction threshold",
+                 ("store", "compact", "{built_store}", "--threshold", "0"), 2),
     ),
 ))

@@ -94,10 +94,6 @@ class GpuDevice:
     index: int = field(compare=False)  # slot index within the node
 
     @property
-    def spec(self) -> GpuSpec:
-        return GPU_SPECS[self.model]
-
-    @property
     def key(self) -> tuple[str, str]:
         """Hashable identity: ``(node_id, pci_bus)``."""
         return (self.node_id, self.pci_bus)

@@ -12,11 +12,10 @@ clusters while keeping the configuration mix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.gpu import GpuDevice, GpuModel
 from repro.cluster.node import Node, NodeKind, make_node
-from repro.cluster.topology import NVLinkTopology, nvlink_topology_for
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,6 @@ class ClusterInventory:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._by_id
 
-    def gpu(self, node_id: str, pci_bus: str) -> GpuDevice:
-        return self._gpu_index[(node_id, pci_bus)]
-
-    def topology(self, node_id: str) -> NVLinkTopology | None:
-        return nvlink_topology_for(self.node(node_id))
-
     # -- populations -----------------------------------------------------
 
     @property
@@ -111,9 +104,6 @@ class ClusterInventory:
     @property
     def hopper_nodes(self) -> Tuple[Node, ...]:
         return self.nodes_of_kind(NodeKind.GH200_X4)
-
-    def iter_gpus(self) -> Iterator[GpuDevice]:
-        return iter(self._gpu_index.values())
 
     def summary(self) -> Dict[str, int]:
         return {

@@ -62,10 +62,6 @@ class Node:
     gpus: Tuple[GpuDevice, ...]
 
     @property
-    def config(self) -> NodeConfig:
-        return NODE_CONFIGS[self.kind]
-
-    @property
     def gpu_count(self) -> int:
         return len(self.gpus)
 

@@ -46,20 +46,6 @@ class NVLinkTopology:
                     frontier.append(peer)
         return tuple(sorted(seen))
 
-    @property
-    def num_gpus(self) -> int:
-        slots = {s for link in self.links for s in link}
-        return (max(slots) + 1) if slots else 0
-
-    def to_networkx(self):
-        """The link graph as a :class:`networkx.Graph` (optional dependency)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_gpus))
-        graph.add_edges_from(self.links)
-        return graph
-
 
 def _all_to_all(n: int) -> FrozenSet[Tuple[int, int]]:
     return frozenset((a, b) for a in range(n) for b in range(a + 1, n))

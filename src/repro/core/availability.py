@@ -9,7 +9,7 @@ duration from the drain/reboot events recorded in the scheduler database.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -89,9 +89,3 @@ class AvailabilityAnalyzer:
         for p in percentiles:
             out[f"p{int(p)}_hours"] = float(np.percentile(self._durations, p))
         return out
-
-    def unavailability_histogram(
-        self, edges_hours: Sequence[float] = (0, 0.1, 0.25, 0.5, 1, 2, 4, 8, 24, 48)
-    ) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
-        counts, out_edges = np.histogram(self._durations, bins=np.asarray(edges_hours))
-        return tuple(float(e) for e in out_edges), tuple(int(c) for c in counts)

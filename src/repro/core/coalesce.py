@@ -11,7 +11,7 @@ any single error's persistence, as in the paper (Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -124,12 +124,3 @@ def _runs(times: np.ndarray, config: CoalesceConfig) -> Iterable[Tuple[int, int]
                 run_start = i
         yield run_start, int(end)
 
-
-def to_arrays(errors: Sequence[CoalescedError]) -> Dict[str, np.ndarray]:
-    """Columnar view of coalesced errors for vectorized analyzers."""
-    return {
-        "time": np.array([e.time for e in errors]),
-        "xid": np.array([e.xid for e in errors], dtype=np.int64),
-        "persistence": np.array([e.persistence for e in errors]),
-        "n_raw": np.array([e.n_raw for e in errors], dtype=np.int64),
-    }

@@ -125,13 +125,6 @@ class GenerationComparison:
         )
         return out
 
-    def generational_improvement(self) -> float:
-        """How much likelier a DBE was to interrupt work pre-Ampere."""
-        measured = self.measured_dbe_interruption_prob()
-        if measured <= 0:
-            return float("inf")
-        return 1.0 / measured
-
     def new_failure_modes(self) -> List[str]:
         """What Ampere *added* to the threat model (the paper's flip side)."""
         modes = []

@@ -8,11 +8,9 @@ DBE/RRF-without-RRE pattern, and the dominance of the undocumented XID 136.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.core.coalesce import CoalescedError
 from repro.core.mtbe import ErrorStatistics
-from repro.core.propagation import PropagationAnalyzer
 from repro.faults.xid import Xid
 
 
@@ -52,12 +50,3 @@ class H100Analyzer:
             xid136_count=counts.get(int(Xid.XID_136), 0),
             xid136_share=counts.get(int(Xid.XID_136), 0) / total,
         )
-
-    def dbe_successors(self, errors: Sequence[CoalescedError]) -> Dict[int, float]:
-        """P(successor | DBE) on the Hopper data: the paper expects RRF, not
-        RRE, to follow DBEs here."""
-        graph = PropagationAnalyzer(errors).analyze()
-        return {
-            int(Xid.RRE): graph.probability(Xid.DBE, Xid.RRE),
-            int(Xid.RRF): graph.probability(Xid.DBE, Xid.RRF),
-        }

@@ -16,13 +16,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.coalesce import CoalescedError
-from repro.faults.xid import (
-    HARDWARE_MTBE_XIDS,
-    MEMORY_MTBE_XIDS,
-    XID_CATALOG,
-    Xid,
-    XidCategory,
-)
+from repro.faults.xid import HARDWARE_MTBE_XIDS, MEMORY_MTBE_XIDS, XID_CATALOG, Xid
 from repro.util.stats import DurationSummary, summarize_durations
 from repro.util.validation import check_positive
 
@@ -128,18 +122,6 @@ class ErrorStatistics:
             return float("nan")
         return memory / hardware
 
-    def category_share(self) -> Dict[XidCategory, float]:
-        """Fraction of errors per taxonomy category."""
-        shares: Dict[XidCategory, int] = {}
-        for error in self.errors:
-            if error.xid in _KNOWN_XIDS:
-                category = XID_CATALOG[Xid(error.xid)].category
-            else:
-                category = XidCategory.UNKNOWN
-            shares[category] = shares.get(category, 0) + 1
-        total = self.total_count or 1
-        return {cat: count / total for cat, count in shares.items()}
-
     # ------------------------------------------------------------------
 
     def per_gpu_counts(self, xid: int | None = None) -> Dict[Tuple[str, str], int]:
@@ -153,13 +135,6 @@ class ErrorStatistics:
     def top_offenders(self, xid: int, k: int = 1) -> List[Tuple[Tuple[str, str], int]]:
         counts = self.per_gpu_counts(xid)
         return sorted(counts.items(), key=lambda kv: kv[1], reverse=True)[:k]
-
-    def offender_share(self, xid: int, k: int = 1) -> float:
-        """Fraction of a code's errors from its top-k GPUs."""
-        total = self.count(xid)
-        if total == 0:
-            return 0.0
-        return sum(count for _, count in self.top_offenders(xid, k)) / total
 
     # ------------------------------------------------------------------
 

@@ -108,31 +108,22 @@ class TrialResult:
     peak_down: int
     n_failures: int
 
-    @property
-    def goodput(self) -> float:
-        return max(0.0, 1.0 - self.blocked_fraction - self.stall_fraction)
+
+#: Standard-normal quantile at 99.5% confidence.
+_Z_995 = 2.576
 
 
-def required_overprovision_analytic(
-    config: OverprovisionConfig, confidence: float = 0.995
-) -> float:
+def required_overprovision_analytic(config: OverprovisionConfig) -> float:
     """Closed-form estimate: spares = Poisson quantile of concurrent holds.
 
     Concurrently-held nodes form an M/G/inf queue with offered load
     ``m = rate * E[T_hold]``; the required spare count is the Poisson(m)
-    quantile at the confidence level (normal approximation).
+    quantile at 99.5% confidence (normal approximation).
     """
     m = config.effective_failure_rate_per_hour * config.hold_mean_hours
     if m <= 0:
         return 0.0
-    z = {0.99: 2.326, 0.995: 2.576, 0.999: 3.090}.get(round(confidence, 3))
-    if z is None:
-        # Inverse-normal via Newton on the error function; good enough for
-        # the confidence range this model is used with.
-        from scipy.stats import norm  # optional dependency; available here
-
-        z = float(norm.ppf(confidence))
-    spares = m + z * math.sqrt(m)
+    spares = m + _Z_995 * math.sqrt(m)
     return spares / config.n_nodes
 
 

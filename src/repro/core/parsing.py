@@ -89,21 +89,6 @@ def iter_file_records(path: str | Path) -> Iterator[RawXidRecord]:
     return iter_parse_syslog(iter_log_lines(path))
 
 
-def iter_directory_records(directory: str | Path) -> Iterator[RawXidRecord]:
-    """Stream parsed XID records from every log file in a directory.
-
-    Files are visited in sorted order and streamed line-by-line; nothing
-    is materialized or sorted, so memory is O(1) in log volume.  Per-GPU
-    time order is preserved because each GPU's records live in one node
-    file that node-local syslog keeps chronological — exactly the
-    ordering :class:`~repro.core.streaming.StreamingCoalescer` requires.
-    """
-    from repro.syslog.reader import list_log_files
-
-    for path in list_log_files(directory):
-        yield from iter_file_records(path)
-
-
 def parse_syslog(lines: Iterable[str]) -> List[RawXidRecord]:
     """Extract every XID record from an iterable of syslog lines.
 

@@ -10,12 +10,11 @@ and identification of long-persisting errors for monitoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.coalesce import CoalescedError
-from repro.util.stats import DurationSummary, summarize_durations
 
 
 @dataclass(frozen=True)
@@ -41,21 +40,7 @@ class PersistenceAnalyzer:
         for error in self.errors:
             self._by_xid.setdefault(error.xid, []).append(error.persistence)
 
-    def summary(self, xid: int) -> DurationSummary:
-        return summarize_durations(self._by_xid.get(int(xid), []))
-
-    def summaries(self) -> Dict[int, DurationSummary]:
-        return {xid: summarize_durations(vals) for xid, vals in sorted(self._by_xid.items())}
-
     # ------------------------------------------------------------------
-
-    def total_lost_gpu_hours(self) -> float:
-        """Sum of persistence across all errors, in GPU-hours.
-
-        The paper's "320 GPU hours" figure — an optimistic estimate assuming
-        each GPU becomes useful again the moment its burst ends.
-        """
-        return float(sum(e.persistence for e in self.errors)) / 3600.0
 
     def tail_analysis(self) -> TailAnalysis:
         """Share of lost GPU-hours from errors persisting beyond their
@@ -79,18 +64,3 @@ class PersistenceAnalyzer:
     def longest(self, k: int = 10) -> List[CoalescedError]:
         """The k longest-persisting errors (the SRE monitoring watchlist)."""
         return sorted(self.errors, key=lambda e: e.persistence, reverse=True)[:k]
-
-    def above_threshold(self, seconds: float) -> List[CoalescedError]:
-        """Errors persisting beyond a threshold (alerting candidates)."""
-        return [e for e in self.errors if e.persistence > seconds]
-
-    def burstiness(self, xid: int) -> Tuple[float, float]:
-        """(mean raw lines per error, max raw lines) for one code.
-
-        Quantifies the paper's "over a million duplicated log entries"
-        observation for uncontained errors.
-        """
-        raws = [e.n_raw for e in self.errors if e.xid == int(xid)]
-        if not raws:
-            return 0.0, 0.0
-        return float(np.mean(raws)), float(max(raws))

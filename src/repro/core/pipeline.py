@@ -8,35 +8,21 @@ ground truth, so paper-vs-measured comparisons are genuine inferences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
-from repro.core.availability import AvailabilityAnalyzer, AvailabilityReport
+from repro.core.availability import AvailabilityAnalyzer
 from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors
-from repro.core.counterfactual import CounterfactualAnalyzer, CounterfactualReport
+from repro.core.counterfactual import CounterfactualAnalyzer
 from repro.core.jobimpact import JobImpactAnalyzer
 from repro.core.mtbe import ErrorStatistics
 from repro.core.parsing import RawXidRecord
 from repro.core.persistence import PersistenceAnalyzer
-from repro.core.propagation import PropagationAnalyzer, PropagationGraph
+from repro.core.propagation import PropagationAnalyzer
 from repro.slurm.accounting import SlurmDatabase
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.sources import Source
-
-
-@dataclass
-class StudyReport:
-    """Everything Stage III produces, bundled for report rendering."""
-
-    statistics: ErrorStatistics
-    persistence: PersistenceAnalyzer
-    propagation_graph: PropagationGraph
-    propagation: PropagationAnalyzer
-    job_impact: Optional[JobImpactAnalyzer]
-    availability: Optional[AvailabilityReport]
-    counterfactual: Optional[CounterfactualReport]
 
 
 class DeltaStudy:
@@ -208,41 +194,6 @@ class DeltaStudy:
         study.dataset_label = f"store:{store.directory}"
         return study
 
-    def to_store(
-        self,
-        directory: str | Path,
-        *,
-        segment_records: Optional[int] = None,
-        meta: Optional[dict] = None,
-    ):
-        """Persist this study's record stream into an event store.
-
-        Creates (or appends to an empty) store at ``directory`` and
-        returns the :class:`~repro.store.store.EventStore`.  The study's
-        window/node parameters are recorded as store metadata so a later
-        :meth:`from_store` needs only the directory.
-        """
-        from repro.store import DEFAULT_SEGMENT_RECORDS, EventStore
-
-        store_meta = {
-            "window_hours": float(self.window_hours),
-            "n_nodes": int(self.n_nodes),
-        }
-        if self.n_gpus is not None:
-            store_meta["n_gpus"] = int(self.n_gpus)
-        if meta:
-            store_meta.update(meta)
-        store = EventStore.open_or_create(directory, meta=store_meta)
-        if store.n_records:
-            raise ValueError(
-                f"store at {directory} already holds {store.n_records} records"
-            )
-        store.append(
-            self.iter_records(),
-            segment_records=segment_records or DEFAULT_SEGMENT_RECORDS,
-        )
-        return store
-
     # ------------------------------------------------------------------
     # Stages
     # ------------------------------------------------------------------
@@ -321,20 +272,3 @@ class DeltaStudy:
             self.availability().mttr_hours() if self.slurm_db is not None else 0.3
         )
         return CounterfactualAnalyzer(self.error_statistics(), mttr_hours=mttr)
-
-    # ------------------------------------------------------------------
-
-    def run(self) -> StudyReport:
-        """Execute every stage and bundle the results."""
-        propagation = self.propagation()
-        return StudyReport(
-            statistics=self.error_statistics(),
-            persistence=self.persistence(),
-            propagation=propagation,
-            propagation_graph=propagation.analyze(),
-            job_impact=self.job_impact() if self.slurm_db is not None else None,
-            availability=(
-                self.availability().report() if self.slurm_db is not None else None
-            ),
-            counterfactual=self.counterfactual().analyze(),
-        )

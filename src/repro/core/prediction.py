@@ -13,8 +13,8 @@ This module implements that model end-to-end on the reproduction's data:
   descent (NumPy only), with a Laplace-smoothed per-XID prior as one of
   the features (the "Bayesian" ingredient).
 
-See ``benchmarks/test_bench_prediction.py`` for the precision/recall it
-achieves on held-out data.
+``tests/core/test_prediction.py`` checks the precision/recall it achieves
+on held-out data; ``replay backtest`` scores it the same way.
 """
 
 from __future__ import annotations
@@ -224,28 +224,6 @@ class PersistencePredictor:
         )
         return float(self.predict_proba([example])[0])
 
-    def predict(self, examples: Sequence[RunExample], threshold: float = 0.5) -> np.ndarray:
-        return self.predict_proba(examples) >= threshold
-
-    def evaluate(
-        self, examples: Sequence[RunExample], threshold: float = 0.5
-    ) -> Dict[str, float]:
-        """Precision / recall / accuracy on a labelled example set."""
-        labels = self.labels(examples).astype(bool)
-        predictions = self.predict(examples, threshold)
-        tp = int(np.sum(predictions & labels))
-        fp = int(np.sum(predictions & ~labels))
-        fn = int(np.sum(~predictions & labels))
-        precision = tp / (tp + fp) if tp + fp else float("nan")
-        recall = tp / (tp + fn) if tp + fn else float("nan")
-        accuracy = float(np.mean(predictions == labels))
-        return {
-            "precision": precision,
-            "recall": recall,
-            "accuracy": accuracy,
-            "positives": int(labels.sum()),
-            "predicted_positives": int(predictions.sum()),
-        }
 
 
 # ---------------------------------------------------------------------------

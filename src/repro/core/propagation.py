@@ -82,26 +82,6 @@ class PropagationGraph:
             return 0.0
         return self.isolated_counts.get(int(source), 0) / n_source
 
-    def successors(self, source: int) -> List[Tuple[int, float, float]]:
-        """(target, probability, mean delay) intra-GPU edges out of a code."""
-        out = []
-        for (src, dst), stats in sorted(self.intra_edges.items()):
-            if src == int(source):
-                out.append((dst, self.probability(src, dst), stats.mean_delay))
-        return out
-
-    def to_networkx(self):
-        """The intra-GPU propagation graph as a weighted DiGraph."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for xid, count in self.source_counts.items():
-            graph.add_node(xid, count=count)
-        for (src, dst), stats in self.intra_edges.items():
-            graph.add_edge(src, dst, probability=self.probability(src, dst),
-                           mean_delay=stats.mean_delay, count=stats.count)
-        return graph
-
 
 @dataclass(frozen=True)
 class NVLinkInvolvement:

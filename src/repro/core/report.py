@@ -6,8 +6,8 @@ the paper's expected values and tolerance bands attached where the paper
 published a number), typed tables, and per-metric support counts.
 ``result.render_text()`` derives the historical monospace-text report from
 an artifact; its output is byte-for-byte identical to the pre-refactor
-strings (golden-tested), so benchmark output still doubles as the
-EXPERIMENTS.md comparison.
+strings (golden-tested), so ``examples/full_reproduction.py`` output still
+doubles as the EXPERIMENTS.md comparison.
 """
 
 from __future__ import annotations

@@ -76,12 +76,9 @@ class SpatialAnalyzer:
         self.n_gpus = n_gpus
         self.errors = list(errors)
         self._per_gpu: Dict[int, Dict[GpuKey, int]] = {}
-        self._per_node: Dict[int, Dict[str, int]] = {}
         for error in self.errors:
             self._per_gpu.setdefault(error.xid, {}).setdefault(error.gpu_key, 0)
             self._per_gpu[error.xid][error.gpu_key] += 1
-            self._per_node.setdefault(error.xid, {}).setdefault(error.node_id, 0)
-            self._per_node[error.xid][error.node_id] += 1
 
     # ------------------------------------------------------------------
 
@@ -121,9 +118,6 @@ class SpatialAnalyzer:
                 )
         out.sort(key=lambda o: o.count, reverse=True)
         return out
-
-    def node_concentration(self, xid: int) -> Dict[str, int]:
-        return dict(self._per_node.get(int(xid), {}))
 
 
 def _poisson_tail_surprise(count: int, rate: float) -> float:

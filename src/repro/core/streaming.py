@@ -185,13 +185,6 @@ class StreamingCoalescer:
     def open_runs(self) -> int:
         return len(self._open)
 
-    def open_persistence(self, node_id: str, pci_bus: str, xid: int, message: str) -> Optional[float]:
-        """Current open span for one run, or ``None`` if no run is open."""
-        run = self._open.get((node_id, pci_bus, xid, message))
-        if run is None:
-            return None
-        return run.latest - run.start
-
     def _close(self, key: GroupKey, run: _OpenRun) -> None:
         node_id, pci_bus, xid, message = key
         error = CoalescedError(

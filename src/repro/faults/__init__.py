@@ -19,7 +19,6 @@ from repro.faults.events import ErrorEvent, FaultTrace
 from repro.faults.injector import FaultInjector, InjectorConfig
 from repro.faults.variants import (
     burned_in_profile,
-    hardened_peripherals_profile,
     profile_variant,
 )
 from repro.faults.xid import Xid, XidCategory, XidInfo, XID_CATALOG, RecoveryAction
@@ -35,7 +34,6 @@ __all__ = [
     "FaultInjector",
     "InjectorConfig",
     "burned_in_profile",
-    "hardened_peripherals_profile",
     "profile_variant",
     "Xid",
     "XidCategory",

@@ -86,12 +86,3 @@ def walk_chain(
         )
     return steps
 
-
-def expected_chain_length(
-    root_xid: Xid, kernel: Mapping[Xid, KernelRow], samples: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo expected chain length (calibration diagnostics)."""
-    total = 0
-    for _ in range(samples):
-        total += len(walk_chain(root_xid, kernel, rng))
-    return total / samples

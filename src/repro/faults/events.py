@@ -10,12 +10,9 @@ check the pipeline's *inferences* against the generator's *intent*.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
-from repro.cluster.gpu import GpuDevice
 from repro.faults.xid import Xid
 
 
@@ -47,15 +44,8 @@ class ErrorEvent:
         return (self.node_id, self.pci_bus)
 
     @property
-    def is_root(self) -> bool:
-        return self.chain_pos == 0
-
-    @property
     def end_time(self) -> float:
         return self.time + self.persistence
-
-    def shifted(self, dt: float) -> "ErrorEvent":
-        return replace(self, time=self.time + dt)
 
 
 @dataclass
@@ -84,105 +74,3 @@ class FaultTrace:
         for event in self.events:
             out[event.xid] = out.get(event.xid, 0) + 1
         return out
-
-    def events_of(self, *xids: Xid) -> List[ErrorEvent]:
-        wanted = set(xids)
-        return [e for e in self.events if e.xid in wanted]
-
-    def events_on_gpu(self, node_id: str, pci_bus: str) -> List[ErrorEvent]:
-        return [e for e in self.events if e.node_id == node_id and e.pci_bus == pci_bus]
-
-    def chains(self) -> Dict[int, List[ErrorEvent]]:
-        """Events grouped by chain, each chain ordered by chain position."""
-        grouped: Dict[int, List[ErrorEvent]] = {}
-        for event in self.events:
-            grouped.setdefault(event.chain_id, []).append(event)
-        for chain in grouped.values():
-            chain.sort(key=lambda e: e.chain_pos)
-        return grouped
-
-    def inoperable_events(self) -> List[ErrorEvent]:
-        return [e for e in self.events if e.inoperable]
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Write the trace as JSON lines (one event per line + a header)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as handle:
-            header = {
-                "kind": "trace",
-                "window_seconds": self.window_seconds,
-                "node_ids": list(self.node_ids),
-                "seed": self.seed,
-            }
-            handle.write(json.dumps(header) + "\n")
-            for event in self.events:
-                handle.write(
-                    json.dumps(
-                        {
-                            "t": event.time,
-                            "n": event.node_id,
-                            "b": event.pci_bus,
-                            "x": int(event.xid),
-                            "p": event.persistence,
-                            "c": event.chain_id,
-                            "i": event.chain_pos,
-                            "o": event.inoperable,
-                        }
-                    )
-                    + "\n"
-                )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FaultTrace":
-        with open(path, "r", encoding="utf-8") as handle:
-            header = json.loads(handle.readline())
-            if header.get("kind") != "trace":
-                raise ValueError(f"{path} is not a fault trace file")
-            events = [
-                ErrorEvent(
-                    time=row["t"],
-                    node_id=row["n"],
-                    pci_bus=row["b"],
-                    xid=Xid(row["x"]),
-                    persistence=row["p"],
-                    chain_id=row["c"],
-                    chain_pos=row["i"],
-                    inoperable=row["o"],
-                )
-                for row in map(json.loads, handle)
-            ]
-        return cls(
-            events=events,
-            window_seconds=header["window_seconds"],
-            node_ids=tuple(header["node_ids"]),
-            seed=header["seed"],
-        )
-
-    def merged_with(self, other: "FaultTrace") -> "FaultTrace":
-        """Union of two traces over the same window (chain IDs re-spaced)."""
-        if other.window_seconds != self.window_seconds:
-            raise ValueError("cannot merge traces with different windows")
-        offset = max((e.chain_id for e in self.events), default=0) + 1
-        moved = [replace(e, chain_id=e.chain_id + offset) for e in other.events]
-        return FaultTrace(
-            events=list(self.events) + moved,
-            window_seconds=self.window_seconds,
-            node_ids=tuple(sorted(set(self.node_ids) | set(other.node_ids))),
-            seed=self.seed,
-        )
-
-
-def gpu_for_event(event: ErrorEvent, gpus: Iterable[GpuDevice]) -> GpuDevice:
-    """Resolve an event's GPU device from an inventory iterable."""
-    for gpu in gpus:
-        if gpu.key == event.gpu_key:
-            return gpu
-    raise KeyError(f"no GPU matching event at {event.gpu_key}")
-
-
-def filter_window(events: Sequence[ErrorEvent], start: float, end: float) -> List[ErrorEvent]:
-    """Events with ``start <= time < end``."""
-    return [e for e in events if start <= e.time < end]

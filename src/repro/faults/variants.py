@@ -95,11 +95,3 @@ def burned_in_profile(profile: CalibrationProfile) -> CalibrationProfile:
         remove_offenders=True,
     )
 
-
-def hardened_peripherals_profile(profile: CalibrationProfile) -> CalibrationProfile:
-    """Section 5.5 scenario 2, generatively: GSP/PMU/NVLink fixed."""
-    return profile_variant(
-        burned_in_profile(profile),
-        name_suffix="hardened",
-        drop_xids={Xid.GSP: True, Xid.PMU_SPI: True, Xid.NVLINK: True},
-    )

@@ -192,13 +192,6 @@ HARDWARE_MTBE_XIDS: Tuple[Xid, ...] = (
 )
 
 
-def xids_in_category(category: XidCategory) -> Tuple[Xid, ...]:
-    """All catalogued codes in one taxonomy category, sorted by code."""
-    return tuple(
-        sorted((x for x, info in XID_CATALOG.items() if info.category is category), key=int)
-    )
-
-
 def studied(xids: Iterable[int]) -> Tuple[Xid, ...]:
     """Filter arbitrary codes down to the studied subset, preserving order."""
     return tuple(Xid(x) for x in xids if Xid(x) in XID_CATALOG and XID_CATALOG[Xid(x)].studied)

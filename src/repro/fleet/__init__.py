@@ -40,7 +40,7 @@ from repro.fleet.rules import (
     default_rules,
 )
 from repro.fleet.service import FleetHealthService, FleetServiceConfig
-from repro.fleet.tailer import DirectoryTailer, LogTailer, iter_directory_records
+from repro.fleet.tailer import DirectoryTailer, LogTailer
 
 __all__ = [
     "Action",
@@ -62,6 +62,5 @@ __all__ = [
     "StdoutSink",
     "default_risk_scorer",
     "default_rules",
-    "iter_directory_records",
     "render_prometheus",
 ]

@@ -131,7 +131,3 @@ class LiveLogEmitter:
     def join(self, timeout: float | None = None) -> None:
         if self._thread is not None:
             self._thread.join(timeout)
-
-    @property
-    def done(self) -> bool:
-        return self._thread is not None and not self._thread.is_alive()

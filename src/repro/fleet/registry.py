@@ -49,10 +49,6 @@ class GpuHealth:
     risk_score: float = 0.0
 
     @property
-    def gpu_key(self) -> GpuKey:
-        return (self.node_id, self.pci_bus)
-
-    @property
     def total_onsets(self) -> int:
         return sum(self.onsets.values())
 
@@ -61,13 +57,6 @@ class GpuHealth:
         if window_seconds <= 0:
             return 0.0
         return len(self.recent) * 3600.0 / window_seconds
-
-    def mtbe_hours(self) -> float:
-        """Observed mean time between error onsets on this GPU (hours)."""
-        if self.total_onsets < 2:
-            return float("inf")
-        span = self.last_seen - self.first_seen
-        return span / 3600.0 / (self.total_onsets - 1)
 
 
 @dataclass(frozen=True)
@@ -295,11 +284,6 @@ class HealthRegistry:
                 out.extend(shard.states.values())
         return out
 
-    def gpu(self, node_id: str, pci_bus: str) -> Optional[GpuHealth]:
-        shard = self._shards[self.shard_index((node_id, pci_bus))]
-        with shard.lock:
-            return shard.states.get((node_id, pci_bus))
-
     def open_runs(self) -> int:
         return sum(s.coalescer.open_runs() for s in self._shards)
 
@@ -312,11 +296,6 @@ class HealthRegistry:
                     for xid, count in health.onsets.items():
                         totals[xid] = totals.get(xid, 0) + count
         return totals
-
-    def total_raw_lines(self) -> int:
-        return sum(
-            h.raw_lines for h in self.snapshot()
-        )
 
     def persistence_alarms(self) -> int:
         return sum(len(s.coalescer.alarms) for s in self._shards)
@@ -331,17 +310,6 @@ class HealthRegistry:
         if last is None:
             return None
         return max(0.0, self.clock() - last)
-
-    def flush(self) -> List[CoalescedError]:
-        """Close every open run (end of stream); returns the closed errors."""
-        closed: List[CoalescedError] = []
-        for shard in self._shards:
-            with shard.lock:
-                shard.coalescer.flush()
-                closed.extend(shard._closed_buffer)
-                shard._closed_buffer.clear()
-        closed.sort(key=lambda e: (e.time, e.node_id, e.pci_bus, e.xid))
-        return closed
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ def fit_risk_model(
     """Train a persistence predictor on a synthesized observation window.
 
     A service that has no historical record archive yet can bootstrap its
-    risk model from the calibrated substrate (the same trick the
-    benchmarks use); pass the result to :func:`predictor_scorer`.
+    risk model from the calibrated substrate; pass the result to
+    :func:`predictor_scorer`.
     """
     from repro.datasets import synthesize_delta
 

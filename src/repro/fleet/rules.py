@@ -163,9 +163,6 @@ class MemorySink:
         with self._lock:
             return list(self._alerts)
 
-    def of_action(self, action: Action) -> List[Alert]:
-        return [a for a in self.alerts if a.action is action]
-
 
 class StdoutSink:
     """Human-readable one-line-per-alert sink."""
@@ -263,9 +260,6 @@ class RuleEngine:
         #: Per-GPU last onset time of each XID (precursor matching).
         self._last_onset: Dict[GpuKey, Dict[int, float]] = {}
         self.fired_counts: Dict[str, int] = {r.name: 0 for r in self.rules}
-
-    def add_sink(self, sink: AlertSink) -> None:
-        self.sinks.append(sink)
 
     # ------------------------------------------------------------------
 

@@ -243,23 +243,8 @@ class FleetHealthService:
         )
 
     # ------------------------------------------------------------------
-    # Test / batch-session helpers
+    # Batch-session helpers
     # ------------------------------------------------------------------
-
-    def wait_for(
-        self,
-        predicate: Callable[["FleetHealthService"], bool],
-        *,
-        timeout: float = 30.0,
-        interval: float = 0.05,
-    ) -> bool:
-        """Poll until ``predicate(self)`` or timeout; True when satisfied."""
-        deadline = self.clock() + timeout
-        while self.clock() < deadline:
-            if predicate(self):
-                return True
-            self.sleep(interval)
-        return predicate(self)
 
     def wait_idle(
         self, *, idle_for: float = 0.3, timeout: float = 30.0

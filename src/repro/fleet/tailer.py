@@ -27,19 +27,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List
 
-from repro.core.parsing import (
-    RawXidRecord,
-    iter_directory_records,
-    iter_parse_syslog,
-)
+from repro.core.parsing import RawXidRecord, iter_parse_syslog
 from repro.syslog.reader import iter_log_lines, list_log_files
 
-__all__ = [
-    "DirectoryTailer",
-    "LogTailer",
-    "TailStats",
-    "iter_directory_records",  # re-exported shared record-iterator API
-]
+__all__ = ["DirectoryTailer", "LogTailer", "TailStats"]
 
 #: Sentinel pushed once per worker when it finishes draining after a stop.
 _DONE = object()

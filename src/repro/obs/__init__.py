@@ -31,7 +31,6 @@ from repro.obs.core import (
     add,
     current_context,
     deactivate,
-    enabled,
     span,
     span_iter,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "add",
     "current_context",
     "deactivate",
-    "enabled",
     "span",
     "span_iter",
     "to_chrome_events",

@@ -64,9 +64,6 @@ class _NullSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
-    def set(self, **attrs) -> None:
-        pass
-
     def add(self, name: str, value: float = 1) -> None:
         pass
 
@@ -93,10 +90,6 @@ class Span:
         self._tid = tid
         self.start_unix = time.time()
         self._start_perf = time.perf_counter()
-
-    def set(self, **attrs) -> None:
-        """Attach (or overwrite) attributes on the open span."""
-        self.attrs.update(attrs)
 
     def add(self, name: str, value: float = 1) -> None:
         """Bump a named counter scoped to this span."""
@@ -321,10 +314,6 @@ _ACTIVE: Optional[Tracer] = None
 def active() -> Optional[Tracer]:
     """The process's active tracer, or ``None`` when tracing is off."""
     return _ACTIVE
-
-
-def enabled() -> bool:
-    return _ACTIVE is not None
 
 
 def span(name: str, **attrs):

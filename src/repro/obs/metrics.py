@@ -24,10 +24,6 @@ class CounterSet:
         with self._lock:
             self._values[name] = self._values.get(name, 0) + value
 
-    def get(self, name: str, default: float = 0.0) -> float:
-        with self._lock:
-            return self._values.get(name, default)
-
     def values(self) -> Dict[str, float]:
         """A point-in-time copy of every counter."""
         with self._lock:

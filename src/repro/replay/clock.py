@@ -75,15 +75,6 @@ class ReplayPacer:
         #: :class:`VirtualClock`).
         self.waited = 0.0
 
-    @property
-    def unbounded(self) -> bool:
-        return self.speed is None
-
-    def reset(self) -> None:
-        """Forget the anchor; the next event re-anchors the mapping."""
-        self._wall_anchor = None
-        self._event_anchor = None
-
     def wait_until(self, event_time: float) -> None:
         """Block (via the injected ``sleep``) until ``event_time`` is due."""
         if self.speed is None:

@@ -74,9 +74,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.n_fail == 0
 
-    def failures(self) -> List[Check]:
-        return [c for c in self.checks if c.status == FAIL]
-
     def extend(self, checks: Iterable[Check]) -> None:
         self.checks.extend(checks)
 

@@ -19,7 +19,7 @@ make equal results look different.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -90,9 +90,6 @@ class RunConfig:
             values["workers"] = len(affinity(0)) if affinity else os.cpu_count() or 1
         values.update(overrides)
         return cls(**values)
-
-    def with_(self, **changes) -> "RunConfig":
-        return replace(self, **changes)
 
     def digest(self) -> str:
         """Stable short hash of the data-determining configuration."""

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.slurm.job import GpuKey, JobRecord, JobState
+from repro.slurm.job import JobRecord, JobState
 
 
 @dataclass(frozen=True)
@@ -25,10 +23,6 @@ class NodeEvent:
     start_time: float
     duration_hours: float
     reason: str  # e.g. "xid119", "xid95"
-
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration_hours * 3600.0
 
 
 class SlurmDatabase:
@@ -49,36 +43,16 @@ class SlurmDatabase:
 
     # -- queries ----------------------------------------------------------
 
-    def job(self, job_id: int) -> JobRecord:
-        for record in self.jobs:
-            if record.job_id == job_id:
-                return record
-        raise KeyError(f"no job {job_id}")
-
     def completed_jobs(self) -> List[JobRecord]:
         return [j for j in self.jobs if j.succeeded]
-
-    def failed_jobs(self) -> List[JobRecord]:
-        return [j for j in self.jobs if not j.succeeded]
 
     def success_rate(self) -> float:
         if not self.jobs:
             return 0.0
         return len(self.completed_jobs()) / len(self.jobs)
 
-    def jobs_on_gpu(self, gpu: GpuKey) -> List[JobRecord]:
-        return [j for j in self.jobs if gpu in j.gpus]
-
     def total_downtime_node_hours(self) -> float:
         return sum(e.duration_hours for e in self.node_events)
-
-    # -- vector views for the analyzers ------------------------------------
-
-    def elapsed_minutes(self) -> np.ndarray:
-        return np.array([j.elapsed_minutes for j in self.jobs])
-
-    def states(self) -> List[JobState]:
-        return [j.state for j in self.jobs]
 
     # -- persistence --------------------------------------------------------
 

@@ -62,13 +62,6 @@ class CouplingResult:
     truth_encounters: Dict[Xid, Set[int]] = field(default_factory=dict)
     truth_failures: Dict[Xid, Set[int]] = field(default_factory=dict)
 
-    def truth_failure_probability(self, xid: Xid) -> float:
-        encountered = self.truth_encounters.get(xid, set())
-        if not encountered:
-            return float("nan")
-        return len(self.truth_failures.get(xid, set())) / len(encountered)
-
-
 #: Inoperable-class codes terminate jobs as NODE_FAIL; the rest surface as
 #: in-job crashes (the paper's Incident 1 segfault).
 _NODE_FAIL_XIDS = {Xid.GSP, Xid.FALLEN_OFF_BUS, Xid.UNCONTAINED, Xid.RRF}

@@ -165,9 +165,6 @@ class Schedule:
             self._occupancy = OccupancyIndex(self.jobs, self.window_seconds)
         return self._occupancy
 
-    def job_by_id(self) -> Dict[int, JobRecord]:
-        return {job.job_id: job for job in self.jobs}
-
     def utilization(self) -> float:
         return self.occupancy.utilization(gpu_population=len(self.gpu_population))
 
@@ -193,9 +190,6 @@ class GpuScheduler:
                 for gpu in node.gpus
             ]
             self._pools[partition] = gpus
-
-    def pool_size(self, partition: str) -> int:
-        return len(self._pools.get(partition, ()))
 
     def schedule(self, jobs: Sequence[JobSpec], window_seconds: float) -> Schedule:
         """Place every job; jobs whose start would fall past the window are

@@ -345,10 +345,6 @@ class EventStore:
             for entry in candidates
         )
 
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        """The full stream (the store-as-a-Source shape)."""
-        return self.query(MATCH_ALL)
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------

@@ -11,12 +11,7 @@ from repro.syslog.format import (
     render_trace,
 )
 from repro.syslog.noise import NoiseConfig, generate_noise_lines
-from repro.syslog.reader import (
-    LOG_SUFFIXES,
-    iter_log_lines,
-    list_log_files,
-    read_log_directory,
-)
+from repro.syslog.reader import LOG_SUFFIXES, iter_log_lines, list_log_files
 from repro.syslog.writer import write_node_logs
 
 __all__ = [
@@ -28,6 +23,5 @@ __all__ = [
     "LOG_SUFFIXES",
     "iter_log_lines",
     "list_log_files",
-    "read_log_directory",
     "write_node_logs",
 ]

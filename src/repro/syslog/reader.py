@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 
 #: File suffixes the collection side recognizes as node syslogs.
@@ -23,20 +23,9 @@ def iter_log_lines(path: str | Path) -> Iterator[str]:
 def list_log_files(directory: str | Path) -> List[Path]:
     """Every ``*.log`` / ``*.log.gz`` file in a directory, in sorted order.
 
-    The single definition of "which files are node logs" — the batch
-    reader, the pipeline's file-set source, and the fleet tailers all
-    partition the same list.
+    The single definition of "which files are node logs" — the pipeline's
+    file-set source and the fleet tailers partition the same list.
     """
     directory = Path(directory)
     return sorted(p for p in directory.iterdir() if p.name.endswith(LOG_SUFFIXES))
 
-
-def read_log_directory(directory: str | Path) -> Iterator[str]:
-    """Stream lines from every ``*.log`` / ``*.log.gz`` file in a directory.
-
-    Files are visited in sorted order; within a file, lines stream in file
-    order.  No global time ordering is implied (the pipeline sorts).
-    """
-    paths: Sequence[Path] = list_log_files(directory)
-    for path in paths:
-        yield from iter_log_lines(path)

@@ -7,7 +7,6 @@ every other subpackage can import them without cycles.  The process pool,
 
 from repro.util.rng import RngStreams, spawn_rng
 from repro.util.stats import (
-    empirical_cdf,
     lognormal_from_mean_p50,
     percentile,
     summarize_durations,
@@ -27,7 +26,6 @@ from repro.util.validation import check_fraction, check_positive, check_probabil
 __all__ = [
     "RngStreams",
     "spawn_rng",
-    "empirical_cdf",
     "lognormal_from_mean_p50",
     "percentile",
     "summarize_durations",

@@ -40,9 +40,6 @@ class DurationSummary:
     p95: float
     total: float
 
-    def as_row(self) -> tuple:
-        return (self.count, self.mean, self.p50, self.p95)
-
 
 def summarize_durations(values: Sequence[float]) -> DurationSummary:
     """Summarize a sample of durations the way Table 1 reports persistence."""
@@ -94,20 +91,3 @@ def lognormal_from_mean_p50(mean: float, p50: float) -> LognormalParams:
     sigma = math.sqrt(2.0 * math.log(ratio))
     return LognormalParams(mu=mu, sigma=sigma)
 
-
-def empirical_cdf(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cdf)`` for plotting-style CDF summaries."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        return arr, arr
-    cdf = np.arange(1, arr.size + 1, dtype=float) / arr.size
-    return arr, cdf
-
-
-def histogram_by_bins(
-    values: Sequence[float], edges: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counts per bin for pre-specified edges (used by the Figure-9 renders)."""
-    arr = np.asarray(values, dtype=float)
-    counts, out_edges = np.histogram(arr, bins=np.asarray(edges, dtype=float))
-    return counts, out_edges

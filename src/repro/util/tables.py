@@ -1,6 +1,6 @@
 """Minimal ASCII table rendering for paper-style report output.
 
-The benchmark harness prints the same rows the paper's tables report; this
+The report renderers print the same rows the paper's tables report; this
 module renders them as aligned monospace tables without any third-party
 dependency.
 """
@@ -8,7 +8,7 @@ dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def format_cell(value: object, precision: int = 2) -> str:
@@ -41,10 +41,6 @@ class Table:
                 f"row has {len(cells)} cells but table has {len(self.headers)} columns"
             )
         self.rows.append(list(cells))
-
-    def extend(self, rows: Iterable[Sequence[object]]) -> None:
-        for row in rows:
-            self.add_row(*row)
 
     def render(self) -> str:
         cells = [[format_cell(c, self.precision) for c in row] for row in self.rows]

@@ -73,11 +73,6 @@ class TestDeltaInventory:
         assert summary["ampere_gpus"] == 848
         assert summary["hopper_gpus"] == 320
 
-    def test_gpu_lookup(self, delta_cluster):
-        node = delta_cluster.gpu_nodes[0]
-        gpu = node.gpus[0]
-        assert delta_cluster.gpu(node.node_id, gpu.pci_bus) is gpu
-
     def test_duplicate_node_ids_rejected(self):
         node = make_node(NodeKind.A40_X4, 1)
         with pytest.raises(ValueError):

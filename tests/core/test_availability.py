@@ -57,13 +57,6 @@ class TestFigure9c:
         assert dist["max_hours"] == 10.0
         assert dist["p50_hours"] == pytest.approx(0.25)
 
-    def test_histogram(self):
-        events = [NodeEvent("n1", 0.0, h, "x") for h in (0.05, 0.3, 3.0)]
-        edges, counts = AvailabilityAnalyzer(events, _stats(10)).unavailability_histogram(
-            edges_hours=(0, 0.1, 1, 10)
-        )
-        assert counts == (1, 1, 1)
-
     def test_empty_distribution(self):
         dist = AvailabilityAnalyzer([], _stats(10)).unavailability_distribution()
         assert dist["mean_hours"] == 0.0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors, to_arrays
+from repro.core.coalesce import CoalesceConfig, coalesce_errors
 from repro.core.parsing import RawXidRecord
 
 
@@ -85,6 +85,22 @@ class TestOneDayCutoff:
         assert len(errors) == 4  # 96s span split into <=30s runs
 
 
+class TestDeltaTAblation:
+    """Section 3.2: counts fall as dt grows, and far larger windows start
+    merging distinct errors (test_pipeline.py checks 5 s against 20 s)."""
+
+    @staticmethod
+    def _count(records, dt):
+        return len(coalesce_errors(records, CoalesceConfig(window_seconds=dt)))
+
+    def test_10s_between(self, study):
+        counts = {dt: self._count(study.records, dt) for dt in (5.0, 10.0, 20.0)}
+        assert counts[5.0] >= counts[10.0] >= counts[20.0]
+
+    def test_huge_window_collapses_bursty_codes(self, study):
+        assert self._count(study.records, 600.0) < self._count(study.records, 5.0) * 0.8
+
+
 class TestConfig:
     def test_window_sensitivity(self):
         records = [_record(t) for t in (0.0, 8.0, 16.0)]
@@ -98,13 +114,3 @@ class TestConfig:
         with pytest.raises(ValueError):
             CoalesceConfig(max_persistence=-1.0)
 
-
-class TestToArrays:
-    def test_columnar_view(self):
-        errors = [
-            CoalescedError(1.0, "n1", "p", 95, 2.0, 3),
-            CoalescedError(5.0, "n1", "p", 31, 0.0, 1),
-        ]
-        arrays = to_arrays(errors)
-        assert list(arrays["xid"]) == [95, 31]
-        assert list(arrays["n_raw"]) == [3, 1]

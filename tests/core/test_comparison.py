@@ -35,9 +35,6 @@ class TestComparison:
         # Paper: ~29.4% of DBEs still interrupt (100% pre-Ampere).
         assert 0.0 <= measured < 0.7
 
-    def test_generational_improvement_factor(self, comparison):
-        assert comparison.generational_improvement() > 1.5
-
     def test_new_failure_modes_include_gsp(self, comparison):
         modes = comparison.new_failure_modes()
         assert any("GSP" in mode for mode in modes)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.h100 import H100Analyzer
+from repro.core.propagation import PropagationAnalyzer
 from repro.faults.xid import Xid
 
 
@@ -13,6 +14,7 @@ class TestH100Report:
         assert report.counts.get(int(Xid.MMU), 0) == pytest.approx(18, abs=4)
         assert report.dbe_count == pytest.approx(10, abs=3)
         assert report.rrf_count == pytest.approx(5, abs=3)
+        assert report.counts.get(int(Xid.CONTAINED), 0) == pytest.approx(9, abs=3)
         assert report.xid136_count == pytest.approx(70, abs=8)
 
     def test_mtbe_near_4114_hours(self, h100_study):
@@ -29,10 +31,9 @@ class TestH100Report:
         assert report.xid136_share > 0.5
 
     def test_dbe_followed_by_rrf_not_rre(self, h100_study):
-        analyzer = H100Analyzer(h100_study.error_statistics())
-        successors = analyzer.dbe_successors(h100_study.errors)
-        assert successors[int(Xid.RRE)] == 0.0
-        assert successors[int(Xid.RRF)] > 0.2
+        graph = PropagationAnalyzer(h100_study.errors).analyze()
+        assert graph.probability(Xid.DBE, Xid.RRE) == 0.0
+        assert graph.probability(Xid.DBE, Xid.RRF) > 0.2
 
     def test_h100_events_only_on_gh_nodes(self, h100_dataset):
         assert all(e.node_id.startswith("gh") for e in h100_dataset.trace)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.coalesce import CoalescedError
 from repro.core.mtbe import ErrorStatistics
-from repro.faults.xid import Xid, XidCategory
+from repro.faults.xid import Xid
 
 
 def _error(t, xid=31, node="n1", pci="0000:07:00", persistence=0.0):
@@ -38,7 +38,7 @@ class TestCountsAndExclusion:
     def test_unknown_codes_kept(self):
         stats = ErrorStatistics([_error(0.0, xid=999)], 10.0, 1)
         assert stats.total_count == 1
-        assert stats.category_share()[XidCategory.UNKNOWN] == 1.0
+        assert stats.counts() == {999: 1}
 
 
 class TestMtbe:
@@ -95,10 +95,9 @@ class TestOffenders:
         stats = ErrorStatistics(errors, 1_000.0, 10)
         (gpu, count), = stats.top_offenders(95, 1)
         assert gpu == ("n1", "0000:07:00") and count == 99
-        assert stats.offender_share(95, 1) == pytest.approx(0.99)
 
-    def test_offender_share_absent_code(self, stats):
-        assert stats.offender_share(74) == 0.0
+    def test_top_offenders_absent_code(self, stats):
+        assert stats.top_offenders(74) == []
 
 
 class TestRestriction:

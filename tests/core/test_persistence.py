@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.coalesce import CoalescedError
 from repro.core.persistence import PersistenceAnalyzer
+from repro.faults.xid import Xid
 
 
 def _error(persistence, xid=95, n_raw=2, t=0.0):
@@ -16,11 +17,11 @@ def _error(persistence, xid=95, n_raw=2, t=0.0):
 class TestLostGpuHours:
     def test_total_is_sum_of_persistence(self):
         analyzer = PersistenceAnalyzer([_error(3_600.0), _error(1_800.0)])
-        assert analyzer.total_lost_gpu_hours() == pytest.approx(1.5)
+        assert analyzer.tail_analysis().total_lost_gpu_hours == pytest.approx(1.5)
 
     def test_empty(self):
         analyzer = PersistenceAnalyzer([])
-        assert analyzer.total_lost_gpu_hours() == 0.0
+        assert analyzer.tail_analysis().total_lost_gpu_hours == 0.0
         assert analyzer.tail_analysis().tail_share == 0.0
 
 
@@ -51,6 +52,11 @@ class TestTailAnalysis:
         share = study.persistence().tail_analysis().tail_share
         assert share > 0.6
 
+    def test_loss_dominated_by_uncontained(self, study):
+        stats = study.error_statistics()
+        per_code = {xid: stats.persistence_summary(xid).total for xid in stats.counts()}
+        assert per_code[int(Xid.UNCONTAINED)] / sum(per_code.values()) > 0.9
+
 
 class TestWatchlist:
     def test_longest(self):
@@ -58,25 +64,8 @@ class TestWatchlist:
         longest = PersistenceAnalyzer(errors).longest(2)
         assert [e.persistence for e in longest] == [500.0, 50.0]
 
-    def test_above_threshold(self):
-        errors = [_error(float(p), t=float(p)) for p in (5, 50, 500)]
-        assert len(PersistenceAnalyzer(errors).above_threshold(40.0)) == 2
-
-
-class TestBurstiness:
-    def test_mean_and_max_raw_lines(self):
-        errors = [_error(1.0, n_raw=2), _error(1.0, n_raw=10, t=50.0)]
-        mean, maximum = PersistenceAnalyzer(errors).burstiness(95)
-        assert mean == pytest.approx(6.0)
-        assert maximum == 10
-
-    def test_absent_code(self):
-        assert PersistenceAnalyzer([]).burstiness(95) == (0.0, 0.0)
-
-    def test_uncontained_burstiness_in_dataset(self, study):
-        # The offender GPU's bursts must be far denser than a typical code's.
-        analyzer = study.persistence()
-        mean95, max95 = analyzer.burstiness(95)
-        mean63, _ = analyzer.burstiness(63)
-        assert mean95 > 10 * max(mean63, 1.0)
-        assert max95 > 100
+    def test_watchlist_is_all_uncontained(self, study):
+        # The SRE watchlist (longest persistences) surfaces the offender.
+        longest = study.persistence().longest(10)
+        assert all(e.xid == int(Xid.UNCONTAINED) for e in longest)
+        assert longest[0].persistence > 3_600.0

@@ -11,14 +11,6 @@ class TestDeltaStudy:
         first = study.errors
         assert first is study.errors
 
-    def test_run_bundles_everything(self, study):
-        report = study.run()
-        assert report.statistics.total_count > 0
-        assert report.job_impact is not None
-        assert report.availability is not None
-        assert report.counterfactual is not None
-        assert report.propagation_graph.source_counts
-
     def test_job_impact_requires_database(self):
         study = DeltaStudy([], window_hours=10.0, n_nodes=1)
         with pytest.raises(ValueError):

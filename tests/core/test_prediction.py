@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.parsing import RawXidRecord
-from repro.core.prediction import PersistencePredictor, RunExample, extract_runs
+from repro.core.prediction import PersistencePredictor, RunExample, extract_runs, pr_curve
 
 
 def _record(t, msg="m", node="n1", pci="p", xid=95):
@@ -62,14 +62,34 @@ def _synthetic_examples(n=400, seed=0):
     return examples
 
 
+@pytest.fixture(scope="module")
+def dataset_split(dataset):
+    """A predictor trained on the first half of the window, and the second
+    half it is evaluated on: the deployment setting an SRE team would face."""
+    from repro.core.parsing import iter_parse_syslog
+
+    records = list(iter_parse_syslog(dataset.log_lines(include_noise=False)))
+    runs = extract_runs(records)
+    runs.sort(key=lambda r: r.start_time)
+    half = len(runs) // 2
+    train, test = runs[:half], runs[half:]
+    return PersistencePredictor(long_threshold_seconds=600.0).fit(train), test
+
+
+def _at_half(predictor, examples):
+    """Precision and recall of the ``P >= 0.5`` decision."""
+    labels = predictor.labels(examples).astype(bool)
+    (point,) = pr_curve(labels, predictor.predict_proba(examples), [0.5])
+    return point
+
+
 class TestPredictor:
     def test_learns_separable_synthetic_data(self):
         examples = _synthetic_examples()
         train, test = examples[:300], examples[300:]
-        predictor = PersistencePredictor().fit(train)
-        metrics = predictor.evaluate(test)
-        assert metrics["precision"] > 0.85
-        assert metrics["recall"] > 0.85
+        point = _at_half(PersistencePredictor().fit(train), test)
+        assert point.precision > 0.85
+        assert point.recall > 0.85
 
     def test_probabilities_bounded(self):
         examples = _synthetic_examples(100)
@@ -85,19 +105,32 @@ class TestPredictor:
         with pytest.raises(ValueError):
             PersistencePredictor().fit([])
 
-    def test_on_dataset_beats_base_rate(self, dataset):
-        """Trained on the first half of the window, the model must find
-        long-persisting errors in the second half far better than chance."""
-        from repro.core.parsing import iter_parse_syslog
+    def test_on_dataset_beats_base_rate(self, dataset_split):
+        """The model finds long-persisting errors in the held-out half far
+        better than chance."""
+        predictor, test = dataset_split
+        positives = int(predictor.labels(test).sum())
+        point = _at_half(predictor, test)
+        assert positives > 5  # the offender supplies positives
+        assert point.recall > 0.6
+        assert point.precision > 3 * positives / len(test)
 
-        records = list(iter_parse_syslog(dataset.log_lines(include_noise=False)))
-        runs = extract_runs(records)
-        runs.sort(key=lambda r: r.start_time)
-        half = len(runs) // 2
-        train, test = runs[:half], runs[half:]
-        predictor = PersistencePredictor(long_threshold_seconds=600.0).fit(train)
-        metrics = predictor.evaluate(test)
-        base_rate = metrics["positives"] / max(len(test), 1)
-        assert metrics["positives"] > 5  # the offender supplies positives
-        assert metrics["recall"] > 0.5
-        assert metrics["precision"] > min(3 * base_rate, 0.5)
+    def test_on_dataset_ranks_long_runs_higher(self, dataset_split):
+        predictor, test = dataset_split
+        probabilities = predictor.predict_proba(test)
+        labels = predictor.labels(test).astype(bool)
+        assert labels.sum() >= 5
+        assert probabilities[labels].mean() > probabilities[~labels].mean() + 0.2
+
+    def test_on_dataset_early_warning_lead_time(self, dataset_split):
+        """Flagged runs are caught with hours of persistence still ahead —
+        the preventive-action window the paper asks for."""
+        predictor, test = dataset_split
+        flagged = [
+            run
+            for run, p in zip(test, predictor.predict_proba(test))
+            if p >= 0.5 and run.final_persistence > 600.0
+        ]
+        assert flagged
+        lead = np.mean([run.final_persistence - 300.0 for run in flagged])
+        assert lead > 600.0  # >10 minutes of actionable warning on average

@@ -77,11 +77,6 @@ class TestSpatialAnalyzer:
         analyzer = SpatialAnalyzer(_errors([(0, 3), (1, 2)]), n_gpus=100)
         assert analyzer.affected_gpu_fraction(95) == pytest.approx(0.02)
 
-    def test_node_concentration(self):
-        analyzer = SpatialAnalyzer(_errors([(0, 2), (1, 3), (8, 1)]), n_gpus=100)
-        nodes = analyzer.node_concentration(95)
-        assert nodes["n0"] == 5 and nodes["n2"] == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SpatialAnalyzer([], n_gpus=0)

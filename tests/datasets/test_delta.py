@@ -45,10 +45,10 @@ class TestSynthesizeDelta:
     def test_write_logs_and_reload(self, dataset, tmp_path):
         paths = dataset.write_logs(tmp_path / "logs")
         assert len(paths) > 100  # one file per noisy node
-        from repro.syslog import read_log_directory
+        from repro.pipeline import FileSetSource
 
         study = DeltaStudy(
-            read_log_directory(tmp_path / "logs"),
+            FileSetSource(tmp_path / "logs"),
             window_hours=dataset.window_seconds / 3600.0,
             n_nodes=dataset.reference_node_count,
         )
@@ -102,7 +102,7 @@ class TestCordons:
 class TestGroundTruthConsistency:
     def test_truth_failure_probabilities_match_calibration(self, dataset):
         truth = dataset.truth
-        mmu_prob = truth.truth_failure_probability(Xid.MMU)
+        mmu_prob = len(truth.truth_failures[Xid.MMU]) / len(truth.truth_encounters[Xid.MMU])
         assert mmu_prob == pytest.approx(0.5867, abs=0.1)
 
     def test_failed_jobs_end_within_attribution_window(self, dataset):

@@ -74,6 +74,5 @@ class TestEndToEndOnIncidents:
             n_nodes=1,
             slurm_db=incident.slurm_db,
         )
-        report = study.run()
-        assert report.statistics.total_count >= 1
-        assert report.job_impact.total_gpu_failed() == 1
+        assert study.error_statistics().total_count >= 1
+        assert study.job_impact().total_gpu_failed() == 1

@@ -14,6 +14,20 @@ from repro.faults.injector import (
 from repro.faults.xid import Xid
 
 
+def _of(trace, xid):
+    return [e for e in trace if e.xid is xid]
+
+
+def _chains(trace):
+    """Events grouped by chain id, each chain in chain-position order."""
+    grouped = {}
+    for event in trace:
+        grouped.setdefault(event.chain_id, []).append(event)
+    for chain in grouped.values():
+        chain.sort(key=lambda e: e.chain_pos)
+    return grouped
+
+
 @pytest.fixture(scope="module")
 def ampere_trace(delta_cluster):
     injector = FaultInjector(AMPERE_CALIBRATION, InjectorConfig(scale=0.05, seed=11))
@@ -30,7 +44,7 @@ class TestCounts:
             assert counts[int(xid)] == pytest.approx(target, rel=0.15), xid
 
     def test_uncontained_count_within_five_percent(self, ampere_trace):
-        realized = len(ampere_trace.events_of(Xid.UNCONTAINED))
+        realized = len(_of(ampere_trace, Xid.UNCONTAINED))
         target = AMPERE_CALIBRATION.scaled_counts(0.05)[Xid.UNCONTAINED]
         assert realized == pytest.approx(target, rel=0.05)
 
@@ -81,7 +95,7 @@ class TestPlacement:
         assert all(e.end_time <= ampere_trace.window_seconds for e in ampere_trace)
 
     def test_uncontained_offender_concentration(self, ampere_trace):
-        events = ampere_trace.events_of(Xid.UNCONTAINED)
+        events = _of(ampere_trace, Xid.UNCONTAINED)
         per_gpu = Counter(e.gpu_key for e in events)
         top_share = per_gpu.most_common(1)[0][1] / len(events)
         # Section 4.4.3: one GPU contributed 99% of uncontained errors.
@@ -89,12 +103,12 @@ class TestPlacement:
 
     def test_uncontained_limited_to_few_gpus(self, ampere_trace):
         # 4 offender GPUs plus the rare RRF containment-failure chain events.
-        events = ampere_trace.events_of(Xid.UNCONTAINED)
-        spontaneous = [e for e in events if e.is_root]
+        events = _of(ampere_trace, Xid.UNCONTAINED)
+        spontaneous = [e for e in events if e.chain_pos == 0]
         assert len({e.gpu_key for e in spontaneous}) <= 4
 
     def test_gsp_spread_across_gpus(self, ampere_trace):
-        events = ampere_trace.events_of(Xid.GSP)
+        events = _of(ampere_trace, Xid.GSP)
         per_gpu = Counter(e.gpu_key for e in events)
         assert per_gpu.most_common(1)[0][1] < len(events) * 0.1
 
@@ -102,7 +116,7 @@ class TestPlacement:
         # Section 4.4: the offender's errors come in bursts; GSP errors
         # arrive like a Poisson process (coefficient of variation near 1).
         def variation(xid):
-            gaps = np.diff([e.time for e in ampere_trace.events_of(xid)])
+            gaps = np.diff([e.time for e in _of(ampere_trace, xid)])
             return gaps.std() / gaps.mean()
 
         assert variation(Xid.UNCONTAINED) > 2.0
@@ -123,7 +137,7 @@ class TestSeparation:
     def test_chain_events_ordered_in_time(self, ampere_trace):
         # Within one chain, each GPU's sub-sequence advances in time (fanout
         # incidents interleave several per-GPU sub-chains).
-        for chain in ampere_trace.chains().values():
+        for chain in _chains(ampere_trace).values():
             per_gpu = {}
             for event in chain:
                 per_gpu.setdefault(event.gpu_key, []).append(event.time)
@@ -135,7 +149,7 @@ class TestChainsInTrace:
     def test_pmu_chains_produce_mmu_followups(self, delta_cluster):
         injector = FaultInjector(AMPERE_CALIBRATION, InjectorConfig(scale=0.5, seed=9))
         trace = injector.generate(delta_cluster)
-        chains = trace.chains()
+        chains = _chains(trace)
         pmu_roots = [
             chain for chain in chains.values() if chain[0].xid is Xid.PMU_SPI
         ]
@@ -150,7 +164,7 @@ class TestChainsInTrace:
     def test_nvlink_fanout_spans_gpus_on_same_node(self, ampere_trace):
         multi = [
             chain
-            for chain in ampere_trace.chains().values()
+            for chain in _chains(ampere_trace).values()
             if chain and chain[0].xid is Xid.NVLINK
             and len({e.gpu_key for e in chain}) >= 2
         ]
@@ -170,12 +184,12 @@ class TestH100Injection:
     def test_h100_has_no_rre(self, delta_cluster):
         injector = FaultInjector(H100_CALIBRATION, InjectorConfig(scale=1.0, seed=2))
         trace = injector.generate(delta_cluster)
-        assert not trace.events_of(Xid.RRE)
+        assert not _of(trace, Xid.RRE)
 
     def test_h100_xid136_count_realizes(self, delta_cluster):
         injector = FaultInjector(H100_CALIBRATION, InjectorConfig(scale=1.0, seed=99))
         trace = injector.generate(delta_cluster)
-        assert len(trace.events_of(Xid.XID_136)) == pytest.approx(70, abs=3)
+        assert len(_of(trace, Xid.XID_136)) == pytest.approx(70, abs=3)
 
     def test_empty_population_rejected(self, delta_cluster):
         from repro.cluster.inventory import ClusterInventory

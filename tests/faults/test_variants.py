@@ -4,11 +4,7 @@ import pytest
 
 from repro.cluster import build_delta_cluster
 from repro.faults import AMPERE_CALIBRATION, FaultInjector, InjectorConfig
-from repro.faults.variants import (
-    burned_in_profile,
-    hardened_peripherals_profile,
-    profile_variant,
-)
+from repro.faults.variants import burned_in_profile, profile_variant
 from repro.faults.xid import Xid
 
 
@@ -57,16 +53,13 @@ class TestScenarioProfiles:
         assert variant.xids[Xid.MMU].count < AMPERE_CALIBRATION.xids[Xid.MMU].count
         assert variant.xids[Xid.MMU].offenders is None
 
-    def test_hardened_drops_peripheral_codes(self):
-        variant = hardened_peripherals_profile(AMPERE_CALIBRATION)
-        for xid in (Xid.GSP, Xid.PMU_SPI, Xid.NVLINK):
-            assert xid not in variant.xids
-        assert Xid.MMU in variant.xids
-
 
 class TestGenerativeCounterfactual:
     def test_variant_injects_cleanly(self, delta_cluster):
-        variant = hardened_peripherals_profile(AMPERE_CALIBRATION)
+        variant = profile_variant(
+            burned_in_profile(AMPERE_CALIBRATION),
+            drop_xids={Xid.GSP: True, Xid.PMU_SPI: True, Xid.NVLINK: True},
+        )
         injector = FaultInjector(variant, InjectorConfig(scale=0.05, seed=4))
         trace = injector.generate(delta_cluster)
         xids = {int(e.xid) for e in trace}
@@ -79,9 +72,3 @@ class TestGenerativeCounterfactual:
         burned = burned_in_profile(AMPERE_CALIBRATION).total_count()
         # Removing offender volume leaves ~22k of 63k errors -> ~2.9x MTBE.
         assert base / burned == pytest.approx(3.0, abs=0.6)
-
-    def test_hardened_total_matches_scenario2(self):
-        hardened = hardened_peripherals_profile(AMPERE_CALIBRATION).total_count()
-        # Paper scenario 2: ~19k errors remaining -> MTBE ~223 node-hours.
-        mtbe = AMPERE_CALIBRATION.window_node_hours / hardened
-        assert mtbe == pytest.approx(223.0, rel=0.20)

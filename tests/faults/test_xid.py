@@ -9,7 +9,6 @@ from repro.faults.xid import (
     Xid,
     XidCategory,
     studied,
-    xids_in_category,
 )
 
 
@@ -46,10 +45,5 @@ class TestCatalog:
 
 
 class TestHelpers:
-    def test_xids_in_category_sorted(self):
-        memory = xids_in_category(XidCategory.MEMORY)
-        assert list(memory) == sorted(memory, key=int)
-        assert Xid.RRE in memory
-
     def test_studied_filter_preserves_order(self):
         assert studied([95, 13, 31]) == (Xid.UNCONTAINED, Xid.MMU)

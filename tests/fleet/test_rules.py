@@ -41,7 +41,7 @@ class TestThresholdRules:
         assert len(fired) == 1
         assert fired[0].action is Action.RESET_GPU
         assert fired[0].details["window_count"] == 3
-        assert sink.of_action(Action.RESET_GPU) == fired
+        assert [a for a in sink.alerts if a.action is Action.RESET_GPU] == fired
 
     def test_window_expiry_forgets_old_onsets(self):
         rule = AlertRule(

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.fleet.tailer import DirectoryTailer, LogTailer, iter_directory_records
+from repro.fleet.tailer import DirectoryTailer, LogTailer
 from repro.util.timeutil import format_timestamp
 
 
@@ -84,23 +84,6 @@ class TestLogTailer:
     def test_missing_file_yields_nothing(self, tmp_path):
         tailer = LogTailer(tmp_path / "absent.log")
         assert tailer.poll_lines() == []
-
-
-class TestIterDirectoryRecords:
-    def test_streams_all_records_in_per_file_order(self, tmp_path):
-        (tmp_path / "b.log").write_text(
-            _line(1.0, node="b") + "\n" + _line(3.0, node="b") + "\n"
-        )
-        (tmp_path / "a.log").write_text(_line(2.0, node="a") + "\n")
-        records = list(iter_directory_records(tmp_path))
-        # Files visited in sorted order; per-file order preserved.
-        assert [(r.node_id, r.time) for r in records] == [
-            ("a", 2.0), ("b", 1.0), ("b", 3.0),
-        ]
-
-    def test_ignores_non_log_files(self, tmp_path):
-        (tmp_path / "notes.txt").write_text(_line(0.0) + "\n")
-        assert list(iter_directory_records(tmp_path)) == []
 
 
 class TestDirectoryTailer:

@@ -5,7 +5,7 @@ seeing only rendered syslog text and the Slurm database, recovers the
 statistics the fault substrate was calibrated to — which are the paper's
 published numbers.  Tolerances reflect the shared dataset's small scale
 (0.02 of the full window); exact full-scale comparisons live in
-EXPERIMENTS.md / the benchmark harness.
+EXPERIMENTS.md and the catalog ``repro-delta verify`` gates.
 """
 
 import pytest
@@ -66,7 +66,8 @@ class TestPropagationRecovery:
         assert paths["p_nvlink_self"] == pytest.approx(0.66, abs=0.15)
         # ~15 NVLink incidents at this scale: involvement is very noisy, so
         # only the qualitative claim (most errors stay on one GPU's incident
-        # cluster) is asserted; the quantitative check runs at bench scale.
+        # cluster) is asserted; verify's fig6.single_gpu_pct row is the
+        # quantitative check.
         assert involvement.single_gpu_fraction > 0.5
 
     def test_uncontained_errors_have_no_chained_structure(self, study):

@@ -77,7 +77,7 @@ class TestLiveIngestion:
 
 class TestOperatorAlerts:
     def test_xid79_fires_the_drain_node_alert(self, live_session):
-        drains = live_session["sink"].of_action(Action.DRAIN_NODE)
+        drains = [a for a in live_session["sink"].alerts if a.action is Action.DRAIN_NODE]
         assert drains, "no drain-node alert for a fallen-off-the-bus GPU"
         assert all(a.xid == 79 for a in drains)
         assert all(a.severity == "critical" for a in drains)
@@ -96,7 +96,9 @@ class TestOperatorAlerts:
         }
 
     def test_burst_alert_names_the_offender(self, live_session):
-        replacements = live_session["sink"].of_action(Action.REPLACE_GPU)
+        replacements = [
+            a for a in live_session["sink"].alerts if a.action is Action.REPLACE_GPU
+        ]
         assert replacements
         # The demo profile concentrates uncontained errors on 2 offenders.
         offenders = {(a.node_id, a.pci_bus) for a in replacements}

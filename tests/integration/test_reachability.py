@@ -1,13 +1,18 @@
-"""Every module under ``src/repro`` is reachable from a command or an example.
+"""Every module and top-level name under ``src/repro`` has a use outside tests.
 
-A static walk of the import graph.  Its roots are the ``repro.cli`` modules
-and the scripts under ``examples/``.  From each reached module it follows
-every ``import`` and ``from ... import``, function-local ones included.  A
-name imported from a package resolves to the submodule of that name, or else
-to the module the package's ``__init__`` imports it from; ``alias.attr`` on an
-imported package resolves the same way, so ``obs.stamp_result`` reaches
-``repro.obs.stamp``.  A package ``__init__``'s own imports are re-exports,
-not uses, so they reach nothing by themselves.
+Modules: a static walk of the import graph.  Its roots are the ``repro.cli``
+modules and the scripts under ``examples/``.  From each reached module it
+follows every ``import`` and ``from ... import``, function-local ones
+included.  A name imported from a package resolves to the submodule of that
+name, or else to the module the package's ``__init__`` imports it from;
+``alias.attr`` on an imported package resolves the same way, so
+``obs.stamp_result`` reaches ``repro.obs.stamp``.  A package ``__init__``'s
+own imports are re-exports, not uses, so they reach nothing by themselves.
+
+Names: every module-level function and class must be named somewhere in
+``src/repro``, ``examples/`` or ``benchmarks/ledger/``, as a name, an
+attribute or an imported name.  Its own definition and a package
+``__init__``'s imports do not count.  ``KEPT`` lists the exceptions.
 """
 
 import ast
@@ -16,6 +21,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src"
+
+#: Top-level names only tests use, kept on purpose.
+KEPT = {
+    "repro.faults.calibration.expected_totals":
+        "the forward model that tests check solve_root_counts against",
+    "repro.slurm.checkpointing.expected_overhead":
+        "the checkpoint-overhead model behind the tested optimal_interval claims",
+    "repro.replay.clock.VirtualClock":
+        "the fake clock the replay tests drive the pacer with",
+}
 
 
 def _module_name(path: Path) -> str:
@@ -111,3 +126,54 @@ def test_resolves_reexports_to_the_defining_module():
 def test_every_module_is_reached_by_a_command_or_an_example():
     unreached = sorted(set(MODULES) - PACKAGES - _reached())
     assert not unreached, "modules no command or example reaches:\n  " + "\n  ".join(unreached)
+
+
+def _identifiers(node: ast.AST, *, imports: bool) -> set:
+    """The names, attributes and (with ``imports``) imported names under ``node``."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif imports and isinstance(child, ast.ImportFrom):
+            found.update(alias.name for alias in child.names)
+    return found
+
+
+def _definitions() -> dict:
+    """``module.name`` -> name, for every top-level function and class."""
+    return {
+        f"{module}.{node.name}": node.name
+        for module, path in MODULES.items()
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def _used_names() -> set:
+    files = [*MODULES.values(), *(ROOT / "examples").glob("*.py"),
+             *(ROOT / "benchmarks" / "ledger").rglob("*.py")]
+    used = set()
+    for path in files:
+        imports = path.name != "__init__.py" or SRC not in path.parents
+        for node in ast.parse(path.read_text()).body:
+            names = _identifiers(node, imports=imports)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # a use inside its own definition
+            used |= names
+    return used
+
+
+def test_every_top_level_name_is_used_outside_tests():
+    used = _used_names()
+    unused = sorted(q for q, name in _definitions().items()
+                    if name not in used and q not in KEPT)
+    assert not unused, "top-level names only tests use:\n  " + "\n  ".join(unused)
+
+
+def test_kept_names_exist_and_are_still_unused():
+    definitions, used = _definitions(), _used_names()
+    for qualified in KEPT:
+        assert qualified in definitions, f"{qualified} is gone; drop it from KEPT"
+        assert definitions[qualified] not in used, f"{qualified} has a use; drop it from KEPT"

@@ -25,7 +25,6 @@ class TestDisabledDefault:
 
     def test_null_span_supports_the_full_span_api(self):
         with obs.span("x") as span:
-            span.set(a=1)
             span.add("counter", 3)
         assert span is NULL_SPAN
 
@@ -41,11 +40,11 @@ class TestDisabledDefault:
         assert obs.current_context() is None
 
     def test_enabled_reflects_activation(self, tmp_path):
-        assert not obs.enabled()
+        assert obs.active() is None
         obs.activate(tmp_path)
-        assert obs.enabled()
+        assert obs.active() is not None
         obs.deactivate()
-        assert not obs.enabled()
+        assert obs.active() is None
 
 
 class TestSpanLifecycle:
@@ -65,8 +64,7 @@ class TestSpanLifecycle:
 
     def test_attrs_and_counters_land_on_the_record(self, tmp_path):
         obs.activate(tmp_path)
-        with obs.span("work", phase="demo") as span:
-            span.set(extra="x")
+        with obs.span("work", phase="demo", extra="x") as span:
             span.add("items", 2)
             span.add("items", 3)
         obs.deactivate()
@@ -233,7 +231,7 @@ class TestFanOutContext:
 
     def test_activate_context_accepts_none(self):
         assert obs.activate_context(None) is None
-        assert not obs.enabled()
+        assert obs.active() is None
 
     def test_context_is_picklable(self, tmp_path):
         import pickle

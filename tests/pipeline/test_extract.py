@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.coalesce import coalesce_errors
-from repro.core.parsing import RawXidRecord, iter_directory_records
+from repro.core.parsing import RawXidRecord, iter_file_records
 from repro.core.streaming import StreamingCoalescer
 from repro.pipeline.extract import extract_records, iter_source_records
 from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
+from repro.syslog.reader import list_log_files
 
 
 class TestParallelIdentity:
@@ -32,7 +33,7 @@ class TestParallelIdentity:
 
     def test_same_multiset_as_unmerged_directory_iteration(self, logs_dir, serial):
         unmerged = sorted(
-            iter_directory_records(logs_dir),
+            (r for path in list_log_files(logs_dir) for r in iter_file_records(path)),
             key=lambda r: (r.time, r.node_id, r.pci_bus, r.xid, r.message),
         )
         merged = sorted(

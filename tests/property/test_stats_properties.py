@@ -91,10 +91,3 @@ def test_restriction_partitions_counts(errors):
     assert restricted.total_count == stats.total_count - counts[victim]
     assert victim not in restricted.counts()
 
-
-@given(errors=error_sets())
-@settings(max_examples=100, deadline=None)
-def test_category_shares_sum_to_one(errors):
-    stats = ErrorStatistics(errors, window_hours=100.0, n_nodes=5)
-    shares = stats.category_share()
-    assert math.isclose(sum(shares.values()), 1.0, rel_tol=1e-9)

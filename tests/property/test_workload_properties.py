@@ -75,10 +75,3 @@ def test_database_round_trip_preserves_everything(jobs, tmp_path_factory):
             b.job_id, b.start_time, b.end_time, b.state, b.exit_code
         )
     assert loaded.success_rate() == database.success_rate()
-
-
-@given(jobs=job_records())
-@settings(max_examples=60, deadline=None)
-def test_success_partition(jobs):
-    database = SlurmDatabase(jobs, window_seconds=1e6)
-    assert len(database.completed_jobs()) + len(database.failed_jobs()) == len(jobs)

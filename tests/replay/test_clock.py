@@ -31,10 +31,10 @@ class TestReplayPacer:
         for t in (0.0, 1e6, 2e6):
             pacer.wait_until(t)
         assert clock.total_slept == 0.0
-        assert pacer.unbounded
+        assert pacer.speed is None
 
     def test_infinite_speed_means_unbounded(self):
-        assert ReplayPacer(float("inf")).unbounded
+        assert ReplayPacer(float("inf")).speed is None
 
     def test_paces_event_time_at_speed(self):
         clock = VirtualClock()

@@ -85,7 +85,7 @@ class TestVerifyResults:
             [_result(_metric(66.3)), _result(_metric(200.0))]
         )
         assert report.n_pass == 1 and report.n_fail == 1 and not report.ok
-        assert len(report.failures()) == 1
+        assert [c.status for c in report.checks].count("fail") == 1
         table = report.render_table()
         assert "Paper-fidelity verification" in table
         assert "1 passed, 1 failed" in table
@@ -115,5 +115,5 @@ class TestInjectedMiscalibration:
         )
         report = verify_results([corrupted], tolerance_scale=3.0)
         assert not report.ok
-        assert any(c.metric == "overall_mtbe_node_hours"
-                   for c in report.failures())
+        assert any(c.metric == "overall_mtbe_node_hours" and c.status == "fail"
+                   for c in report.checks)

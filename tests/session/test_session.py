@@ -92,10 +92,6 @@ class TestRunConfig:
         assert config.scale == DEFAULT_SCALE
         assert config.workers == 1  # no --workers flag -> serial
 
-    def test_with_(self):
-        config = make_config().with_(jobs=3)
-        assert config.jobs == 3 and config.scale == SCALE
-
 
 class TestSession:
     def test_study_is_cached(self):

@@ -42,25 +42,8 @@ class TestQueries:
     def test_success_rate(self, database):
         assert database.success_rate() == pytest.approx(1 / 3)
 
-    def test_failed_jobs(self, database):
-        assert {j.job_id for j in database.failed_jobs()} == {2, 3}
-
-    def test_job_lookup(self, database):
-        assert database.job(2).state is JobState.FAILED
-        with pytest.raises(KeyError):
-            database.job(99)
-
-    def test_jobs_on_gpu(self, database):
-        assert len(database.jobs_on_gpu(("gpua001", "0000:07:00"))) == 3
-        assert database.jobs_on_gpu(("nope", "x")) == []
-
     def test_downtime_total(self, database):
         assert database.total_downtime_node_hours() == pytest.approx(0.5)
-
-    def test_elapsed_minutes_vector(self, database):
-        minutes = database.elapsed_minutes()
-        assert minutes.shape == (3,)
-        assert minutes[0] == pytest.approx(100.0 / 60.0)
 
 
 class TestPersistence:
@@ -70,8 +53,9 @@ class TestPersistence:
         loaded = SlurmDatabase.load(path)
         assert len(loaded) == 3
         assert loaded.window_seconds == 1_000.0
-        assert loaded.job(3).state is JobState.NODE_FAIL
-        assert loaded.job(3).gpus == (("gpua001", "0000:07:00"),)
+        job = {j.job_id: j for j in loaded.jobs}[3]
+        assert job.state is JobState.NODE_FAIL
+        assert job.gpus == (("gpua001", "0000:07:00"),)
         assert len(loaded.node_events) == 1
         assert loaded.node_events[0].reason == "xid119"
 
@@ -86,9 +70,3 @@ class TestPersistence:
         path.write_text('{"kind": "meta", "window_seconds": 1.0}\n{"kind": "???"}\n')
         with pytest.raises(ValueError):
             SlurmDatabase.load(path)
-
-
-class TestNodeEvent:
-    def test_end_time(self):
-        event = NodeEvent("n1", 100.0, 2.0, "xid95")
-        assert event.end_time == pytest.approx(100.0 + 7200.0)

@@ -14,6 +14,15 @@ from repro.slurm.scheduler import GpuScheduler
 WINDOW = 30 * 86400.0
 
 
+def _failure_probability(result, xid):
+    """The ground-truth P(job fails | it met ``xid``) of a coupling."""
+    return len(result.truth_failures.get(xid, set())) / len(result.truth_encounters[xid])
+
+
+def _of(trace, xid):
+    return [e for e in trace if e.xid is xid]
+
+
 def _spec(job_id, submit, duration=7200.0, gpus=1, mmu=0, xid13=0):
     return JobSpec(
         job_id=job_id,
@@ -55,7 +64,7 @@ class TestEncounterAndFailure:
         assert job.truth_failed_by_xid == int(Xid.GSP)
         # Failure lands inside the 20-second attribution window.
         assert 0.5 <= job.end_time - error.time <= 20.0
-        assert result.truth_failure_probability(Xid.GSP) == 1.0
+        assert _failure_probability(result, Xid.GSP) == 1.0
 
     def test_error_on_idle_gpu_touches_nothing(self, small_cluster):
         specs = [_spec(1, submit=0.0, duration=100.0)]
@@ -86,7 +95,7 @@ class TestEncounterAndFailure:
         result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=5)).couple(
             schedule, trace, specs
         )
-        assert result.truth_failure_probability(Xid.MMU) == pytest.approx(0.5867, abs=0.09)
+        assert _failure_probability(result, Xid.MMU) == pytest.approx(0.5867, abs=0.09)
 
     def test_long_job_mmu_failures_suppressed(self, small_cluster):
         # >4,000-minute jobs mask MMU errors via checkpoint/retry machinery.
@@ -107,14 +116,14 @@ class TestEncounterAndFailure:
         result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=5)).couple(
             schedule, trace, specs
         )
-        assert result.truth_failure_probability(Xid.MMU) < 0.25
+        assert _failure_probability(result, Xid.MMU) < 0.25
 
 
 class TestWorkloadEmissions:
     def test_buggy_jobs_emit_mmu_on_their_own_gpus(self, small_cluster):
         specs = [_spec(1, submit=0.0, duration=50_000.0, mmu=3)]
         schedule, result = _couple(small_cluster, specs, [])
-        mmu_events = result.trace.events_of(Xid.MMU)
+        mmu_events = _of(result.trace, Xid.MMU)
         assert mmu_events
         job_gpus = set(schedule.jobs[0].gpus)
         assert all(e.gpu_key in job_gpus for e in mmu_events)
@@ -132,13 +141,13 @@ class TestWorkloadEmissions:
         result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=7)).couple(
             schedule, trace, specs
         )
-        realized = len(result.trace.events_of(Xid.MMU))
+        realized = len(_of(result.trace, Xid.MMU))
         assert realized == pytest.approx(200, rel=0.15)
 
     def test_user_xid13_rendered_but_not_studied(self, small_cluster):
         specs = [_spec(1, submit=0.0, duration=50_000.0, xid13=2)]
         _, result = _couple(small_cluster, specs, [])
-        assert len(result.trace.events_of(Xid.GENERAL_SW)) == 2
+        assert len(_of(result.trace, Xid.GENERAL_SW)) == 2
         assert Xid.GENERAL_SW not in result.truth_encounters
 
     def test_dead_jobs_stop_emitting(self, small_cluster):

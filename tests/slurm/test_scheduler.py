@@ -79,9 +79,14 @@ class TestPacking:
         assert len(schedule.jobs[0].nodes) <= 5
 
 
+def _a100_pool(cluster):
+    """GPUs in the a100 partition's pool."""
+    return sum(len(n.gpus) for n in cluster.nodes_of_kind(*PARTITIONS["a100"]))
+
+
 class TestQueueing:
     def test_oversubscribed_jobs_wait(self, small_cluster):
-        pool = GpuScheduler(small_cluster).pool_size("a100")
+        pool = _a100_pool(small_cluster)
         specs = [
             _spec(i, submit=0.0, gpus=pool, duration=7200.0) for i in range(1, 3)
         ]
@@ -90,7 +95,7 @@ class TestQueueing:
         assert starts[1] >= starts[0] + 7200.0 - 1e-6
 
     def test_requests_beyond_pool_are_clamped(self, small_cluster):
-        pool = GpuScheduler(small_cluster).pool_size("a100")
+        pool = _a100_pool(small_cluster)
         schedule = GpuScheduler(small_cluster).schedule(
             [_spec(1, 0.0, gpus=pool + 50)], WINDOW
         )
@@ -189,7 +194,7 @@ class TestDrainSubstitution:
         end = 86400.0
         node, blackouts = self._node_blackout(small_cluster, 0.0, end)
         drained_keys = {gpu.key for gpu in node.gpus}
-        pool = GpuScheduler(small_cluster).pool_size("a100")
+        pool = _a100_pool(small_cluster)
         specs = [
             _spec(i, submit=end + float(i), gpus=pool, duration=3600.0)
             for i in range(1, 3)

@@ -76,12 +76,14 @@ class TestStoreSource:
 
 
 class TestStudyRoundTrip:
-    def test_to_store_from_store_reproduces_statistics(
-        self, study, dataset, tmp_path
-    ):
+    def test_from_store_reproduces_statistics(self, study, dataset, tmp_path):
         fresh = DeltaStudy.from_dataset(dataset)
-        store = fresh.to_store(tmp_path / "events", segment_records=900)
-        assert store.meta["n_nodes"] == study.n_nodes
+        store = EventStore.open_or_create(tmp_path / "events", meta={
+            "window_hours": fresh.window_hours,
+            "n_nodes": fresh.n_nodes,
+            "n_gpus": fresh.n_gpus,
+        })
+        store.append(fresh.iter_records(), segment_records=900)
         restored = DeltaStudy.from_store(store)
         assert restored.window_hours == study.window_hours
         assert restored.n_gpus == study.n_gpus

@@ -6,7 +6,7 @@ from repro.core.parsing import parse_line
 from repro.faults.events import ErrorEvent
 from repro.faults.xid import Xid
 from repro.syslog.noise import NoiseConfig, generate_noise_lines
-from repro.syslog.reader import iter_log_lines, read_log_directory
+from repro.syslog.reader import iter_log_lines, list_log_files
 from repro.syslog.format import render_trace
 from repro.syslog.writer import write_node_logs
 
@@ -45,19 +45,23 @@ def _events():
     ]
 
 
+def _read_back(directory):
+    return [line for path in list_log_files(directory) for line in iter_log_lines(path)]
+
+
 class TestWriterReader:
     def test_round_trip_plain(self, tmp_path):
         lines = list(render_trace(_events(), seed=1))
         paths = write_node_logs(lines, tmp_path)
         assert sorted(p.name for p in paths) == ["gpua001.log", "gpub001.log"]
-        back = list(read_log_directory(tmp_path))
+        back = _read_back(tmp_path)
         assert sorted(back) == sorted(lines)
 
     def test_round_trip_gzip(self, tmp_path):
         lines = list(render_trace(_events(), seed=1))
         paths = write_node_logs(lines, tmp_path, compress=True)
         assert all(p.suffix == ".gz" for p in paths)
-        back = list(read_log_directory(tmp_path))
+        back = _read_back(tmp_path)
         assert sorted(back) == sorted(lines)
 
     def test_lines_sorted_within_node(self, tmp_path):
@@ -73,4 +77,4 @@ class TestWriterReader:
     def test_reader_ignores_other_files(self, tmp_path):
         (tmp_path / "a.log").write_text("line\n")
         (tmp_path / "notes.txt").write_text("ignored\n")
-        assert list(read_log_directory(tmp_path)) == ["line"]
+        assert _read_back(tmp_path) == ["line"]

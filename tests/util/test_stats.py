@@ -5,8 +5,6 @@ import pytest
 
 from repro.util.stats import (
     DurationSummary,
-    empirical_cdf,
-    histogram_by_bins,
     lognormal_from_mean_p50,
     percentile,
     summarize_durations,
@@ -68,20 +66,3 @@ class TestLognormalInversion:
         with pytest.raises(ValueError):
             lognormal_from_mean_p50(1.0, -1.0)
 
-
-class TestEmpiricalCdf:
-    def test_monotone_and_normalized(self):
-        values, cdf = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert cdf[-1] == pytest.approx(1.0)
-        assert np.all(np.diff(cdf) > 0)
-
-    def test_empty(self):
-        values, cdf = empirical_cdf([])
-        assert values.size == 0 and cdf.size == 0
-
-
-class TestHistogram:
-    def test_counts_per_bin(self):
-        counts, edges = histogram_by_bins([0.5, 1.5, 1.6, 3.0], [0, 1, 2, 4])
-        assert list(counts) == [1, 2, 1]

@@ -42,11 +42,6 @@ class TestTable:
         with pytest.raises(ValueError):
             table.add_row(1)
 
-    def test_extend(self):
-        table = Table("T", ["a"])
-        table.extend([[1], [2]])
-        assert len(table.rows) == 2
-
     def test_title_in_output(self):
         table = Table("My Title", ["a"])
         table.add_row(1)
