@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.cli.registry import CliError, Command, ExitCase, Flags, register
+from repro.cli.registry import CliError, Command, ExitCase, Flags, register, require_positive
 
 
 def _configure_monitor(parser: argparse.ArgumentParser) -> None:
@@ -102,8 +102,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         StdoutSink,
     )
 
-    if args.speedup is not None and args.speedup <= 0:
-        raise CliError("--speedup must be positive")
+    require_positive("--speedup", args.speedup)
     if args.alarm_minutes <= 0:
         raise CliError("--alarm-minutes must be positive")
     if not 0 <= args.port <= 65535:
@@ -243,6 +242,9 @@ register(Command(
         ExitCase("non-positive speedup",
                  ("serve", "{tmp}/srv_logs", "--simulate",
                   "--speedup", "0"), 2),
+        ExitCase("NaN speedup",
+                 ("serve", "{tmp}/srv_logs", "--simulate",
+                  "--speedup", "nan", "--duration", "3"), 2),
         ExitCase("missing logs without --simulate",
                  ("serve", "{absent}"), 2),
         ExitCase("port out of range", ("serve", "{logs}", "--port", "99999"), 2),

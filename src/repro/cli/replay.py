@@ -135,8 +135,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.replay_command == "backtest":
         require_positive("--horizon-minutes", args.horizon_minutes)
     factory, label, fingerprint = _record_source(args)
-    if args.speed is not None and args.speed <= 0:
-        raise CliError("--speed must be positive")
+    require_positive("--speed", args.speed)
     if args.replay_command == "backtest":
         return _replay_backtest(args, factory, label, fingerprint)
     if args.replay_command == "run":
@@ -230,6 +229,9 @@ register(Command(
         ExitCase("negative horizon",
                  ("replay", "backtest", "--store", "{demo_store}",
                   "--horizon-minutes", "-5"), 2),
+        ExitCase("NaN replay speed",
+                 ("replay", "backtest", "--store", "{demo_store}",
+                  "--speed", "nan"), 2),
         ExitCase("non-integer xids",
                  ("replay", "run", "--store", "{demo_store}", "--xids", "x"), 2),
     ),

@@ -6,17 +6,14 @@ A100, 8-way A100, and 4-way GH200 (H100).  Every GPU carries the node ID and
 PCI-Express bus address the paper uses to identify devices in syslog.
 """
 
-from repro.cluster.gpu import GpuArchitecture, GpuDevice, GpuModel, GPU_SPECS, GpuSpec
+from repro.cluster.gpu import GpuDevice, GpuModel
 from repro.cluster.node import Node, NodeConfig, NodeKind, NODE_CONFIGS
 from repro.cluster.topology import NVLinkTopology, nvlink_topology_for
 from repro.cluster.inventory import ClusterInventory, build_delta_cluster, DeltaShape
 
 __all__ = [
-    "GpuArchitecture",
     "GpuDevice",
     "GpuModel",
-    "GPU_SPECS",
-    "GpuSpec",
     "Node",
     "NodeConfig",
     "NodeKind",

@@ -11,11 +11,11 @@ any single error's persistence, as in the paper (Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch, as_batch
 
 #: Paper defaults: 5-second window (results insensitive in 5-20 s) and a
 #: one-day persistence cut-off.
@@ -56,71 +56,85 @@ class CoalescedError:
         return self.time + self.persistence
 
 
-GroupKey = Tuple[str, str, int, str]
-
-
 def coalesce_errors(
-    records: Iterable[RawXidRecord],
+    records: Union[XidBatch, Iterable[RawXidRecord]],
     config: CoalesceConfig | None = None,
 ) -> List[CoalescedError]:
-    """Apply Algorithm 1 to raw records.
+    """Apply Algorithm 1 to raw records (a batch, or rows gathered into one).
 
     Records are grouped by (node, PCI bus, XID, message) — "identical error
     logs from the same GPU" — sorted by time, and merged greedily: a record
     extends the current run if its gap to the run's latest record is within
     the window *and* the run's total span stays within the cut-off.
 
-    Returns coalesced errors sorted by (time, node, bus, xid).
+    Returns coalesced errors sorted by (time, node, bus, xid); errors tied
+    on all four keep the order in which their groups first appear in the
+    input.
     """
     config = config or CoalesceConfig()
-    groups: Dict[GroupKey, List[float]] = {}
-    for record in records:
-        key = (record.node_id, record.pci_bus, record.xid, record.message)
-        groups.setdefault(key, []).append(record.time)
+    batch = as_batch(records)
+    if len(batch) == 0:
+        return []
+    group_columns = (batch.node, batch.pci, batch.xid, batch.msg)
+    order = np.lexsort((batch.time,) + group_columns[::-1])  # by group, then time
+    times = batch.time[order]
+    new_group = np.zeros(len(order) - 1, dtype=bool)
+    for column in group_columns:
+        column = column[order]
+        new_group |= column[1:] != column[:-1]
+    group_starts = np.flatnonzero(np.concatenate(([True], new_group)))
+    is_break = (times[1:] - times[:-1]) > config.window_seconds
+    is_break[group_starts[1:] - 1] = True
+    breaks = np.flatnonzero(is_break)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(times) - 1]))
+    over = ~(times[ends] - times[starts] <= config.max_persistence)
+    if over.any():
+        starts, ends = _split_at_cutoff(times, starts, ends, over, config)
 
-    out: List[CoalescedError] = []
-    for (node_id, pci_bus, xid, message), times in groups.items():
-        arr = np.sort(np.asarray(times))
-        for start_idx, end_idx in _runs(arr, config):
-            start = float(arr[start_idx])
-            last = float(arr[end_idx])
-            out.append(
-                CoalescedError(
-                    time=start,
-                    node_id=node_id,
-                    pci_bus=pci_bus,
-                    xid=xid,
-                    persistence=last - start,
-                    n_raw=end_idx - start_idx + 1,
-                    message=message,
-                )
-            )
-    out.sort(key=lambda e: (e.time, e.node_id, e.pci_bus, e.xid))
-    return out
+    # Errors tied on (time, node, bus, xid) come from different groups;
+    # they keep the order of each group's first row in the input.
+    first_row = np.minimum.reduceat(order, group_starts)
+    group_of_run = np.searchsorted(group_starts, starts, side="right") - 1
+    runs = batch.take(order[starts])
+    first, last = times[starts], times[ends]
+    by_key = np.lexsort((
+        first_row[group_of_run], runs.xid, runs.rank("pci"), runs.rank("node"), first,
+    ))
+    return [
+        CoalescedError(
+            time=time,
+            node_id=runs.node_dict[node],
+            pci_bus=runs.pci_dict[pci],
+            xid=xid,
+            persistence=persistence,
+            n_raw=n_raw,
+            message=runs.msg_dict[msg],
+        )
+        for time, node, pci, xid, persistence, n_raw, msg in zip(
+            first[by_key].tolist(), runs.node[by_key].tolist(),
+            runs.pci[by_key].tolist(), runs.xid[by_key].tolist(),
+            (last - first)[by_key].tolist(), (ends - starts + 1)[by_key].tolist(),
+            runs.msg[by_key].tolist(),
+        )
+    ]
 
 
-def _runs(times: np.ndarray, config: CoalesceConfig) -> Iterable[Tuple[int, int]]:
-    """Yield (start_index, end_index) of each coalesced run in sorted times.
-
-    The gap rule is vectorized; the (rare) cut-off rule re-splits any run
-    whose span exceeds the one-day bound.
-    """
-    if times.size == 0:
-        return
-    gaps = np.diff(times)
-    break_points = np.nonzero(gaps > config.window_seconds)[0]
-    starts = np.concatenate(([0], break_points + 1))
-    ends = np.concatenate((break_points, [times.size - 1]))
-    for start, end in zip(starts, ends):
-        span = times[end] - times[start]
-        if span <= config.max_persistence:
-            yield int(start), int(end)
-            continue
-        # Greedy re-split at the cut-off, matching Algorithm 1's inner loop.
-        run_start = int(start)
-        for i in range(int(start) + 1, int(end) + 1):
-            if times[i] - times[run_start] > config.max_persistence:
-                yield run_start, i - 1
-                run_start = i
-        yield run_start, int(end)
-
+def _split_at_cutoff(times, starts, ends, over, config):
+    """Re-split every run whose span exceeds the one-day cut-off, greedily,
+    as Algorithm 1's inner loop does; other runs pass through."""
+    new_starts: List[int] = []
+    new_ends: List[int] = []
+    for start, end, long in zip(starts.tolist(), ends.tolist(), over.tolist()):
+        if long:
+            span = times[start:end + 1].tolist()
+            run_start = start
+            for i in range(start + 1, end + 1):
+                if span[i - start] - span[run_start - start] > config.max_persistence:
+                    new_starts.append(run_start)
+                    new_ends.append(i - 1)
+                    run_start = i
+            start = run_start
+        new_starts.append(start)
+        new_ends.append(end)
+    return np.array(new_starts, dtype=np.int64), np.array(new_ends, dtype=np.int64)

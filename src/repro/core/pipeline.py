@@ -9,14 +9,14 @@ ground truth, so paper-vs-measured comparisons are genuine inferences.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
 from repro.core.availability import AvailabilityAnalyzer
 from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors
 from repro.core.counterfactual import CounterfactualAnalyzer
 from repro.core.jobimpact import JobImpactAnalyzer
 from repro.core.mtbe import ErrorStatistics
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch, as_batch
 from repro.core.persistence import PersistenceAnalyzer
 from repro.core.propagation import PropagationAnalyzer
 from repro.slurm.accounting import SlurmDatabase
@@ -34,8 +34,9 @@ class DeltaStudy:
     historical in-memory shape) or any
     :class:`~repro.pipeline.sources.Source`; ``workers`` shards
     extraction across processes when the source has several shards (file
-    sets and stores do, in-memory line streams do not).  Stage II feeds
-    that stream straight to batch Algorithm 1
+    sets and stores do, in-memory line streams do not).  Stage I yields
+    one :class:`~repro.core.parsing.XidBatch`, which Stage II hands
+    straight to batch Algorithm 1
     (:func:`~repro.core.coalesce.coalesce_errors`); the
     :class:`~repro.core.streaming.StreamingCoalescer` it matches serves
     the live paths.
@@ -71,7 +72,7 @@ class DeltaStudy:
         #: Provenance of a store-backed study (recorded in run manifests).
         self.store_hash: Optional[str] = None
         self.dataset_label: Optional[str] = None
-        self._records: Optional[List[RawXidRecord]] = None
+        self._records: Optional[XidBatch] = None
         self._errors: Optional[List[CoalescedError]] = None
 
     @classmethod
@@ -89,7 +90,7 @@ class DeltaStudy:
     @classmethod
     def from_records(
         cls,
-        records: Iterable[RawXidRecord],
+        records: Union[XidBatch, Iterable[RawXidRecord]],
         *,
         window_hours: float,
         n_nodes: int,
@@ -97,15 +98,15 @@ class DeltaStudy:
     ) -> "DeltaStudy":
         """Build over already-extracted records (Stage I pre-paid).
 
-        The list seeds the Stage-I cache directly, so the study coalesces
-        and analyzes exactly these records.  ``Session.run_many`` sends
-        its ``--jobs`` workers a study rebuilt this way, with the parent's
-        provenance, unless the study is store-backed: such workers stream
-        the store instead.
+        The batch (rows are gathered into one) seeds the Stage-I cache
+        directly, so the study coalesces and analyzes exactly these
+        records.  ``Session.run_many`` sends its ``--jobs`` workers a study
+        rebuilt this way, with the parent's provenance, unless the study is
+        store-backed: such workers read the store instead.
         """
         from repro.pipeline.sources import RecordsSource
 
-        records = list(records)
+        records = as_batch(records)
         study = cls(
             RecordsSource(records),
             window_hours=window_hours,
@@ -128,8 +129,8 @@ class DeltaStudy:
     ) -> "DeltaStudy":
         """Build over an on-disk dataset (one log file per node).
 
-        This is the shape where ``workers > 1`` pays off: the files shard
-        across a process pool and merge back into one ordered stream.
+        This is the shape where ``workers > 1`` can pay off: the files
+        shard across a process pool and merge back into one ordered batch.
         """
         from repro.pipeline.sources import FileSetSource
 
@@ -159,9 +160,9 @@ class DeltaStudy:
         ``store`` is an :class:`EventStore` or its directory.  Stage I
         becomes a columnar decode with zone-map pushdown (pass ``query``
         to slice); ``window_hours`` / ``n_nodes`` default from the
-        metadata ``repro-delta store build`` records.  The study streams
-        records instead of materializing them (store segments are
-        re-iterable), and its run manifests carry the store content hash.
+        metadata ``repro-delta store build`` records.  Store segments are
+        re-iterable, so the study keeps only its coalesced errors, not the
+        decoded batch, and its run manifests carry the store content hash.
         """
         from repro.store import MATCH_ALL, EventStore, StoreSource
 
@@ -198,30 +199,9 @@ class DeltaStudy:
     # Stages
     # ------------------------------------------------------------------
 
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        """Stage I as a stream.
-
-        Yields from the cache when :attr:`records` already materialized;
-        otherwise streams straight off the source — without building the
-        full list when the source is re-iterable (file sets, stores),
-        which is what lets store-backed studies run in O(open state)
-        memory instead of O(record count), in ``--jobs`` workers too.
-        """
-        if self._records is not None:
-            yield from self._records
-            return
-        if self.source.reiterable:
-            from repro.pipeline.extract import iter_source_records
-
-            yield from iter_source_records(self.source, workers=self.workers)
-            return
-        # One-shot sources (in-memory lines/records) must materialize, or
-        # a second stage pass would find the iterable already consumed.
-        yield from self.records
-
     @property
-    def records(self) -> List[RawXidRecord]:
-        """Stage I: the extracted record stream (cached)."""
+    def records(self) -> XidBatch:
+        """Stage I: the extracted record batch (cached)."""
         if self._records is None:
             from repro.pipeline.extract import extract_records
 
@@ -232,17 +212,22 @@ class DeltaStudy:
     def errors(self) -> List[CoalescedError]:
         """Stage I + II: extract then coalesce (cached).
 
-        Coalescing consumes :meth:`iter_records`, so re-iterable sources
-        stream through Stage II without the raw stream ever being
-        materialized; the coalesced errors are what stays resident.
+        The batch stays cached only when :attr:`records` already read it or
+        the source is one-shot (in-memory lines or records), which a second
+        pass could not read again; re-iterable sources (file sets, stores)
+        are extracted afresh and only the coalesced errors stay resident.
         """
         if self._errors is None:
             from repro import obs
 
+            if self._records is None and self.source.reiterable:
+                from repro.pipeline.extract import extract_records
+
+                batch = extract_records(self.source, workers=self.workers)
+            else:
+                batch = self.records
             with obs.span("pipeline.coalesce", engine="vectorized") as span:
-                self._errors = coalesce_errors(
-                    self.iter_records(), self.coalesce_config
-                )
+                self._errors = coalesce_errors(batch, self.coalesce_config)
                 span.add("pipeline.errors", len(self._errors))
         return self._errors
 

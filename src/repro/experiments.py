@@ -254,13 +254,15 @@ def _sim_fleets(ctx: ExperimentContext) -> ExperimentResult:
 def _pipeline_parity(ctx: ExperimentContext) -> ExperimentResult:
     """Methodology check: batch and streaming Algorithm 1 agree.
 
-    Runs the study's extracted records (sorted into the time order the
-    extraction front-end's k-way merge produces for on-disk datasets)
-    through both engines — batch
+    Runs the study's extracted batch (sorted by time, node, bus and XID,
+    the time order the extraction front-end's merge produces for on-disk
+    datasets) through both engines — batch
     :func:`~repro.core.coalesce.coalesce_errors` and a drained
     :class:`~repro.core.streaming.StreamingCoalescer` — and compares the
     resulting error sequences and Table-1 headline statistics.
     """
+    import numpy as np
+
     from repro import obs
     from repro.core.coalesce import coalesce_errors
     from repro.core.mtbe import ErrorStatistics
@@ -269,9 +271,10 @@ def _pipeline_parity(ctx: ExperimentContext) -> ExperimentResult:
 
     study = ctx.study
     config = study.coalesce_config
-    records = sorted(
-        study.records, key=lambda r: (r.time, r.node_id, r.pci_bus, r.xid)
-    )
+    extracted = study.records
+    records = extracted.take(np.lexsort((
+        extracted.xid, extracted.rank("pci"), extracted.rank("node"), extracted.time,
+    )))
     with obs.span("pipeline.coalesce", engine="vectorized") as span:
         batch = coalesce_errors(records, config)
         span.add("pipeline.errors", len(batch))

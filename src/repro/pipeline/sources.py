@@ -2,8 +2,9 @@
 
 A :class:`Source` describes *where raw records come from* and nothing
 else; Extract (:mod:`repro.pipeline.extract`) decides *how* to pull them
-out (serially or sharded over a process pool), and the caller hands the
-stream to Algorithm 1.  Two shapes cover every batch ingestion surface
+out (one column batch per shard, serially or over a process pool, or a
+lazy row stream for the live paths), and the caller hands the result to
+Algorithm 1.  Two shapes cover every batch ingestion surface
 in the repository:
 
 * **file sets** (:class:`FileSetSource`) — a directory or explicit list
@@ -25,12 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Union
 
 from repro.core.parsing import (
     RawXidRecord,
+    XidBatch,
+    as_batch,
     iter_file_records,
     iter_parse_syslog,
+    parse_batch,
 )
 
 
@@ -45,6 +49,11 @@ class FileShard:
 
     path: Path
 
+    def batch(self) -> XidBatch:
+        from repro.syslog.reader import iter_log_lines
+
+        return parse_batch(iter_log_lines(self.path))
+
     def iter_records(self) -> Iterator[RawXidRecord]:
         return iter_file_records(self.path)
 
@@ -55,15 +64,22 @@ class LineShard:
     def __init__(self, lines: Iterable[str]) -> None:
         self._lines = lines
 
+    def batch(self) -> XidBatch:
+        return parse_batch(self._lines)
+
     def iter_records(self) -> Iterator[RawXidRecord]:
         return iter_parse_syslog(self._lines)
 
 
 class RecordShard:
-    """Already-parsed records (synthetic streams, replayed traces)."""
+    """Already-parsed records (synthetic streams, replayed traces): a
+    batch, or rows."""
 
-    def __init__(self, records: Iterable[RawXidRecord]) -> None:
+    def __init__(self, records: Union[XidBatch, Iterable[RawXidRecord]]) -> None:
         self._records = records
+
+    def batch(self) -> XidBatch:
+        return as_batch(self._records)
 
     def iter_records(self) -> Iterator[RawXidRecord]:
         return iter(self._records)
@@ -77,10 +93,12 @@ class RecordShard:
 class Source:
     """Base class: a description of where records come from.
 
-    Extract fans the shards out over worker processes, and k-way merges
-    the per-shard streams by time, exactly when there is more than one
-    shard.  A source with several shards must therefore make each one
-    picklable and time-ordered on its own, as file sets and stores do.
+    Each shard offers its records two ways: ``batch()``, one
+    :class:`~repro.core.parsing.XidBatch`, and ``iter_records()``, a lazy
+    row stream.  Extract fans the shards out over worker processes, and
+    merges them by time, exactly when there is more than one shard.  A
+    source with several shards must therefore make each one picklable and
+    time-ordered on its own, as file sets and stores do.
 
     ``reiterable``
         :meth:`shards` may be called repeatedly and every pass yields
@@ -139,7 +157,7 @@ class LinesSource(Source):
 class RecordsSource(Source):
     """Already-parsed records entering the front-end directly (one shard)."""
 
-    def __init__(self, records: Iterable[RawXidRecord]) -> None:
+    def __init__(self, records: Union[XidBatch, Iterable[RawXidRecord]]) -> None:
         self._shard = RecordShard(records)
 
     def shards(self) -> Sequence[RecordShard]:

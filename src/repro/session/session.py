@@ -219,9 +219,10 @@ class Session:
         """The study as ``--jobs`` workers receive it, provenance included.
 
         A store-backed study keeps its store source, which pickles as a
-        path and a manifest, so each worker streams the store itself and
+        path and a manifest, so each worker reads the store itself and
         the parent never decodes it.  Any other study travels as the
-        parent's Stage-I records.
+        parent's Stage-I :class:`~repro.core.parsing.XidBatch`: a few
+        numpy columns and three string dictionaries.
         """
         from repro.core import DeltaStudy
 

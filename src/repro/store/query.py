@@ -19,8 +19,11 @@ means "must look inside".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Mapping, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.parsing import XidBatch
 
 
 def gpu_serial(node_id: str, pci_bus: str) -> str:
@@ -126,7 +129,7 @@ class Query:
     # Vectorized residual predicate over decoded columns
     # ------------------------------------------------------------------
 
-    def mask(self, columns: "SegmentColumns"):
+    def mask(self, columns: "XidBatch"):
         """Boolean row mask over one decoded segment (numpy)."""
         import numpy as np
 
@@ -178,21 +181,3 @@ class Query:
 #: The match-everything query (full scans pass this instead of ``None``
 #: so call sites never branch).
 MATCH_ALL = Query()
-
-
-@dataclass
-class SegmentColumns:
-    """One decoded segment: column arrays plus the string dictionaries."""
-
-    time: "object"  # np.ndarray[float64]
-    xid: "object"  # np.ndarray[int64]
-    node: "object"  # np.ndarray[int64] — codes into node_dict
-    pci: "object"  # np.ndarray[int64] — codes into pci_dict
-    msg: "object"  # np.ndarray[int64] — codes into msg_dict
-    pid: "object"  # np.ndarray[int64] — -1 encodes None
-    node_dict: Sequence[str] = field(default_factory=list)
-    pci_dict: Sequence[str] = field(default_factory=list)
-    msg_dict: Sequence[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.time)

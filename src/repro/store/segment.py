@@ -1,8 +1,8 @@
 """Segment files: the store's immutable columnar unit.
 
-One segment holds a batch of coalesced-record rows as per-column numpy
-arrays, laid out so a reader can answer "could this segment match?"
-without touching the columns:
+One segment holds one :class:`~repro.core.parsing.XidBatch` of Stage-I
+records as per-column numpy arrays, laid out so a reader can answer
+"could this segment match?" without touching the columns:
 
 ```
 +----------+----------------------------+-------------+----------+----------+
@@ -19,9 +19,9 @@ value sets.  The query layer prunes on the zone map; only surviving
 segments get their columns decoded.
 
 Rows are stable-sorted by timestamp at write time, so a segment written
-from an already time-ordered stream (the pipeline's k-way merge) stores
-it verbatim — that is what makes store replay byte-identical to the
-pipeline stream.  Writes go to a temporary name and are renamed into
+from an already time-ordered batch (the pipeline's merge) stores it
+verbatim — that is what makes store replay byte-identical to the
+pipeline's records.  Writes go to a temporary name and are renamed into
 place by the caller; a segment file that exists under its final name is
 complete by construction.
 """
@@ -34,10 +34,12 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
-from repro.core.parsing import RawXidRecord
-from repro.store.query import MATCH_ALL, Query, SegmentColumns, gpu_serial
+import numpy as np
+
+from repro.core.parsing import RawXidRecord, XidBatch, as_batch
+from repro.store.query import MATCH_ALL, Query, gpu_serial
 
 #: Leading and trailing file marker ("repro xid segment, layout 1").
 MAGIC = b"RXSEG001"
@@ -123,46 +125,38 @@ class SegmentInfo:
 # ---------------------------------------------------------------------------
 
 
-def _encode_dictionary(values: Sequence[str]) -> Tuple[List[int], List[str]]:
-    """Dictionary-code a string column: (codes, unique values in first-seen order)."""
-    index: dict = {}
-    codes: List[int] = []
-    for value in values:
-        code = index.get(value)
-        if code is None:
-            code = len(index)
-            index[value] = code
-        codes.append(code)
-    return codes, list(index)
+def _first_seen_coding(codes, dictionary):
+    """A code column recoded so codes count up in order of first
+    appearance, and its dictionary of the strings used, in that order."""
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    new_code = np.empty(len(used), dtype=np.int64)
+    new_code[by_first] = np.arange(len(used))
+    return new_code[inverse.reshape(-1)], [dictionary[c] for c in used[by_first].tolist()]
 
 
-def encode_segment(records: Sequence[RawXidRecord]) -> bytes:
-    """Serialize one batch of records into segment-file bytes.
+def encode_segment(records: Union[XidBatch, Iterable[RawXidRecord]]) -> bytes:
+    """Serialize one batch of records (or rows) into segment-file bytes.
 
     Rows are stable-sorted by timestamp, so equal-timestamp records keep
     their input order — the property that makes a store built from the
-    pipeline's merged stream replay it identically.
+    pipeline's merged batch replay it identically.  Dictionary codes are
+    assigned in first-seen order over the sorted rows.
     """
-    import numpy as np
-
-    if not records:
+    batch = as_batch(records)
+    if not len(batch):
         raise ValueError("a segment must hold at least one record")
-    rows = sorted(records, key=lambda r: r.time)  # sorted() is stable
-
-    node_codes, node_dict = _encode_dictionary([r.node_id for r in rows])
-    pci_codes, pci_dict = _encode_dictionary([r.pci_bus for r in rows])
-    msg_codes, msg_dict = _encode_dictionary([r.message for r in rows])
-
+    rows = batch.take(np.argsort(batch.time, kind="stable"))
     columns = {
-        "time": np.array([r.time for r in rows], dtype=np.float64),
-        "xid": np.array([r.xid for r in rows], dtype=np.int64),
-        "node": np.array(node_codes, dtype=np.int64),
-        "pci": np.array(pci_codes, dtype=np.int64),
-        "msg": np.array(msg_codes, dtype=np.int64),
-        "pid": np.array(
-            [-1 if r.pid is None else r.pid for r in rows], dtype=np.int64
-        ),
+        "time": rows.time.astype(np.float64, copy=False),
+        "xid": rows.xid.astype(np.int64, copy=False),
+        "pid": rows.pid.astype(np.int64, copy=False),
     }
+    dicts = {}
+    for name in ("node", "pci", "msg"):
+        columns[name], dicts[name] = _first_seen_coding(
+            getattr(rows, name), getattr(rows, f"{name}_dict")
+        )
 
     body = io.BytesIO()
     body.write(MAGIC)
@@ -172,19 +166,21 @@ def encode_segment(records: Sequence[RawXidRecord]) -> bytes:
         np.save(body, columns[name], allow_pickle=False)
         layout[name] = {"offset": offset, "n_bytes": body.tell() - offset}
 
+    pairs = np.unique((columns["node"] << 32) | columns["pci"])
     serials = sorted(
-        {gpu_serial(node_dict[n], pci_dict[p]) for n, p in zip(node_codes, pci_codes)}
+        {gpu_serial(dicts["node"][p >> 32], dicts["pci"][p & 0xFFFFFFFF])
+         for p in pairs.tolist()}
     )
     footer = {
         "schema": SCHEMA_VERSION,
         "n_records": len(rows),
         "columns": layout,
-        "dicts": {"node": node_dict, "pci": pci_dict, "msg": msg_dict},
+        "dicts": dicts,
         "zone": {
             "time_min": float(columns["time"][0]),
             "time_max": float(columns["time"][-1]),
-            "xids": sorted({int(x) for x in columns["xid"]}),
-            "nodes": sorted(set(node_dict)),
+            "xids": np.unique(columns["xid"]).tolist(),
+            "nodes": sorted(set(dicts["node"])),
             "serials": serials,
         },
     }
@@ -195,7 +191,9 @@ def encode_segment(records: Sequence[RawXidRecord]) -> bytes:
     return body.getvalue()
 
 
-def write_segment(path: str | Path, records: Sequence[RawXidRecord]) -> SegmentInfo:
+def write_segment(
+    path: str | Path, records: Union[XidBatch, Iterable[RawXidRecord]]
+) -> SegmentInfo:
     """Write one segment file (flushed to disk) and describe it.
 
     The caller owns the naming protocol (write under a temporary name,
@@ -289,10 +287,8 @@ def read_footer(path: str | Path) -> dict:
     return footer
 
 
-def read_columns(path: str | Path, footer: Optional[dict] = None) -> SegmentColumns:
+def read_columns(path: str | Path, footer: Optional[dict] = None) -> XidBatch:
     """Decode a segment's column arrays."""
-    import numpy as np
-
     path = Path(path)
     if footer is None:
         footer = read_footer(path)
@@ -302,7 +298,7 @@ def read_columns(path: str | Path, footer: Optional[dict] = None) -> SegmentColu
             handle.seek(footer["columns"][name]["offset"])
             arrays[name] = np.load(handle, allow_pickle=False)
     dicts = footer["dicts"]
-    return SegmentColumns(
+    return XidBatch(
         time=arrays["time"],
         xid=arrays["xid"],
         node=arrays["node"],
@@ -315,67 +311,37 @@ def read_columns(path: str | Path, footer: Optional[dict] = None) -> SegmentColu
     )
 
 
-def iter_segment_records(
-    path: str | Path, query: Query = MATCH_ALL
-) -> Iterator[RawXidRecord]:
-    """Stream a segment's matching records in stored (time) order.
+def read_segment(path: str | Path, query: Query = MATCH_ALL) -> XidBatch:
+    """A segment's rows that match ``query``, in stored (time) order.
 
-    Still a generator — consumers interleave segments lazily, so the
-    full store is never resident.  The scan span covers the column
-    decode plus the vectorized residual predicate (the I/O- and
-    numpy-bound part); row materialization streams outside it.
+    The scan span covers the column decode plus the vectorized residual
+    predicate (the I/O- and numpy-bound part).
     """
     from repro import obs
 
     path = Path(path)
     with obs.span("store.segment.scan", segment=path.name) as span:
         columns = read_columns(path)
-        if query.unconstrained:
-            indices: object = range(len(columns))
-        else:
-            indices = query.mask(columns).nonzero()[0].tolist()
+        matched = (
+            columns if query.unconstrained
+            else columns.take(np.flatnonzero(query.mask(columns)))
+        )
         span.add("store.segments_opened", 1)
         span.add("store.rows_scanned", len(columns))
-        span.add("store.rows_matched", len(indices))  # type: ignore[arg-type]
-    yield from decode_records(columns, query, indices=indices)
+        span.add("store.rows_matched", len(matched))
+    return matched
 
 
-def decode_records(
-    columns: SegmentColumns, query: Query = MATCH_ALL, indices=None
+def iter_segment_records(
+    path: str | Path, query: Query = MATCH_ALL
 ) -> Iterator[RawXidRecord]:
-    """Materialize rows back into :class:`RawXidRecord` objects.
+    """Stream a segment's matching records in stored (time) order.
 
-    The residual predicate runs vectorized first; only surviving rows pay
-    the per-object construction cost.  ``indices`` lets a caller that
-    already evaluated the mask (the scan span above) pass the surviving
-    row positions instead of paying for it twice.
+    Still a generator — consumers interleave segments lazily, so the
+    full store is never resident, and a segment is decoded only once its
+    first record is asked for.
     """
-    if indices is None:
-        if query.unconstrained:
-            indices = range(len(columns))
-        else:
-            indices = query.mask(columns).nonzero()[0].tolist()
-
-    times = columns.time.tolist()
-    xids = columns.xid.tolist()
-    node_codes = columns.node.tolist()
-    pci_codes = columns.pci.tolist()
-    msg_codes = columns.msg.tolist()
-    pids = columns.pid.tolist()
-    node_dict = columns.node_dict
-    pci_dict = columns.pci_dict
-    msg_dict = columns.msg_dict
-
-    for i in indices:
-        pid = pids[i]
-        yield RawXidRecord(
-            time=times[i],
-            node_id=node_dict[node_codes[i]],
-            pci_bus=pci_dict[pci_codes[i]],
-            xid=xids[i],
-            message=msg_dict[msg_codes[i]],
-            pid=None if pid < 0 else pid,
-        )
+    yield from read_segment(path, query)
 
 
 def count_matches(path: str | Path, query: Query = MATCH_ALL) -> int:

@@ -6,7 +6,7 @@ exactly the way it reads from raw log files, except that "extraction"
 is now a columnar decode instead of a regex scan.  Each segment is one
 picklable shard (a path plus the query), so ``workers > 1`` fans decode
 across processes; segments are internally time-ordered, so the standard
-k-way merge applies and ties break by shard order = manifest order =
+time merge applies and ties break by shard order = manifest order =
 the store's own replay order.  An attached :class:`~repro.store.query.Query`
 is pushed down: pruned segments never become shards at all.
 """
@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.pipeline.sources import Source
 from repro.store.query import MATCH_ALL, Query
-from repro.store.segment import iter_segment_records
+from repro.store.segment import iter_segment_records, read_segment
 from repro.store.store import EventStore
 
 
@@ -30,6 +30,9 @@ class SegmentShard:
 
     path: Path
     query: Query = MATCH_ALL
+
+    def batch(self) -> XidBatch:
+        return read_segment(self.path, self.query)
 
     def iter_records(self) -> Iterator[RawXidRecord]:
         return iter_segment_records(self.path, self.query)

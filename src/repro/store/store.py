@@ -4,7 +4,7 @@
 (:mod:`repro.store.segment`) under one atomically-updated manifest
 (:mod:`repro.store.manifest`).  It supports:
 
-* **incremental append** — any iterable of records lands as one or more
+* **incremental append** — a record batch (or rows) lands as one or more
   new segments (write-temp + rename, then a manifest commit), so a
   crash never corrupts existing data;
 * **crash recovery** — :meth:`open` sweeps leftovers: half-written
@@ -26,11 +26,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import operator
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch, as_batch
 from repro.store.manifest import MANIFEST_NAME, StoreManifest
 from repro.store.query import MATCH_ALL, Query
 from repro.store.segment import (
@@ -39,6 +40,7 @@ from repro.store.segment import (
     StoreError,
     count_matches,
     iter_segment_records,
+    read_columns,
     read_footer,
     write_segment,
 )
@@ -232,11 +234,12 @@ class EventStore:
         return self.directory / f"seg-{sequence:06d}.seg"
 
     def append_segment(
-        self, records: Iterable[RawXidRecord]
+        self, records: Union[XidBatch, Iterable[RawXidRecord]]
     ) -> Optional[SegmentInfo]:
-        """Write one batch as a segment and commit it; no-op when empty."""
-        batch = list(records)
-        if not batch:
+        """Write one batch (or rows) as a segment and commit it; no-op
+        when empty."""
+        batch = as_batch(records)
+        if not len(batch):
             return None
         final = self._next_segment_path()
         temporary = final.with_suffix(".seg.tmp")
@@ -249,24 +252,28 @@ class EventStore:
 
     def append(
         self,
-        records: Iterable[RawXidRecord],
+        records: Union[XidBatch, Iterable[RawXidRecord]],
         *,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
     ) -> List[SegmentInfo]:
-        """Append a record stream as one segment per ``segment_records``."""
+        """Append a batch (or rows) as one segment per ``segment_records``.
+
+        Rows are gathered one segment at a time, so a record stream is
+        never held whole.
+        """
         if segment_records < 1:
             raise ValueError("segment_records must be >= 1")
+        if isinstance(records, XidBatch):
+            segments: Iterable = (
+                records.take(slice(start, start + segment_records))
+                for start in range(0, len(records), segment_records)
+            )
+        else:
+            rows = iter(records)
+            segments = iter(lambda: list(itertools.islice(rows, segment_records)), [])
         written: List[SegmentInfo] = []
-        batch: List[RawXidRecord] = []
-        for record in records:
-            batch.append(record)
-            if len(batch) >= segment_records:
-                info = self.append_segment(batch)
-                assert info is not None
-                written.append(info)
-                batch = []
-        if batch:
-            info = self.append_segment(batch)
+        for segment in segments:
+            info = self.append_segment(segment)
             assert info is not None
             written.append(info)
         return written
@@ -279,7 +286,11 @@ class EventStore:
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
     ) -> List[SegmentInfo]:
         """Append everything a pipeline :class:`~repro.pipeline.sources.Source`
-        holds, riding the shared (optionally parallel) extraction front-end."""
+        holds, riding the shared (optionally parallel) extraction front-end.
+
+        The records stream in merge order, so a serial ingest holds one
+        segment and a chunk per shard, not the source.
+        """
         from repro.pipeline.extract import iter_source_records
 
         return self.append(
@@ -375,12 +386,8 @@ class EventStore:
             return 0
 
         for run in runs:
-            streams = [
-                iter_segment_records(self.directory / entry.name)
-                for entry in run
-            ]
-            combined = list(
-                heapq.merge(*streams, key=operator.attrgetter("time"))
+            combined = XidBatch.merge(
+                [read_columns(self.directory / entry.name) for entry in run]
             )
             final = self._next_segment_path()
             temporary = final.with_suffix(".seg.tmp")

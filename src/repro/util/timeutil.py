@@ -68,7 +68,9 @@ def parse_timestamp(text: str, epoch: _dt.datetime = EPOCH) -> float:
 
     Accepts both fractional (``...T12:00:00.123``) and whole-second forms.
     Uses fixed-width slicing with a per-date cache; falls back to
-    ``strptime`` for anything unusual.
+    ``strptime`` for anything unusual.  Raises ``ValueError`` unless the
+    date is a real calendar date and the time of day lies within
+    00:00:00-23:59:60.
     """
     try:
         key = (text[:10], epoch)
@@ -77,11 +79,8 @@ def parse_timestamp(text: str, epoch: _dt.datetime = EPOCH) -> float:
             day = _dt.datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]))
             midnight = (day - epoch).total_seconds()
             _MIDNIGHT_CACHE[key] = midnight
-        seconds = (
-            int(text[11:13]) * 3600 + int(text[14:16]) * 60 + int(text[17:19])
-        )
+        hours, minutes, seconds = int(text[11:13]), int(text[14:16]), int(text[17:19])
         fraction = float(text[19:]) if len(text) > 19 else 0.0
-        return midnight + seconds + fraction
     except (ValueError, IndexError):
         fraction = 0.0
         if "." in text:
@@ -89,6 +88,9 @@ def parse_timestamp(text: str, epoch: _dt.datetime = EPOCH) -> float:
             fraction = float(f"0.{frac_text}")
         moment = _dt.datetime.strptime(text, _SYSLOG_FORMAT)
         return (moment - epoch).total_seconds() + fraction
+    if not (0 <= hours <= 23 and 0 <= minutes <= 59 and 0 <= seconds <= 60):
+        raise ValueError(f"time of day out of range in {text!r}")
+    return midnight + (hours * 3600 + minutes * 60 + seconds) + fraction
 
 
 def format_duration(seconds: float) -> str:

@@ -1,35 +1,13 @@
-"""Cluster substrate: GPU specs, nodes, Delta inventory."""
+"""Cluster substrate: GPU slots, nodes, Delta inventory."""
 
 import pytest
 
-from repro.cluster.gpu import (
-    GPU_SPECS,
-    GpuArchitecture,
-    GpuModel,
-    pci_bus_for_slot,
-)
+from repro.cluster.gpu import GpuModel, pci_bus_for_slot
 from repro.cluster.inventory import ClusterInventory, DeltaShape, build_delta_cluster
 from repro.cluster.node import NODE_CONFIGS, NodeKind, make_node
 
 
-class TestGpuSpecs:
-    def test_every_model_has_a_spec(self):
-        assert set(GPU_SPECS) == {GpuModel.A40, GpuModel.A100, GpuModel.H100}
-
-    def test_a40_lacks_containment(self):
-        # Section 2.3.2: error containment / page offlining are A100+H100 only.
-        assert not GPU_SPECS[GpuModel.A40].supports_error_containment
-        assert GPU_SPECS[GpuModel.A100].supports_error_containment
-        assert GPU_SPECS[GpuModel.H100].supports_page_offlining
-
-    def test_architectures(self):
-        assert GPU_SPECS[GpuModel.A100].architecture is GpuArchitecture.AMPERE
-        assert GPU_SPECS[GpuModel.H100].architecture is GpuArchitecture.HOPPER
-
-    def test_ampere_row_remap_budget(self):
-        # Table 1 footnote: Ampere supports up to 512 row remappings.
-        assert GPU_SPECS[GpuModel.A100].max_row_remaps == 512
-
+class TestPciSlots:
     def test_pci_slots_unique(self):
         buses = [pci_bus_for_slot(i) for i in range(8)]
         assert len(set(buses)) == 8

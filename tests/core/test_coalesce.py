@@ -1,9 +1,12 @@
 """Stage II: Algorithm 1 — coalescing and persistence."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.coalesce import CoalesceConfig, coalesce_errors
-from repro.core.parsing import RawXidRecord
+from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors
+from repro.core.parsing import RawXidRecord, XidBatch
 
 
 def _record(t, msg="same", node="n1", pci="0000:07:00", xid=95):
@@ -114,3 +117,80 @@ class TestConfig:
         with pytest.raises(ValueError):
             CoalesceConfig(max_persistence=-1.0)
 
+
+
+def _reference_coalesce(records, config):
+    """Algorithm 1 as a dict of per-group time lists: the row engine the
+    columnar one replaced, kept as the oracle."""
+    groups = {}
+    for record in records:
+        key = (record.node_id, record.pci_bus, record.xid, record.message)
+        groups.setdefault(key, []).append(record.time)
+    out = []
+    for (node_id, pci_bus, xid, message), times in groups.items():
+        arr = np.sort(np.asarray(times))
+        gaps = np.diff(arr)
+        break_points = np.nonzero(gaps > config.window_seconds)[0]
+        starts = np.concatenate(([0], break_points + 1))
+        ends = np.concatenate((break_points, [arr.size - 1]))
+        runs = []
+        for start, end in zip(starts, ends):
+            if arr[end] - arr[start] <= config.max_persistence:
+                runs.append((int(start), int(end)))
+                continue
+            run_start = int(start)
+            for i in range(int(start) + 1, int(end) + 1):
+                if arr[i] - arr[run_start] > config.max_persistence:
+                    runs.append((run_start, i - 1))
+                    run_start = i
+            runs.append((run_start, int(end)))
+        for start, end in runs:
+            out.append(CoalescedError(
+                time=float(arr[start]), node_id=node_id, pci_bus=pci_bus, xid=xid,
+                persistence=float(arr[end]) - float(arr[start]),
+                n_raw=end - start + 1, message=message,
+            ))
+    out.sort(key=lambda e: (e.time, e.node_id, e.pci_bus, e.xid))
+    return out
+
+
+_rows = st.lists(
+    st.builds(
+        RawXidRecord,
+        time=st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.5, 9.0, 30.0, 1e5, 2e5]),
+        node_id=st.sampled_from([f"gpua00{n}" for n in range(5)]),
+        pci_bus=st.sampled_from(["0000:07:00", "0000:46:00"]),
+        xid=st.sampled_from([31, 35, 79, 31 + 2**62 - 2, 2**63 - 1]),
+        message=st.sampled_from(["a", "b"]),  # message-only ties
+    ),
+    max_size=80,
+)
+
+
+@given(
+    rows=_rows,
+    window=st.sampled_from([0.5, 5.0, 100.0]),
+    cutoff=st.sampled_from([1.0, 4.0, 86_400.0]),  # small ones force re-splits
+)
+@settings(max_examples=300, deadline=None)
+def test_columnar_engine_equals_the_row_engine(rows, window, cutoff):
+    config = CoalesceConfig(window_seconds=window, max_persistence=cutoff)
+    want = _reference_coalesce(rows, config)
+    assert coalesce_errors(rows, config) == want
+    assert coalesce_errors(XidBatch.from_records(rows), config) == want
+
+
+def test_groups_stay_apart_when_xid_codes_lie_far_apart():
+    # Five GPUs with XIDs 31, 35 and 31 + 2**62 - 2: a packed
+    # (node, bus, XID, message) key of 5 x 2**62 values would overflow int64.
+    rows = [
+        RawXidRecord(time=i / 10, node_id=f"gpua00{node}", pci_bus="0000:07:00",
+                     xid=xid, message="m")
+        for i, (node, xid) in enumerate(
+            (node, xid) for xid in (31, 35, 31 + 2**62 - 2) for node in range(5)
+        )
+    ]
+    config = CoalesceConfig()
+    want = _reference_coalesce(rows, config)
+    assert len(want) == 15
+    assert coalesce_errors(rows, config) == want

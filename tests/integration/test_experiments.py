@@ -41,8 +41,6 @@ class TestRegistry:
 class TestRunners:
     @pytest.mark.parametrize("identifier", sorted(EXPERIMENTS))
     def test_every_experiment_returns_wellformed_result(self, identifier, study):
-        if identifier == "sec5.4":
-            pytest.skip("the overprovision sweep is covered by test_overprovision.py and verify")
         result = run_experiment(identifier, study, scale=0.02, seed=1234)
         assert isinstance(result, ExperimentResult)
         assert result.experiment_id == identifier

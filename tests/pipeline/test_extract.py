@@ -1,13 +1,20 @@
 """Extract: parallel sharding identity and the k-way time merge."""
 
-import pytest
+import heapq
+import operator
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core import parsing
 from repro.core.coalesce import coalesce_errors
-from repro.core.parsing import RawXidRecord, iter_file_records
+from repro.core.parsing import RawXidRecord, XidBatch, iter_file_records, parse_syslog
 from repro.core.streaming import StreamingCoalescer
 from repro.pipeline.extract import extract_records, iter_source_records
 from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
-from repro.syslog.reader import list_log_files
+from repro.syslog.reader import iter_log_lines, list_log_files
 
 
 class TestParallelIdentity:
@@ -21,7 +28,12 @@ class TestParallelIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_stream_identical_to_serial(self, logs_dir, serial, workers):
         parallel = extract_records(FileSetSource(logs_dir), workers=workers)
-        assert parallel == serial  # dataclass equality: every field, in order
+        assert parallel == serial  # batch equality: every record, in order
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_equals_the_row_merge(self, logs_dir, serial, workers):
+        rows = list(iter_source_records(FileSetSource(logs_dir), workers=workers))
+        assert list(serial) == rows
 
     def test_stream_nonempty_and_multinode(self, serial):
         assert len(serial) > 1_000
@@ -69,4 +81,91 @@ class TestExtractSemantics:
             RawXidRecord(time=t, node_id="n1", pci_bus="p", xid=31, message="m")
             for t in (5.0, 1.0, 3.0)
         ]
-        assert extract_records(RecordsSource(records)) == records
+        assert list(extract_records(RecordsSource(records))) == records
+
+
+_TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.5, 3.0, 7.0])
+
+
+def _shard(times, node):
+    return [
+        RawXidRecord(time=t, node_id=node, pci_bus="p", xid=31, message=f"m{i}")
+        for i, t in enumerate(times)
+    ]
+
+
+def _heap_merged(shards):
+    return list(heapq.merge(*shards, key=operator.attrgetter("time")))
+
+
+class TestMergeOrder:
+    """XidBatch.merge is heapq.merge by time, ties by shard order."""
+
+    @given(st.lists(st.lists(_TIMES, max_size=8), min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_ordered_shards(self, shard_times):
+        shards = [_shard(sorted(times), f"n{k}") for k, times in enumerate(shard_times)]
+        merged = XidBatch.merge([XidBatch.from_records(s) for s in shards])
+        assert list(merged) == _heap_merged(shards)
+
+    @given(
+        st.lists(st.lists(_TIMES, max_size=8), min_size=1, max_size=4),
+        st.lists(_TIMES, min_size=2, max_size=8),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_unordered_shard(self, shard_times, unordered, at):
+        assume(unordered != sorted(unordered))
+        shards = [_shard(sorted(times), f"n{k}") for k, times in enumerate(shard_times)]
+        shards.insert(min(at, len(shards)), _shard(unordered, "late"))
+        merged = XidBatch.merge([XidBatch.from_records(s) for s in shards])
+        assert list(merged) == _heap_merged(shards)
+
+
+class TestFileSetMerge:
+    """Serial and pooled extraction of a file set equal the row merge,
+    also when a file is out of time order."""
+
+    LINE = ("2022-03-14T02:11:{sec} {node} kernel: NVRM: Xid (PCI:0000:07:00): "
+            "{xid}, pid=1, MMU Fault")
+
+    @pytest.fixture
+    def logs(self, tmp_path):
+        for node, seconds in (
+            ("gpua001", ["01.000", "03.500", "03.500", "09.000"]),
+            ("gpua002", ["05.000", "02.000", "03.500"]),  # out of order
+            ("gpua003", ["03.500", "04", "08.250"]),
+        ):
+            (tmp_path / f"{node}.log").write_text("".join(
+                self.LINE.format(sec=sec, node=node, xid=31 + i) + "\n"
+                for i, sec in enumerate(seconds)
+            ))
+        return tmp_path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_equals_the_row_merge(self, logs, workers):
+        rows = _heap_merged(
+            [parse_syslog(iter_log_lines(path)) for path in list_log_files(logs)]
+        )
+        assert len(rows) == 10
+        assert list(extract_records(FileSetSource(logs), workers=workers)) == rows
+        assert list(iter_source_records(FileSetSource(logs), workers=workers)) == rows
+
+
+def test_file_records_stream_in_chunks_equal_to_the_line_parser(tmp_path):
+    lines = [
+        "2022-03-14T02:11:01.000 gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 31, pid=1, a",
+        "2022-03-14T02:11:02.000 gpua001 systemd[1]: Started session",
+        "2022-03-14T02:11:03.123456 gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 31, pid=1, a",
+        "2022-03-14T02:11:04.000\tgpua001 kernel: NVRM: Xid (PCI:0000:07:00): 79, pid=2, b",
+        "2022-02-30T02:11:05.000 gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 31, pid=1, a",
+        "2022-03-14T02:11:06 gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 31, pid=²,  a",
+        "2022-03-14T02:11:07.500 gpua001 kernel: NVRM: Xid (PCI:0000:07:00): 31, pid=1, a",
+    ]
+    path = tmp_path / "gpua001.log"
+    path.write_text("\n".join(lines) + "\n")
+    want = parse_syslog(lines)
+    assert len(want) == 5
+    for chunk_lines in (1, 2, 3, 1024):
+        with mock.patch.object(parsing, "_STREAM_LINES", chunk_lines):
+            assert list(iter_file_records(path)) == want

@@ -13,10 +13,10 @@ from repro.store import EventStore, Query, StoreSource, StoreWriter
 
 @pytest.fixture(scope="module")
 def pipeline_stream(logs_dir):
-    """The reference: the pipeline's merged record stream over the logs."""
+    """The reference: the pipeline's merged records over the logs, as rows."""
     from repro.pipeline.extract import extract_records
 
-    return extract_records(FileSetSource(logs_dir), workers=1)
+    return list(extract_records(FileSetSource(logs_dir), workers=1))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ class TestStudyRoundTrip:
             "n_nodes": fresh.n_nodes,
             "n_gpus": fresh.n_gpus,
         })
-        store.append(fresh.iter_records(), segment_records=900)
+        store.append(fresh.records, segment_records=900)
         restored = DeltaStudy.from_store(store)
         assert restored.window_hours == study.window_hours
         assert restored.n_gpus == study.n_gpus
@@ -224,3 +224,24 @@ class TestStoreCli:
         assert "store:" in out
         store = EventStore.open(store_dir)
         assert store.n_records > 0
+
+
+class TestMalformedInput:
+    """Stage-I input defects reach the store as explicit outcomes."""
+
+    LINE = ("2022-03-14T02:11:09.113 gpub042 kernel: NVRM: Xid (PCI:0000:C7:00): "
+            "79, pid={pid}, GPU has fallen off the bus")
+
+    def test_build_over_pids_that_are_not_int64(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "gpub042.log").write_text("\n".join([
+            self.LINE.format(pid="²"),
+            self.LINE.format(pid="99999999999999999999"),
+            self.LINE.format(pid="8821"),
+            self.LINE.format(pid="1").replace("2022-03-14", "2022-02-30"),
+        ]) + "\n", encoding="utf-8")
+        store_dir = tmp_path / "events"
+        assert main(["store", "build", str(logs), str(store_dir)]) == 0
+        records = list(EventStore.open(store_dir).query())
+        assert [r.pid for r in records] == [None, None, 8821]

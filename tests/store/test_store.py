@@ -55,6 +55,17 @@ class TestAppendAndQuery:
         assert [info.n_records for info in written] == [10, 10, 5]
         assert store.n_segments == 3 and store.n_records == 25
 
+    def test_append_commits_rows_one_segment_at_a_time(self, tmp_path):
+        store = EventStore.create(tmp_path / "store")
+
+        def failing_stream():
+            yield from _burst(0.0, 20)
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError):
+            store.append(failing_stream(), segment_records=10)
+        assert store.n_segments == 2 and store.n_records == 20
+
     def test_query_merges_interleaved_segments_in_time_order(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
         store.append_segment(_burst(0.0, 5, node="gpua001"))

@@ -98,7 +98,7 @@ def _die_in_worker(*args, **kwargs):
 
 
 class _DyingShard:
-    def iter_records(self):
+    def batch(self):
         return _die_in_worker()
 
 
