@@ -11,10 +11,12 @@ against a simulated cluster:
    offender with a heavy persistence tail);
 2. replay its syslog lines into per-node log files, live;
 3. follow those files with the concurrent tailer pool (bounded queue,
-   no global sort), maintain per-GPU health in the sharded registry,
-   evaluate the paper's operator rules, and serve Prometheus metrics;
-4. print every alert as it fires, then a closing health report and a
-   final ``/metrics`` scrape.
+   no global sort), maintain per-GPU health in the registry, evaluate
+   the paper's operator rules, and serve Prometheus metrics;
+4. once the service is idle, print every alert in event-time order
+   (concurrent tailers deliver nodes in an order thread timing picks,
+   so the firing order is not reproducible), then a closing health
+   report and a final ``/metrics`` scrape.
 
 The same service runs against a real log directory via
 ``repro-delta serve /var/log/gpu-logs``.
@@ -35,7 +37,6 @@ from repro.fleet import (
     FleetServiceConfig,
     LiveLogEmitter,
     MemorySink,
-    StdoutSink,
 )
 from repro.fleet.demo import demo_counts, demo_trace
 from repro.util.tables import Table
@@ -58,7 +59,7 @@ def main() -> None:
     memory = MemorySink()
     service = FleetHealthService(
         FleetServiceConfig(logs_dir=args.logs, alarm_after_seconds=600.0),
-        sinks=[StdoutSink(), memory],
+        sinks=[memory],
     )
     service.start()
     print(f"metrics endpoint: {service.metrics_url}\n")
@@ -69,6 +70,12 @@ def main() -> None:
     emitter.start()
     emitter.join()
     service.wait_idle(timeout=60.0)
+
+    alerts = sorted(
+        memory.alerts, key=lambda a: (a.time, a.rule, a.node_id, a.pci_bus)
+    )
+    for alert in alerts:
+        print(alert.render())
 
     # -- closing health report ----------------------------------------
     summary = service.summary()
@@ -89,7 +96,8 @@ def main() -> None:
 
     print("\nriskiest GPUs right now:")
     for health in sorted(
-        service.registry.snapshot(), key=lambda h: h.risk_score, reverse=True
+        service.registry.snapshot(),
+        key=lambda h: (-h.risk_score, h.node_id, h.pci_bus),
     )[:5]:
         print(
             f"  {health.node_id}/{health.pci_bus}  "
@@ -99,7 +107,7 @@ def main() -> None:
 
     print("\nalerts by recommended action:")
     actions = {}
-    for alert in memory.alerts:
+    for alert in alerts:
         actions.setdefault(alert.action.value, []).append(alert)
     for action, alerts in sorted(actions.items()):
         units = {f"{a.node_id}/{a.pci_bus}" for a in alerts}

@@ -97,7 +97,7 @@ def _store_build(args: argparse.Namespace) -> int:
     meta = {
         "scale": args.scale,
         "seed": args.seed,
-        "window_hours": AMPERE_CALIBRATION.window_days * 24.0 * args.scale,
+        "window_hours": AMPERE_CALIBRATION.window_hours(args.scale),
         "n_nodes": AMPERE_CALIBRATION.reference_node_count,
         "dataset": str(args.dataset),
     }

@@ -80,7 +80,7 @@ class DeltaStudy:
         """Build from a :class:`repro.datasets.DeltaDataset`."""
         return cls(
             dataset.log_lines(),
-            window_hours=dataset.window_seconds / 3600.0,
+            window_hours=dataset.window_hours,
             n_nodes=dataset.reference_node_count,
             n_gpus=dataset.reference_gpu_count,
             slurm_db=dataset.slurm_db,

@@ -6,8 +6,9 @@ onset of these long persisting errors for preventive actions."
 
 This module implements that model end-to-end on the reproduction's data:
 
-* features are computed from the first ``observe_seconds`` of each error's
-  duplicate-line run — information genuinely available online;
+* features are computed from the first :data:`OBSERVE_SECONDS` of each
+  error's duplicate-line run — information genuinely available online
+  (the streaming coalescer counts the same lines on each open run);
 * the label is whether the run ultimately persists beyond a threshold;
 * the classifier is a small logistic regression trained by gradient
   descent (NumPy only), with a Laplace-smoothed per-XID prior as one of
@@ -24,9 +25,19 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.coalesce import DEFAULT_WINDOW_SECONDS
 from repro.core.parsing import RawXidRecord
 
 GroupKey = Tuple[str, str, int, str]
+
+#: The observation window (seconds from a run's first line) the online
+#: features cover, shared by training and live scoring.
+OBSERVE_SECONDS = 300.0
+
+#: Gradient-descent settings of :meth:`PersistencePredictor.fit`.
+LEARNING_RATE = 0.3
+EPOCHS = 400
+L2 = 1e-3
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,7 @@ class RunExample:
 def extract_runs(
     records: Iterable[RawXidRecord],
     *,
-    window_seconds: float = 5.0,
-    observe_seconds: float = 300.0,
+    observe_seconds: float = OBSERVE_SECONDS,
 ) -> List[RunExample]:
     """Group raw records into runs and compute online features per run."""
     per_group: Dict[GroupKey, List[float]] = {}
@@ -67,7 +77,7 @@ def extract_runs(
     raw_runs: List[Tuple[GroupKey, np.ndarray]] = []
     for key, times in per_group.items():
         arr = np.sort(np.asarray(times))
-        breaks = np.nonzero(np.diff(arr) > window_seconds)[0]
+        breaks = np.nonzero(np.diff(arr) > DEFAULT_WINDOW_SECONDS)[0]
         start = 0
         for b in list(breaks) + [arr.size - 1]:
             raw_runs.append((key, arr[start : b + 1]))
@@ -99,17 +109,8 @@ def extract_runs(
 class PersistencePredictor:
     """Logistic regression over online run features."""
 
-    def __init__(
-        self,
-        long_threshold_seconds: float = 600.0,
-        learning_rate: float = 0.3,
-        epochs: int = 400,
-        l2: float = 1e-3,
-    ) -> None:
+    def __init__(self, long_threshold_seconds: float = 600.0) -> None:
         self.long_threshold_seconds = long_threshold_seconds
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.l2 = l2
         self.weights: np.ndarray | None = None
         self._xid_prior: Dict[int, float] = {}
         self._feature_mean: np.ndarray | None = None
@@ -175,14 +176,14 @@ class PersistencePredictor:
 
         weights = np.zeros(normalized.shape[1])
         n = normalized.shape[0]
-        for _ in range(self.epochs):
+        for _ in range(EPOCHS):
             scores = normalized @ weights
             probabilities = 1.0 / (1.0 + np.exp(-scores))
             gradient = (
                 normalized.T @ ((probabilities - labels) * sample_weight) / n
-                + self.l2 * weights
+                + L2 * weights
             )
-            weights -= self.learning_rate * gradient
+            weights -= LEARNING_RATE * gradient
         self.weights = weights
         return self
 

@@ -24,6 +24,7 @@ from repro.core.coalesce import (
     CoalescedError,
 )
 from repro.core.parsing import RawXidRecord
+from repro.core.prediction import OBSERVE_SECONDS
 
 GroupKey = Tuple[str, str, int, str]
 
@@ -41,10 +42,20 @@ class PersistenceAlarm:
 
 
 @dataclass
-class _OpenRun:
+class OpenRun:
+    """One run still open in a :class:`StreamingCoalescer`.
+
+    Besides Algorithm 1's state it counts the run's *early* lines, those
+    within :data:`~repro.core.prediction.OBSERVE_SECONDS` of its start:
+    the online features the persistence predictor is trained on.
+    """
+
     start: float
     latest: float
     n_raw: int
+    early_lines: int
+    #: Time of the latest line inside the observation window.
+    early_last: float
     alarmed: bool = False
 
 
@@ -75,9 +86,9 @@ class StreamingCoalescer:
     ``keep_closed=False`` and receive closed errors through the
     ``on_close`` callback instead, keeping memory O(open runs).
 
-    ``on_open(record)`` fires when a record starts a new run;
     ``on_close(error)`` fires whenever a run closes (including during
-    :meth:`flush`).
+    :meth:`flush`).  A record started a new run exactly when
+    :meth:`run_of` reports ``n_raw == 1`` right after :meth:`feed`.
     """
 
     def __init__(
@@ -87,7 +98,6 @@ class StreamingCoalescer:
         alarm_after_seconds: float = 600.0,
         *,
         keep_closed: bool = True,
-        on_open: Optional[Callable[[RawXidRecord], None]] = None,
         on_close: Optional[Callable[[CoalescedError], None]] = None,
         time_regression: str = "raise",
     ) -> None:
@@ -100,9 +110,8 @@ class StreamingCoalescer:
         self.alarm_after_seconds = alarm_after_seconds
         self.keep_closed = keep_closed
         self.time_regression = time_regression
-        self.on_open = on_open
         self.on_close = on_close
-        self._open: Dict[GroupKey, _OpenRun] = {}
+        self._open: Dict[GroupKey, OpenRun] = {}
         self.alarms: List[PersistenceAlarm] = []
         self.closed: List[CoalescedError] = []
 
@@ -116,11 +125,9 @@ class StreamingCoalescer:
             gap = record.time - run.latest
             if -self.window_seconds <= gap < 0:
                 # Late arrival within the window: fold it into the open run.
-                run.n_raw += 1
                 if record.time < run.start:
                     run.start = record.time
-                return self._maybe_alarm(key, run, record)
-            if gap < 0:
+            elif gap < 0:
                 if self.time_regression == "raise":
                     raise ValueError(
                         "streaming input out of order beyond the coalescing "
@@ -130,22 +137,32 @@ class StreamingCoalescer:
                 # this record begins a new one on the new timeline.
                 self._close(key, run)
                 run = None
+            elif (
+                gap > self.window_seconds
+                or record.time - run.start > self.max_persistence
+            ):
+                self._close(key, run)
+                run = None
             else:
-                span = record.time - run.start
-                if gap > self.window_seconds or span > self.max_persistence:
-                    self._close(key, run)
-                    run = None
+                run.latest = record.time
         if run is None:
-            self._open[key] = _OpenRun(record.time, record.time, 1)
-            if self.on_open is not None:
-                self.on_open(record)
+            self._open[key] = OpenRun(record.time, record.time, 1, 1, record.time)
             return None
-        run.latest = record.time
         run.n_raw += 1
+        if record.time <= run.start + OBSERVE_SECONDS:
+            run.early_lines += 1
+            if record.time > run.early_last:
+                run.early_last = record.time
         return self._maybe_alarm(key, run, record)
 
+    def run_of(self, record: RawXidRecord) -> Optional[OpenRun]:
+        """The open run of ``record``'s (GPU, XID, message) group, if any."""
+        return self._open.get(
+            (record.node_id, record.pci_bus, record.xid, record.message)
+        )
+
     def _maybe_alarm(
-        self, key: GroupKey, run: _OpenRun, record: RawXidRecord
+        self, key: GroupKey, run: OpenRun, record: RawXidRecord
     ) -> Optional[PersistenceAlarm]:
         if not run.alarmed and (run.latest - run.start) >= self.alarm_after_seconds:
             run.alarmed = True
@@ -185,7 +202,7 @@ class StreamingCoalescer:
     def open_runs(self) -> int:
         return len(self._open)
 
-    def _close(self, key: GroupKey, run: _OpenRun) -> None:
+    def _close(self, key: GroupKey, run: OpenRun) -> None:
         node_id, pci_bus, xid, message = key
         error = CoalescedError(
             time=run.start,

@@ -78,6 +78,10 @@ class DeltaDataset:
         return self.trace.window_seconds
 
     @property
+    def window_hours(self) -> float:
+        return self.profile.window_hours(self.config.scale)
+
+    @property
     def reference_node_count(self) -> int:
         return self.profile.reference_node_count
 

@@ -331,6 +331,14 @@ class CalibrationProfile:
     def window_node_hours(self) -> float:
         return self.window_days * 24.0 * self.reference_node_count
 
+    def window_hours(self, scale: float) -> float:
+        """A ``scale`` study's observation window in hours.
+
+        Every study computes its window here (in memory, from a dataset
+        directory or from a store), so all of them report one number.
+        """
+        return self.window_days * 24.0 * scale
+
     def total_count(self) -> int:
         return sum(c.count for c in self.xids.values())
 

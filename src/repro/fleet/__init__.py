@@ -7,8 +7,8 @@ tail of the GPU error persistence distribution") actually requires:
 * :mod:`repro.fleet.tailer` — concurrent live-log tailers with bounded
   queues and backpressure; merged arrival-order record stream, no global
   sort;
-* :mod:`repro.fleet.registry` — sharded per-GPU health state: rolling
-  onset rates, MTBE, open-run persistence, online risk scores;
+* :mod:`repro.fleet.registry` — per-GPU health state: rolling onset
+  rates, MTBE, open-run persistence, online risk scores;
 * :mod:`repro.fleet.rules` — the paper's operator guidance as declarative
   alert rules with pluggable sinks;
 * :mod:`repro.fleet.exposition` — Prometheus text-format ``/metrics``

@@ -122,13 +122,13 @@ def demo_profile() -> CalibrationProfile:
     )
 
 
-def demo_trace(seed: int = 11, cluster: ClusterInventory | None = None) -> FaultTrace:
+def demo_trace(seed: int = 11) -> FaultTrace:
     """Inject the demo profile onto the demo cluster."""
     injector = FaultInjector(
         demo_profile(),
         InjectorConfig(scale=1.0, seed=seed, deterministic_counts=True),
     )
-    return injector.generate(cluster or demo_cluster())
+    return injector.generate(demo_cluster())
 
 
 def demo_counts(trace: FaultTrace) -> Dict[int, int]:

@@ -51,13 +51,12 @@ class LiveLogEmitter:
         directory: str | Path,
         *,
         speedup: Optional[float] = None,
-        already_ordered: bool = False,
     ) -> None:
         if speedup is not None and speedup <= 0:
             raise ValueError("speedup must be positive (or None for flat-out)")
         self.directory = Path(directory)
         self.speedup = speedup
-        self._lines = iter(lines) if already_ordered else _merged_lines(lines)
+        self._lines = _merged_lines(lines)
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.lines_written = 0
@@ -69,14 +68,9 @@ class LiveLogEmitter:
         directory: str | Path,
         *,
         seed: int = 0,
-        pids: Optional[Dict[int, int]] = None,
         speedup: Optional[float] = None,
     ) -> "LiveLogEmitter":
-        return cls(
-            render_trace(trace.events, seed=seed, pids=pids),
-            directory,
-            speedup=speedup,
-        )
+        return cls(render_trace(trace.events, seed=seed), directory, speedup=speedup)
 
     # ------------------------------------------------------------------
 

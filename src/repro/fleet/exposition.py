@@ -19,7 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.faults.xid import XID_CATALOG, Xid
-from repro.fleet.registry import GpuHealth, HealthRegistry
+from repro.fleet.registry import RATE_WINDOW_SECONDS, GpuHealth, HealthRegistry
 from repro.fleet.rules import RuleEngine
 from repro.fleet.tailer import DirectoryTailer
 
@@ -142,19 +142,18 @@ def render_prometheus(
             if h.risk_score > 0.0
         ],
     )
-    rate_window = registry.rate_window_seconds
     out.metric(
         "repro_fleet_gpu_error_rate_per_hour", "gauge",
-        f"Error onsets per hour over the rolling {rate_window:.0f}s window, "
-        f"top {RISK_TOP_K} GPUs by rate.",
+        f"Error onsets per hour over the rolling {RATE_WINDOW_SECONDS:.0f}s "
+        f"window, top {RISK_TOP_K} GPUs by rate.",
         [
             (
                 {"node": h.node_id, "pci_bus": h.pci_bus},
-                h.error_rate_per_hour(rate_window),
+                h.error_rate_per_hour(RATE_WINDOW_SECONDS),
             )
             for h in sorted(
                 snapshot,
-                key=lambda h: h.error_rate_per_hour(rate_window),
+                key=lambda h: h.error_rate_per_hour(RATE_WINDOW_SECONDS),
                 reverse=True,
             )[:RISK_TOP_K]
             if h.recent
@@ -234,7 +233,7 @@ class MetricsServer:
     """Threaded HTTP server exposing ``/metrics`` and ``/healthz``.
 
     ``provider`` is called per scrape (under no lock — the registry's own
-    shard locks make reads consistent enough for monitoring).  Port 0
+    lock makes reads consistent enough for monitoring).  Port 0
     binds an ephemeral port; read it back from :attr:`port`.
     """
 

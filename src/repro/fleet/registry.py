@@ -1,38 +1,38 @@
-"""Sharded per-GPU health registry.
+"""Per-GPU health registry.
 
 The service's state layer: every ingested
 :class:`~repro.core.parsing.RawXidRecord` updates the health picture of
 its (node, PCI bus) GPU — rolling error-onset rates, MTBE, open-run
 persistence (via one :class:`~repro.core.streaming.StreamingCoalescer`
-per shard with ``keep_closed=False``, so memory stays O(open runs)), and
-an online risk score.
+with ``keep_closed=False``, so memory stays O(open runs)), and an online
+risk score.
 
-Sharding: GPUs hash onto ``n_shards`` independent shards, each with its
-own lock, coalescer, and state map.  Concurrent ingestion from many
-tailer workers only contends within a shard, and one GPU's records always
-serialize through one shard — which is what keeps the coalescer's per-GPU
-ordering contract intact under concurrency.
+One thread ingests (the service's ``fleet-ingest`` consumer, or a
+replay), so one coalescer and one state map serve the whole fleet.  One
+lock guards them because ``/metrics`` scrapes read from another thread.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.core.coalesce import CoalescedError
 from repro.core.parsing import RawXidRecord
+from repro.core.prediction import OBSERVE_SECONDS
 from repro.core.streaming import PersistenceAlarm, StreamingCoalescer
 
 GpuKey = Tuple[str, str]
 
+#: Rolling window (seconds) of the per-GPU onset rates.
+RATE_WINDOW_SECONDS = 3_600.0
+
 
 @dataclass
 class GpuHealth:
-    """Mutable health state for one GPU (owned by exactly one shard)."""
+    """Mutable health state for one GPU."""
 
     node_id: str
     pci_bus: str
@@ -66,8 +66,7 @@ class OpenRunView:
     xid: int
     start: float
     latest: float
-    n_raw: int
-    #: Lines / span observed within the scorer's observation window.
+    #: Lines / span observed within the observation window.
     early_lines: int
     early_span: float
 
@@ -77,8 +76,10 @@ class OpenRunView:
 
     @property
     def early_mean_gap(self) -> float:
+        """Mean gap between early lines; the window itself below two lines
+        (as :func:`~repro.core.prediction.extract_runs` computes it)."""
         if self.early_lines < 2:
-            return 0.0
+            return OBSERVE_SECONDS
         return self.early_span / (self.early_lines - 1)
 
 
@@ -97,90 +98,18 @@ class IngestResult:
     onset: bool
     health: GpuHealth
     alarm: Optional[PersistenceAlarm] = None
-    closed: Tuple[CoalescedError, ...] = ()
-
-
-@dataclass
-class _RunTrack:
-    """Early-window observation stats for one open run."""
-
-    start: float
-    latest: float
-    n_raw: int
-    early_lines: int
-    early_last: float
-
-
-class _Shard:
-    """One independent slice of the registry."""
-
-    def __init__(
-        self,
-        *,
-        window_seconds: float,
-        max_persistence: float,
-        alarm_after_seconds: float,
-        rate_window_seconds: float,
-        observe_seconds: float,
-    ) -> None:
-        self.lock = threading.Lock()
-        self.states: Dict[GpuKey, GpuHealth] = {}
-        self.rate_window_seconds = rate_window_seconds
-        self.observe_seconds = observe_seconds
-        self._closed_buffer: List[CoalescedError] = []
-        self._opened = False
-        self._runs: Dict[Tuple[str, str, int, str], _RunTrack] = {}
-        # The live feed can jump backward in time (host clock reset, a
-        # feed restarting behind warm-started store history); restart the
-        # affected run instead of killing the ingest thread.
-        self.coalescer = StreamingCoalescer(
-            window_seconds=window_seconds,
-            max_persistence=max_persistence,
-            alarm_after_seconds=alarm_after_seconds,
-            keep_closed=False,
-            on_open=self._on_open,
-            on_close=self._on_close,
-            time_regression="restart",
-        )
-
-    # Callbacks run inside coalescer.feed / flush, under this shard's lock.
-
-    def _on_open(self, record: RawXidRecord) -> None:
-        self._opened = True
-        key = (record.node_id, record.pci_bus, record.xid, record.message)
-        self._runs[key] = _RunTrack(
-            start=record.time, latest=record.time, n_raw=1,
-            early_lines=1, early_last=record.time,
-        )
-
-    def _on_close(self, error: CoalescedError) -> None:
-        self._closed_buffer.append(error)
-        self._runs.pop(
-            (error.node_id, error.pci_bus, error.xid, error.message), None
-        )
 
 
 class HealthRegistry:
-    """Thread-safe, sharded per-GPU health state over a live record stream."""
+    """Thread-safe per-GPU health state over a live record stream."""
 
     def __init__(
         self,
         *,
-        n_shards: int = 8,
-        window_seconds: float = 5.0,
-        max_persistence: float = 86_400.0,
         alarm_after_seconds: float = 1_800.0,
-        rate_window_seconds: float = 3_600.0,
-        observe_seconds: float = 300.0,
         risk_scorer: Optional[RiskScorer] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        if rate_window_seconds <= 0:
-            raise ValueError("rate_window_seconds must be positive")
-        self.n_shards = n_shards
-        self.rate_window_seconds = rate_window_seconds
         self.risk_scorer = risk_scorer or default_risk_scorer
         #: Wall-clock source for operational (non-analytic) readings; all
         #: health state keys off record *event* time, so injecting a fake
@@ -188,42 +117,35 @@ class HealthRegistry:
         #: :meth:`ingest_age_seconds` reports.
         self.clock = clock
         self._last_ingest_wall: Optional[float] = None
-        self._shards = [
-            _Shard(
-                window_seconds=window_seconds,
-                max_persistence=max_persistence,
-                alarm_after_seconds=alarm_after_seconds,
-                rate_window_seconds=rate_window_seconds,
-                observe_seconds=observe_seconds,
-            )
-            for _ in range(n_shards)
-        ]
+        self._lock = threading.Lock()
+        self._states: Dict[GpuKey, GpuHealth] = {}
+        # The live feed can jump backward in time (host clock reset, a
+        # feed restarting behind warm-started store history); restart the
+        # affected run instead of killing the ingest thread.
+        self._coalescer = StreamingCoalescer(
+            alarm_after_seconds=alarm_after_seconds,
+            keep_closed=False,
+            time_regression="restart",
+        )
 
     # ------------------------------------------------------------------
 
-    def shard_index(self, gpu_key: GpuKey) -> int:
-        digest = zlib.crc32(f"{gpu_key[0]}|{gpu_key[1]}".encode())
-        return digest % self.n_shards
-
     def ingest(self, record: RawXidRecord) -> IngestResult:
-        """Feed one record; returns onset/alarm/closed facts for alerting."""
-        shard = self._shards[self.shard_index(record.gpu_key)]
-        with shard.lock:
-            shard._opened = False
-            alarm = shard.coalescer.feed(record)
-            onset = shard._opened
-            closed = tuple(shard._closed_buffer)
-            shard._closed_buffer.clear()
+        """Feed one record; returns onset/alarm facts for alerting."""
+        with self._lock:
+            alarm = self._coalescer.feed(record)
+            run = self._coalescer.run_of(record)
+            onset = run.n_raw == 1
 
-            health = shard.states.get(record.gpu_key)
+            health = self._states.get(record.gpu_key)
             if health is None:
                 health = GpuHealth(
                     node_id=record.node_id, pci_bus=record.pci_bus,
                     first_seen=record.time, last_seen=record.time,
                 )
-                shard.states[record.gpu_key] = health
+                self._states[record.gpu_key] = health
             health.raw_lines += 1
-            if record.time < health.last_seen - shard.rate_window_seconds:
+            if record.time < health.last_seen - RATE_WINDOW_SECONDS:
                 # The feed's clock jumped backward past the whole rolling
                 # window (clock reset / replay restarting behind warm-start
                 # history): rolling-rate state follows the new timeline.
@@ -234,71 +156,48 @@ class HealthRegistry:
             if onset:
                 health.onsets[record.xid] = health.onsets.get(record.xid, 0) + 1
                 health.recent.append((record.time, record.xid))
-            cutoff = health.last_seen - shard.rate_window_seconds
+            cutoff = health.last_seen - RATE_WINDOW_SECONDS
             while health.recent and health.recent[0][0] < cutoff:
                 health.recent.popleft()
 
-            run_view = self._run_view(shard, record)
-            if run_view is not None:
-                health.risk_score = float(self.risk_scorer(health, run_view))
+            view = OpenRunView(
+                xid=record.xid,
+                start=run.start,
+                latest=run.latest,
+                early_lines=run.early_lines,
+                early_span=run.early_last - run.start,
+            )
+            health.risk_score = float(self.risk_scorer(health, view))
         self._last_ingest_wall = self.clock()
-        return IngestResult(
-            record=record, onset=onset, health=health, alarm=alarm, closed=closed
-        )
-
-    def _run_view(self, shard: _Shard, record: RawXidRecord) -> Optional[OpenRunView]:
-        key = (record.node_id, record.pci_bus, record.xid, record.message)
-        track = shard._runs.get(key)
-        if track is None:
-            return None
-        if record.time >= track.latest:
-            track.latest = record.time
-            track.n_raw += 1 if record.time > track.start else 0
-        else:
-            track.n_raw += 1
-        if record.time - track.start <= shard.observe_seconds and record.time > track.early_last:
-            track.early_lines += 1
-            track.early_last = record.time
-        return OpenRunView(
-            xid=record.xid,
-            start=track.start,
-            latest=track.latest,
-            n_raw=track.n_raw,
-            early_lines=track.early_lines,
-            early_span=track.early_last - track.start,
-        )
+        return IngestResult(record=record, onset=onset, health=health, alarm=alarm)
 
     # ------------------------------------------------------------------
     # Read side (metrics exposition, reports)
     # ------------------------------------------------------------------
 
     def snapshot(self) -> List[GpuHealth]:
-        """A point-in-time copy-free view of every tracked GPU.
+        """Every tracked GPU, in first-seen order, without copying.
 
         Caller must treat the returned objects as read-only; individual
         field reads are safe (GIL-atomic) even while ingestion continues.
         """
-        out: List[GpuHealth] = []
-        for shard in self._shards:
-            with shard.lock:
-                out.extend(shard.states.values())
-        return out
+        with self._lock:
+            return list(self._states.values())
 
     def open_runs(self) -> int:
-        return sum(s.coalescer.open_runs() for s in self._shards)
+        return self._coalescer.open_runs()
 
     def onset_counts(self) -> Dict[int, int]:
         """Fleet-wide error onsets per XID."""
         totals: Dict[int, int] = {}
-        for shard in self._shards:
-            with shard.lock:
-                for health in shard.states.values():
-                    for xid, count in health.onsets.items():
-                        totals[xid] = totals.get(xid, 0) + count
+        with self._lock:
+            for health in self._states.values():
+                for xid, count in health.onsets.items():
+                    totals[xid] = totals.get(xid, 0) + count
         return totals
 
     def persistence_alarms(self) -> int:
-        return sum(len(s.coalescer.alarms) for s in self._shards)
+        return len(self._coalescer.alarms)
 
     def ingest_age_seconds(self) -> Optional[float]:
         """Wall seconds since the last ingested record (feed staleness).

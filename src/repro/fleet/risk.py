@@ -11,8 +11,6 @@ run count.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.parsing import iter_parse_syslog
 from repro.core.prediction import PersistencePredictor, extract_runs
 from repro.fleet.registry import GpuHealth, OpenRunView, RiskScorer
@@ -41,29 +39,23 @@ def predictor_scorer(predictor: PersistencePredictor) -> RiskScorer:
     return score
 
 
-def fit_risk_model(
-    *,
-    scale: float = 0.004,
-    seed: int = 7,
-    long_threshold_seconds: float = 600.0,
-    observe_seconds: float = 300.0,
-    predictor: Optional[PersistencePredictor] = None,
-) -> PersistencePredictor:
+#: Scale of the synthesized window :func:`fit_risk_model` trains on.
+RISK_MODEL_SCALE = 0.004
+
+
+def fit_risk_model(*, seed: int = 7) -> PersistencePredictor:
     """Train a persistence predictor on a synthesized observation window.
 
     A service that has no historical record archive yet can bootstrap its
     risk model from the calibrated substrate; pass the result to
-    :func:`predictor_scorer`.
+    :func:`predictor_scorer`.  Training and live scoring share one
+    observation window, :data:`~repro.core.prediction.OBSERVE_SECONDS`.
     """
     from repro.datasets import synthesize_delta
 
-    dataset = synthesize_delta(scale=scale, seed=seed)
+    dataset = synthesize_delta(scale=RISK_MODEL_SCALE, seed=seed)
     records = sorted(
         iter_parse_syslog(dataset.log_lines(include_noise=False)),
         key=lambda r: r.time,
     )
-    examples = extract_runs(records, observe_seconds=observe_seconds)
-    model = predictor or PersistencePredictor(
-        long_threshold_seconds=long_threshold_seconds
-    )
-    return model.fit(examples)
+    return PersistencePredictor().fit(extract_runs(records))

@@ -37,7 +37,7 @@ from typing import Deque, Dict, IO, Iterable, List, Optional, Protocol, Tuple
 from repro.core.parsing import RawXidRecord
 from repro.core.streaming import PersistenceAlarm
 from repro.faults.xid import XID_CATALOG, Xid
-from repro.fleet.registry import GpuHealth
+from repro.fleet.registry import GpuHealth, IngestResult
 from repro.util.timeutil import format_duration, format_timestamp
 
 GpuKey = Tuple[str, str]
@@ -70,8 +70,7 @@ class AlertRule:
     same GPU within ``window_seconds`` before the triggering onset).
 
     Alarm rules (``on_alarm=True``): fire on a
-    :class:`~repro.core.streaming.PersistenceAlarm` whose open
-    persistence is at least ``min_open_seconds`` (``xids`` empty = any
+    :class:`~repro.core.streaming.PersistenceAlarm` (``xids`` empty = any
     code).
 
     ``cooldown_seconds`` suppresses re-fires for the same scope unit, so
@@ -88,7 +87,6 @@ class AlertRule:
     window_seconds: float = 3_600.0
     after_xid: Optional[int] = None
     on_alarm: bool = False
-    min_open_seconds: float = 0.0
     scope: Scope = Scope.GPU
     cooldown_seconds: float = 1_800.0
 
@@ -263,6 +261,15 @@ class RuleEngine:
 
     # ------------------------------------------------------------------
 
+    def observe(self, result: IngestResult) -> List[Alert]:
+        """Evaluate every rule against what one ingested record did."""
+        fired: List[Alert] = []
+        if result.onset:
+            fired += self.observe_onset(result.record, result.health)
+        if result.alarm is not None:
+            fired += self.observe_alarm(result.alarm)
+        return fired
+
     def observe_onset(
         self, record: RawXidRecord, health: Optional[GpuHealth] = None
     ) -> List[Alert]:
@@ -308,8 +315,6 @@ class RuleEngine:
                 if not rule.on_alarm:
                     continue
                 if rule.xids and alarm.xid not in rule.xids:
-                    continue
-                if alarm.open_persistence < rule.min_open_seconds:
                     continue
                 now = alarm.start_time + alarm.open_persistence
                 scope_key = gpu_key if rule.scope is Scope.GPU else (alarm.node_id, "")
@@ -411,14 +416,7 @@ def _abbrev(xid: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def default_rules(
-    *,
-    gsp_repeat_count: int = 3,
-    gsp_window_seconds: float = 6 * 3_600.0,
-    uncontained_burst_count: int = 5,
-    uncontained_window_seconds: float = 3_600.0,
-    remap_window_seconds: float = 3_600.0,
-) -> Tuple[AlertRule, ...]:
+def default_rules() -> Tuple[AlertRule, ...]:
     """The paper's operator guidance as a rule catalog."""
     return (
         AlertRule(
@@ -444,8 +442,8 @@ def default_rules(
             action=Action.RESET_GPU,
             severity="warning",
             xids=(int(Xid.GSP),),
-            min_count=gsp_repeat_count,
-            window_seconds=gsp_window_seconds,
+            min_count=3,
+            window_seconds=6 * 3_600.0,
             cooldown_seconds=3_600.0,
         ),
         AlertRule(
@@ -459,7 +457,7 @@ def default_rules(
             severity="warning",
             xids=(int(Xid.RRE), int(Xid.RRF)),
             min_count=1,
-            window_seconds=remap_window_seconds,
+            window_seconds=3_600.0,
             after_xid=int(Xid.DBE),
             cooldown_seconds=1_800.0,
         ),
@@ -472,8 +470,8 @@ def default_rules(
             action=Action.REPLACE_GPU,
             severity="critical",
             xids=(int(Xid.UNCONTAINED),),
-            min_count=uncontained_burst_count,
-            window_seconds=uncontained_window_seconds,
+            min_count=5,
+            window_seconds=3_600.0,
             cooldown_seconds=7_200.0,
         ),
         AlertRule(

@@ -5,11 +5,10 @@
 * a :class:`~repro.fleet.tailer.DirectoryTailer` follows the per-node
   log files through one bounded queue (the backpressure boundary);
 * one ingest thread drains that queue and feeds each record to the
-  :class:`~repro.fleet.registry.HealthRegistry` (sharded state, streaming
-  coalescing with ``keep_closed=False`` — live memory stays O(open runs)),
-  forwards onset/alarm facts to the :class:`~repro.fleet.rules.RuleEngine`,
-  and, given a store, hands the record to a
-  :class:`~repro.store.writer.StoreWriter`;
+  :class:`~repro.fleet.registry.HealthRegistry` (one streaming coalescer
+  with ``keep_closed=False`` — live memory stays O(open runs)), passes
+  each result to the :class:`~repro.fleet.rules.RuleEngine`, and, given a
+  store, hands the record to a :class:`~repro.store.writer.StoreWriter`;
 * an optional :class:`~repro.fleet.exposition.MetricsServer` serves
   Prometheus text format at ``/metrics``.
 
@@ -20,33 +19,24 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.fleet.exposition import MetricsServer, render_prometheus
 from repro.obs import CounterSet
 from repro.fleet.registry import HealthRegistry, RiskScorer
-from repro.fleet.rules import AlertRule, AlertSink, RuleEngine, default_rules
+from repro.fleet.rules import AlertSink, RuleEngine, default_rules
 from repro.fleet.tailer import DirectoryTailer
 
 
 @dataclass(frozen=True)
 class FleetServiceConfig:
-    """Wiring knobs for one service instance."""
+    """Deployment settings of one service instance."""
 
     logs_dir: Path
-    #: Tailer pool.
-    workers: int = 2
-    queue_size: int = 4096
-    poll_interval: float = 0.05
-    from_start: bool = True
-    #: Streaming coalescer / registry.
-    n_shards: int = 8
-    window_seconds: float = 5.0
-    max_persistence: float = 86_400.0
+    #: Open-run persistence that raises a Section-4.3 alarm.
     alarm_after_seconds: float = 1_800.0
-    rate_window_seconds: float = 3_600.0
     #: Metrics endpoint; ``None`` disables the HTTP server entirely,
     #: port 0 binds an ephemeral port.
     metrics_port: Optional[int] = 0
@@ -56,9 +46,6 @@ class FleetServiceConfig:
     #: restart the registry warm-starts by replaying the store — the
     #: service survives its own restarts with per-GPU history intact.
     store_dir: Optional[Path] = None
-    store_segment_records: int = 20_000
-    store_flush_seconds: Optional[float] = 5.0
-    warm_start: bool = True
 
 
 class FleetHealthService:
@@ -68,7 +55,6 @@ class FleetHealthService:
         self,
         config: FleetServiceConfig,
         *,
-        rules: Optional[Iterable[AlertRule]] = None,
         sinks: Sequence[AlertSink] = (),
         risk_scorer: Optional[RiskScorer] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -82,17 +68,11 @@ class FleetHealthService:
         self.clock = clock
         self.sleep = sleep
         self.registry = HealthRegistry(
-            n_shards=config.n_shards,
-            window_seconds=config.window_seconds,
-            max_persistence=config.max_persistence,
             alarm_after_seconds=config.alarm_after_seconds,
-            rate_window_seconds=config.rate_window_seconds,
             risk_scorer=risk_scorer,
             clock=clock,
         )
-        self.engine = RuleEngine(
-            default_rules() if rules is None else rules, sinks=sinks
-        )
+        self.engine = RuleEngine(default_rules(), sinks=sinks)
         self._sinks: Tuple[AlertSink, ...] = tuple(sinks)
         #: Self-observability counters (``fleet.records_ingested`` plus
         #: the store writer's ``store.*`` series), snapshotted per
@@ -101,30 +81,18 @@ class FleetHealthService:
         self.store = None
         self.store_writer = None
         self.records_replayed = 0
-        from_start = config.from_start
+        from_start = True
         if config.store_dir is not None:
             from repro.store import EventStore, StoreWriter
 
             self.store = EventStore.open_or_create(config.store_dir)
-            self.store_writer = StoreWriter(
-                self.store,
-                segment_records=config.store_segment_records,
-                flush_seconds=config.store_flush_seconds,
-                counters=self.counters,
-            )
-            if config.warm_start and self.store.n_records:
-                # History is already durable: replay it into the registry
-                # at start() and tail only *new* appends — re-reading the
-                # log files from the top would double-ingest everything
-                # the store already holds.
-                from_start = False
-        self.tailer = DirectoryTailer(
-            config.logs_dir,
-            queue_size=config.queue_size,
-            workers=config.workers,
-            poll_interval=config.poll_interval,
-            from_start=from_start,
-        )
+            self.store_writer = StoreWriter(self.store, counters=self.counters)
+            # With history already durable, replay it into the registry at
+            # start() and tail only *new* appends — re-reading the log
+            # files from the top would double-ingest everything the store
+            # already holds.
+            from_start = not self.store.n_records
+        self.tailer = DirectoryTailer(config.logs_dir, from_start=from_start)
         self.metrics_server: Optional[MetricsServer] = None
         if config.metrics_port is not None:
             self.metrics_server = MetricsServer(
@@ -187,19 +155,15 @@ class FleetHealthService:
         out of it, so alerts that already fired in a previous life are
         not re-fired on every restart.
         """
-        if (
-            self.store is None
-            or not self.config.warm_start
-            or not self.store.n_records
-        ):
+        if self.store is None or not self.store.n_records:
             return
         for record in self.store.query():
             self.registry.ingest(record)
             self.records_replayed += 1
 
     def _consume(self) -> None:
-        """Ingest thread: each record feeds the registry (whose shards own
-        the streaming coalescers), then the rules, then the store."""
+        """Ingest thread: each record feeds the registry, then the rules,
+        then the store."""
         registry, engine, writer = self.registry, self.engine, self.store_writer
         try:
             try:
@@ -207,10 +171,7 @@ class FleetHealthService:
                     result = registry.ingest(record)
                     self.records_ingested += 1
                     self.counters.inc("fleet.records_ingested")
-                    if result.onset:
-                        engine.observe_onset(record, result.health)
-                    if result.alarm is not None:
-                        engine.observe_alarm(result.alarm)
+                    engine.observe(result)
                     if writer is not None:
                         writer.on_record(record)
             finally:

@@ -35,6 +35,12 @@ __all__ = ["DirectoryTailer", "LogTailer", "TailStats"]
 #: Sentinel pushed once per worker when it finishes draining after a stop.
 _DONE = object()
 
+#: Tailer threads, bounded-queue capacity (records) and idle poll period
+#: (seconds) of a :class:`DirectoryTailer`.
+WORKERS = 2
+QUEUE_SIZE = 4096
+POLL_INTERVAL = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Live tailing
@@ -122,34 +128,20 @@ class LogTailer:
 class DirectoryTailer:
     """Follow every log file in a directory with a pool of worker threads.
 
-    Workers partition files by name hash, poll their partition round-robin,
-    and push parsed records into one bounded queue (``queue_size``); the
-    consumer iterates :meth:`records`.  New files appearing in the
-    directory are picked up on the fly; ``*.log.gz`` files are ingested
-    once as backlog.
+    :data:`WORKERS` threads partition files by name hash, poll their
+    partition round-robin, and push parsed records into one bounded queue
+    of :data:`QUEUE_SIZE` records; the consumer iterates :meth:`records`.
+    New files appearing in the directory are picked up on the fly;
+    ``*.log.gz`` files are ingested once as backlog.
 
     The queue is the backpressure boundary: a slow consumer blocks the
     workers' ``put`` calls, which pauses disk reads rather than buffering
     unboundedly.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        *,
-        queue_size: int = 4096,
-        workers: int = 2,
-        poll_interval: float = 0.05,
-        from_start: bool = True,
-    ) -> None:
-        if queue_size <= 0:
-            raise ValueError("queue_size must be positive")
-        if workers <= 0:
-            raise ValueError("workers must be positive")
+    def __init__(self, directory: str | Path, *, from_start: bool = True) -> None:
         self.directory = Path(directory)
-        self.queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_size)
-        self.workers = workers
-        self.poll_interval = poll_interval
+        self.queue: "queue.Queue[object]" = queue.Queue(maxsize=QUEUE_SIZE)
         self.from_start = from_start
         self._tailers: Dict[Path, LogTailer] = {}
         self._gz_done: set = set()
@@ -164,7 +156,7 @@ class DirectoryTailer:
         if self._started:
             raise RuntimeError("tailer already started")
         self._started = True
-        for index in range(self.workers):
+        for index in range(WORKERS):
             thread = threading.Thread(
                 target=self._run_worker, args=(index,), daemon=True,
                 name=f"fleet-tailer-{index}",
@@ -195,7 +187,7 @@ class DirectoryTailer:
         if not self._started:
             raise RuntimeError("start() the tailer before consuming records")
         done = 0
-        while done < self.workers:
+        while done < WORKERS:
             item = self.queue.get()
             if item is _DONE:
                 done += 1
@@ -223,7 +215,7 @@ class DirectoryTailer:
         except OSError:
             return mine
         for path in names:
-            if hash(path.name) % self.workers != worker_index:
+            if hash(path.name) % WORKERS != worker_index:
                 continue
             if path.name.endswith(".log.gz"):
                 with self._lock:
@@ -281,6 +273,6 @@ class DirectoryTailer:
                         break
                     continue
                 if not busy:
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             self.queue.put(_DONE)

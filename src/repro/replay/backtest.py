@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import __version__
 from repro.core.parsing import RawXidRecord
 from repro.core.prediction import (
+    OBSERVE_SECONDS,
     PersistencePredictor,
     average_precision,
     extract_runs,
@@ -74,13 +75,9 @@ class BacktestConfig:
     incident_merge_seconds: float = 3_600.0
     #: Forward window an alert has to "call" an incident.
     horizon_seconds: float = 3_600.0
-    #: Stack knobs (mirror the live service defaults).
-    n_shards: int = 8
-    coalesce_window_seconds: float = 5.0
-    alarm_after_seconds: float = 1_800.0
     #: Predictor pass.
     long_threshold_seconds: float = 600.0
-    observe_seconds: float = 300.0
+    observe_seconds: float = OBSERVE_SECONDS
     train_fraction: float = 0.5
     thresholds: Tuple[float, ...] = DEFAULT_THRESHOLDS
 
@@ -225,12 +222,7 @@ def run_backtest(
     source_fingerprint: str = "",
 ) -> ExperimentResult:
     """Replay, score, and return the typed scorecard."""
-    engine = ReplayEngine(
-        pacer=pacer,
-        n_shards=config.n_shards,
-        window_seconds=config.coalesce_window_seconds,
-        alarm_after_seconds=config.alarm_after_seconds,
-    )
+    engine = ReplayEngine(pacer=pacer)
     outcome = engine.replay(source_factory())
 
     incidents = extract_incidents(
@@ -258,11 +250,7 @@ def run_backtest(
     best_leads = _best_leads(outcome, incidents, config.horizon_seconds)
 
     # ---- prediction pass -------------------------------------------------
-    examples = extract_runs(
-        source_factory(),
-        window_seconds=config.coalesce_window_seconds,
-        observe_seconds=config.observe_seconds,
-    )
+    examples = extract_runs(source_factory(), observe_seconds=config.observe_seconds)
     n_train = int(len(examples) * config.train_fraction)
     train, test = examples[:n_train], examples[n_train:]
     pr_rows: List[Tuple] = []

@@ -2,7 +2,7 @@
 
 :class:`ReplayEngine` feeds a time-ordered record stream — a store
 cursor, a pushdown query, a parsed log directory — through the very
-objects the live service runs: a sharded
+objects the live service runs: a
 :class:`~repro.fleet.registry.HealthRegistry` (streaming coalescing,
 persistence alarms, online risk scores) and a
 :class:`~repro.fleet.rules.RuleEngine` (the paper's operator guidance).
@@ -22,15 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.parsing import RawXidRecord
-from repro.fleet.registry import HealthRegistry, RiskScorer
-from repro.fleet.rules import (
-    Alert,
-    AlertRule,
-    AlertSink,
-    MemorySink,
-    RuleEngine,
-    default_rules,
-)
+from repro.fleet.registry import HealthRegistry
+from repro.fleet.rules import Alert, AlertSink, MemorySink, RuleEngine, default_rules
 from repro.replay.clock import ReplayPacer
 
 
@@ -89,31 +82,13 @@ class ReplayEngine:
     def __init__(
         self,
         *,
-        rules: Optional[Iterable[AlertRule]] = None,
         sinks: Sequence[AlertSink] = (),
-        risk_scorer: Optional[RiskScorer] = None,
         pacer: Optional[ReplayPacer] = None,
-        n_shards: int = 8,
-        window_seconds: float = 5.0,
-        max_persistence: float = 86_400.0,
-        alarm_after_seconds: float = 1_800.0,
-        rate_window_seconds: float = 3_600.0,
     ) -> None:
         self.pacer = pacer if pacer is not None else ReplayPacer(None)
-        self.registry = HealthRegistry(
-            n_shards=n_shards,
-            window_seconds=window_seconds,
-            max_persistence=max_persistence,
-            alarm_after_seconds=alarm_after_seconds,
-            rate_window_seconds=rate_window_seconds,
-            risk_scorer=risk_scorer,
-            clock=self.pacer.monotonic,
-        )
+        self.registry = HealthRegistry(clock=self.pacer.monotonic)
         self._memory = MemorySink()
-        self.engine = RuleEngine(
-            default_rules() if rules is None else rules,
-            sinks=(self._memory, *sinks),
-        )
+        self.engine = RuleEngine(default_rules(), sinks=(self._memory, *sinks))
 
     @property
     def rule_names(self) -> Tuple[str, ...]:
@@ -135,6 +110,7 @@ class ReplayEngine:
                 if wall_start is None:
                     wall_start = pacer.monotonic()
                 result = self.registry.ingest(record)
+                self.engine.observe(result)
                 outcome.records += 1
                 serials.setdefault(record.gpu_key)
                 if outcome.time_min is None or record.time < outcome.time_min:
@@ -151,10 +127,8 @@ class ReplayEngine:
                             xid=record.xid,
                         )
                     )
-                    self.engine.observe_onset(record, result.health)
                 if result.alarm is not None:
                     outcome.alarms += 1
-                    self.engine.observe_alarm(result.alarm)
             if wall_start is not None:
                 outcome.wall_seconds = pacer.monotonic() - wall_start
             outcome.alerts = tuple(self._memory.alerts)

@@ -137,7 +137,7 @@ class Session:
                 )
         config = self.config
         slurm_db = SlurmDatabase.load(dataset_dir / "slurm.jsonl")
-        window_hours = AMPERE_CALIBRATION.window_days * 24.0 * config.scale
+        window_hours = AMPERE_CALIBRATION.window_hours(config.scale)
         n_nodes = AMPERE_CALIBRATION.reference_node_count
         if config.store is not None:
             from repro.pipeline import FileSetSource
@@ -176,7 +176,7 @@ class Session:
                 meta={
                     "scale": dataset.config.scale,
                     "seed": dataset.config.seed,
-                    "window_hours": dataset.window_seconds / 3600.0,
+                    "window_hours": dataset.window_hours,
                     "n_nodes": dataset.reference_node_count,
                     "n_gpus": dataset.reference_gpu_count,
                 },

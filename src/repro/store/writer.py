@@ -2,10 +2,10 @@
 
 Feed a :class:`StoreWriter` one record at a time through
 :meth:`~StoreWriter.on_record` and every record lands in the store.  It
-flushes a segment per ``segment_records`` and, given ``flush_seconds``,
-whatever has accumulated every ``flush_seconds`` of wall time, so a
-long-lived ``repro-delta serve`` leaves durable history behind even at
-low event rates.  ``close()`` (which the fleet service's ingest thread
+flushes a segment per :data:`SEGMENT_RECORDS` records, and whatever has
+accumulated every :data:`FLUSH_SECONDS` of wall time, so a long-lived
+``repro-delta serve`` leaves durable history behind even at low event
+rates.  ``close()`` (which the fleet service's ingest thread
 calls in a ``finally``) flushes the remainder — no records are lost on
 a clean stop.
 """
@@ -13,29 +13,23 @@ a clean stop.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 from repro import obs
 from repro.core.parsing import RawXidRecord
-from repro.store.store import DEFAULT_SEGMENT_RECORDS, EventStore
+from repro.store.store import EventStore
+
+#: Records per segment, and the wall seconds after which a partial
+#: segment is flushed anyway.
+SEGMENT_RECORDS = 20_000
+FLUSH_SECONDS = 5.0
 
 
 class StoreWriter:
     """Buffer records and append them to an :class:`EventStore` in segments."""
 
-    def __init__(
-        self,
-        store: EventStore,
-        *,
-        segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        flush_seconds: Optional[float] = None,
-        counters=None,
-    ) -> None:
-        if segment_records < 1:
-            raise ValueError("segment_records must be >= 1")
+    def __init__(self, store: EventStore, *, counters=None) -> None:
         self.store = store
-        self.segment_records = segment_records
-        self.flush_seconds = flush_seconds
         self.records_written = 0
         self.segments_written = 0
         self.flushes = 0
@@ -49,11 +43,9 @@ class StoreWriter:
 
     def on_record(self, record: RawXidRecord) -> None:
         self._buffer.append(record)
-        if len(self._buffer) >= self.segment_records:
-            self.flush()
-        elif (
-            self.flush_seconds is not None
-            and time.monotonic() - self._last_flush >= self.flush_seconds
+        if (
+            len(self._buffer) >= SEGMENT_RECORDS
+            or time.monotonic() - self._last_flush >= FLUSH_SECONDS
         ):
             self.flush()
 

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core import DeltaStudy
 from repro.core.coalesce import CoalesceConfig
+from repro.faults import AMPERE_CALIBRATION
+
+from tests.conftest import SCALE
 
 
 class TestDeltaStudy:
@@ -26,6 +29,13 @@ class TestDeltaStudy:
     def test_from_dataset_wires_window_and_nodes(self, dataset, study):
         assert study.window_hours == pytest.approx(dataset.window_seconds / 3600.0)
         assert study.n_nodes == dataset.reference_node_count
+
+    def test_from_dataset_window_equals_the_dataset_directory_window(self, study):
+        """``study`` in memory and ``study --dataset`` must report one
+        window, to the bit: at scale 0.02, ``window_seconds / 3600`` is one
+        ULP below ``window_days * 24 * scale``, enough to move a printed
+        Table-1 MTBE by one digit."""
+        assert study.window_hours == AMPERE_CALIBRATION.window_days * 24.0 * SCALE
 
     def test_custom_coalesce_config_respected(self, dataset):
         wide = DeltaStudy.from_dataset(

@@ -158,14 +158,31 @@ class TestAlarms:
 
 
 class TestCallbacksAndMemory:
-    def test_on_open_fires_once_per_run(self):
+    def test_onsets_are_runs_with_one_line(self):
+        streaming = StreamingCoalescer(window_seconds=5.0)
         opened = []
-        streaming = StreamingCoalescer(
-            window_seconds=5.0, on_open=lambda r: opened.append(r.time)
-        )
         for t in (0.0, 3.0, 100.0, 102.0):
-            streaming.feed(_record(t))
+            record = _record(t)
+            streaming.feed(record)
+            if streaming.run_of(record).n_raw == 1:
+                opened.append(t)
         assert opened == [0.0, 100.0]  # dup lines never re-open
+
+    def test_open_run_counts_the_early_window(self):
+        """Every line within the observation window counts, repeated
+        timestamps and late folds included; later lines do not."""
+        from repro.core.prediction import OBSERVE_SECONDS
+
+        streaming = StreamingCoalescer(window_seconds=5.0)
+        times = [0.0, 2.0, 2.0, 6.0, 4.0]  # t=4 arrives late
+        times += [6.0 + 4.0 * k for k in range(1, 100)]
+        for t in times:
+            streaming.feed(_record(t))
+        run = streaming.run_of(_record(0.0))
+        assert run.n_raw == len(times)
+        early = [t for t in times if t <= OBSERVE_SECONDS]
+        assert run.early_lines == len(early)
+        assert run.early_last == max(early)
 
     def test_on_close_receives_every_error_even_without_keep_closed(self):
         closed = []

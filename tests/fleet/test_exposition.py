@@ -18,7 +18,7 @@ def _record(t, node="gpua001", pci="0000:07:00", xid=95, msg="m"):
 
 
 def _populated_registry():
-    registry = HealthRegistry(window_seconds=5.0)
+    registry = HealthRegistry()
     registry.ingest(_record(0.0))
     registry.ingest(_record(100.0))
     registry.ingest(_record(50.0, pci="0000:46:00", xid=119))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.parsing import RawXidRecord
 from repro.core.streaming import PersistenceAlarm
+from repro.fleet.registry import HealthRegistry
 from repro.fleet.rules import (
     Action,
     AlertRule,
@@ -134,15 +135,6 @@ class TestAlarmRules:
         assert fired[0].details["open_persistence"] == 700.0
         assert sink.alerts == fired
 
-    def test_min_open_seconds_gate(self):
-        rule = AlertRule(
-            name="tail", description="", action=Action.PAGE_SRE,
-            on_alarm=True, min_open_seconds=1_000.0,
-        )
-        engine, _ = _engine(rule)
-        assert engine.observe_alarm(self._alarm(open_s=700.0)) == []
-        assert engine.observe_alarm(self._alarm(open_s=2_000.0)) != []
-
     def test_alarm_rule_can_filter_by_xid(self):
         rule = AlertRule(
             name="tail95", description="", action=Action.PAGE_SRE,
@@ -151,6 +143,25 @@ class TestAlarmRules:
         engine, _ = _engine(rule)
         assert engine.observe_alarm(self._alarm(xid=119)) == []
         assert engine.observe_alarm(self._alarm(xid=95)) != []
+
+
+class TestObserve:
+    def test_ingest_results_reach_onset_and_alarm_rules(self):
+        onset_rule = AlertRule(
+            name="onset", description="", action=Action.REPLACE_GPU,
+            xids=(95,), window_seconds=60.0,
+        )
+        alarm_rule = AlertRule(
+            name="tail", description="", action=Action.PAGE_SRE, on_alarm=True,
+        )
+        engine, sink = _engine(onset_rule, alarm_rule)
+        registry = HealthRegistry(alarm_after_seconds=8.0)
+        fired = [
+            engine.observe(registry.ingest(_record(t, xid=95)))
+            for t in (0.0, 4.0, 8.0)
+        ]
+        assert [[a.rule for a in alerts] for alerts in fired] == [["onset"], [], ["tail"]]
+        assert "gpu_risk_score" in sink.alerts[0].details
 
 
 class TestSinksAndCatalog:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.fleet import tailer as tailer_module
 from repro.fleet.tailer import DirectoryTailer, LogTailer
 from repro.util.timeutil import format_timestamp
 
@@ -86,18 +87,23 @@ class TestLogTailer:
         assert tailer.poll_lines() == []
 
 
+@pytest.fixture()
+def fast_poll(monkeypatch):
+    monkeypatch.setattr(tailer_module, "POLL_INTERVAL", 0.01)
+
+
 class TestDirectoryTailer:
     def test_requires_start_before_consuming(self, tmp_path):
         tailer = DirectoryTailer(tmp_path)
         with pytest.raises(RuntimeError):
             next(tailer.records())
 
-    def test_collects_existing_and_appended_lines(self, tmp_path):
+    def test_collects_existing_and_appended_lines(self, tmp_path, fast_poll):
         (tmp_path / "gpua001.log").write_text(
             "".join(_line(t, node="gpua001") + "\n" for t in (0.0, 5.0))
         )
         (tmp_path / "gpub001.log").write_text(_line(2.0, node="gpub001") + "\n")
-        tailer = DirectoryTailer(tmp_path, poll_interval=0.01).start()
+        tailer = DirectoryTailer(tmp_path).start()
 
         def _append_later():
             time.sleep(0.1)
@@ -115,8 +121,8 @@ class TestDirectoryTailer:
         assert gpua == sorted(gpua) == [0.0, 5.0, 9.0]
         assert tailer.stats().records_parsed == 4
 
-    def test_new_files_are_discovered_on_the_fly(self, tmp_path):
-        tailer = DirectoryTailer(tmp_path, poll_interval=0.01).start()
+    def test_new_files_are_discovered_on_the_fly(self, tmp_path, fast_poll):
+        tailer = DirectoryTailer(tmp_path).start()
 
         def _create_later():
             time.sleep(0.05)
@@ -128,13 +134,17 @@ class TestDirectoryTailer:
         records = list(tailer.records())
         assert [r.node_id for r in records] == ["late"]
 
-    def test_bounded_queue_backpressure_loses_nothing(self, tmp_path):
+    def test_bounded_queue_backpressure_loses_nothing(
+        self, tmp_path, fast_poll, monkeypatch
+    ):
         n = 500
         (tmp_path / "gpua001.log").write_text(
             "".join(_line(float(t)) + "\n" for t in range(n))
         )
         # Tiny queue: workers must block on put while the consumer drains.
-        tailer = DirectoryTailer(tmp_path, queue_size=8, poll_interval=0.01)
+        monkeypatch.setattr(tailer_module, "QUEUE_SIZE", 8)
+        tailer = DirectoryTailer(tmp_path)
+        assert tailer.queue.maxsize == 8
         tailer.start()
         time.sleep(0.05)
         assert tailer.queue_depth <= 8  # the memory bound, mid-flight
@@ -142,9 +152,3 @@ class TestDirectoryTailer:
         records = list(tailer.records())
         assert len(records) == n
         assert [r.time for r in records] == [float(t) for t in range(n)]
-
-    def test_invalid_config_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DirectoryTailer(tmp_path, queue_size=0)
-        with pytest.raises(ValueError):
-            DirectoryTailer(tmp_path, workers=0)

@@ -16,6 +16,7 @@ from repro.fleet import (
     LiveLogEmitter,
     MemorySink,
 )
+from repro.fleet import tailer as tailer_module
 from repro.fleet.demo import demo_counts, demo_trace
 
 SEED = 11
@@ -28,14 +29,13 @@ def live_session(tmp_path_factory):
     logs.mkdir()
     trace = demo_trace(seed=SEED)
     sink = MemorySink()
-    service = FleetHealthService(
-        FleetServiceConfig(
-            logs_dir=logs,
-            queue_size=256,  # small bound: exercises backpressure for real
-            alarm_after_seconds=600.0,
-        ),
-        sinks=[sink],
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # A small bound exercises backpressure for real.
+        patch.setattr(tailer_module, "QUEUE_SIZE", 256)
+        service = FleetHealthService(
+            FleetServiceConfig(logs_dir=logs, alarm_after_seconds=600.0),
+            sinks=[sink],
+        )
     service.start()
     emitter = LiveLogEmitter.from_trace(trace, logs, seed=SEED)
     emitter.start()

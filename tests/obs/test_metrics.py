@@ -9,6 +9,7 @@ from repro.fleet.exposition import render_prometheus
 from repro.fleet.registry import HealthRegistry
 from repro.obs import CounterSet
 from repro.store import EventStore, StoreWriter
+from repro.store import writer as writer_module
 
 
 def _record(t, node="gpua001", pci="0000:07:00", xid=95, msg="m"):
@@ -48,15 +49,16 @@ class TestCounterSet:
 
 
 class TestStoreWriterCounters:
-    def test_flush_feeds_the_counter_set(self, tmp_path):
+    def test_flush_feeds_the_counter_set(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(writer_module, "SEGMENT_RECORDS", 2)
         counters = CounterSet()
         store = EventStore.open_or_create(tmp_path / "events")
-        writer = StoreWriter(store, segment_records=2, counters=counters)
+        writer = StoreWriter(store, counters=counters)
         for i in range(5):
             writer.on_record(_record(float(i)))
         writer.close()
         values = counters.values()
-        # 5 records at segment_records=2: two full flushes + close.
+        # 5 records at 2 per segment: two full flushes + close.
         assert values["store.flushes"] == 3
         assert values["store.records_written"] == 5
         assert values["store.flush_seconds"] >= 0
@@ -65,7 +67,7 @@ class TestStoreWriterCounters:
 
     def test_writer_works_without_counters(self, tmp_path):
         store = EventStore.open_or_create(tmp_path / "events")
-        writer = StoreWriter(store, segment_records=10)
+        writer = StoreWriter(store)
         writer.on_record(_record(1.0))
         writer.close()
         assert writer.flushes == 1
@@ -74,21 +76,21 @@ class TestStoreWriterCounters:
 
 class TestExpositionSeries:
     def test_ingest_counter_prefers_the_counter_set(self):
-        registry = HealthRegistry(window_seconds=5.0)
+        registry = HealthRegistry()
         registry.ingest(_record(0.0))
         counters = {"fleet.records_ingested": 42.0}
         text = render_prometheus(registry, counters=counters)
         assert "repro_fleet_records_ingested_total 42" in text
 
     def test_ingest_counter_falls_back_to_registry_lines(self):
-        registry = HealthRegistry(window_seconds=5.0)
+        registry = HealthRegistry()
         registry.ingest(_record(0.0))
         registry.ingest(_record(100.0))
         text = render_prometheus(registry)
         assert "repro_fleet_records_ingested_total 2" in text
 
     def test_store_flush_series_rendered_when_present(self):
-        registry = HealthRegistry(window_seconds=5.0)
+        registry = HealthRegistry()
         counters = {
             "store.flushes": 3.0,
             "store.flush_seconds": 0.25,
@@ -101,6 +103,6 @@ class TestExpositionSeries:
         assert "repro_fleet_store_records_written_total 120" in text
 
     def test_store_series_absent_without_counters(self):
-        registry = HealthRegistry(window_seconds=5.0)
+        registry = HealthRegistry()
         text = render_prometheus(registry)
         assert "repro_fleet_store_flushes_total" not in text

@@ -9,6 +9,7 @@ from repro.core import DeltaStudy
 from repro.pipeline.extract import iter_source_records
 from repro.pipeline.sources import FileSetSource
 from repro.store import EventStore, Query, StoreSource, StoreWriter
+from repro.store import writer as writer_module
 
 
 @pytest.fixture(scope="module")
@@ -112,19 +113,21 @@ class TestStudyRoundTrip:
 
 class TestStoreWriter:
     def test_pipeline_consumer_persists_every_record(
-        self, logs_dir, tmp_path, pipeline_stream
+        self, logs_dir, tmp_path, pipeline_stream, monkeypatch
     ):
+        monkeypatch.setattr(writer_module, "SEGMENT_RECORDS", 600)
         store = EventStore.create(tmp_path / "events")
-        writer = StoreWriter(store, segment_records=600)
+        writer = StoreWriter(store)
         for record in iter_source_records(FileSetSource(logs_dir)):
             writer.on_record(record)
         writer.close()
         assert writer.records_written == len(pipeline_stream)
         assert list(store.query()) == pipeline_stream
 
-    def test_flush_on_close_loses_nothing(self, tmp_path, records):
+    def test_flush_on_close_loses_nothing(self, tmp_path, records, monkeypatch):
+        monkeypatch.setattr(writer_module, "FLUSH_SECONDS", float("inf"))
         store = EventStore.create(tmp_path / "events")
-        writer = StoreWriter(store, segment_records=1000)  # never auto-flushes
+        writer = StoreWriter(store)  # never auto-flushes
         for record in records:
             writer.on_record(record)
         assert store.n_records == 0
