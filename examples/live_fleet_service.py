@@ -102,7 +102,7 @@ def main() -> None:
         print(
             f"  {health.node_id}/{health.pci_bus}  "
             f"risk={health.risk_score:.3f}  onsets={health.total_onsets}  "
-            f"rate={health.error_rate_per_hour(3600.0):.1f}/h"
+            f"rate={health.error_rate_per_hour():.1f}/h"
         )
 
     print("\nalerts by recommended action:")

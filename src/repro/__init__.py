@@ -14,8 +14,8 @@ Quickstart::
 
     dataset = synthesize_delta(scale=0.05, seed=7)
     study = DeltaStudy.from_dataset(dataset)
-    report = study.run()
-    print(report.statistics.overall_mtbe_node_hours())
+    stats = study.error_statistics()
+    print(stats.overall_mtbe_node_hours())
 
 The package re-exports only the four entry points the examples start from;
 every other name is imported from the module that defines it.

@@ -56,7 +56,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         span.add("pipeline.errors", n_errors)
     print(
         f"stream complete: {n_errors:,} coalesced errors, "
-        f"{len(coalescer.alarms)} persistence alarms"
+        f"{coalescer.alarm_count} persistence alarms"
     )
     return 0
 

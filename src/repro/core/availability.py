@@ -16,6 +16,9 @@ import numpy as np
 from repro.core.mtbe import ErrorStatistics
 from repro.slurm.accounting import NodeEvent
 
+#: Percentiles of the repair-time distribution that Figure 9c reports.
+UNAVAILABILITY_PERCENTILES = (50, 90, 95, 99)
+
 
 @dataclass(frozen=True)
 class AvailabilityReport:
@@ -74,18 +77,16 @@ class AvailabilityAnalyzer:
     # Figure 9c
     # ------------------------------------------------------------------
 
-    def unavailability_distribution(
-        self, percentiles: Sequence[float] = (50, 90, 95, 99)
-    ) -> Dict[str, float]:
+    def unavailability_distribution(self) -> Dict[str, float]:
         """Summary of the node-unavailability duration distribution."""
         if self._durations.size == 0:
             return {"mean_hours": 0.0, "max_hours": 0.0} | {
-                f"p{int(p)}_hours": 0.0 for p in percentiles
+                f"p{p}_hours": 0.0 for p in UNAVAILABILITY_PERCENTILES
             }
         out = {
             "mean_hours": float(self._durations.mean()),
             "max_hours": float(self._durations.max()),
         }
-        for p in percentiles:
-            out[f"p{int(p)}_hours"] = float(np.percentile(self._durations, p))
+        for p in UNAVAILABILITY_PERCENTILES:
+            out[f"p{p}_hours"] = float(np.percentile(self._durations, p))
         return out

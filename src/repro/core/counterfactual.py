@@ -61,22 +61,18 @@ class CounterfactualReport:
 #: Peripheral-hardware codes excluded in the second scenario.
 HARDWARE_EXCLUSION = (Xid.GSP, Xid.PMU_SPI, Xid.NVLINK)
 
+#: Top offenders per code: GPUs above this share of the code's errors, at
+#: most this many per code (see :meth:`CounterfactualAnalyzer.offender_gpus`).
+OFFENDER_SHARE_THRESHOLD = 0.02
+MAX_OFFENDERS_PER_XID = 8
+
 
 class CounterfactualAnalyzer:
     """What-if MTBE/availability under offender and hardware exclusions."""
 
-    def __init__(
-        self,
-        stats: ErrorStatistics,
-        mttr_hours: float,
-        *,
-        offender_share_threshold: float = 0.02,
-        max_offenders_per_xid: int = 8,
-    ) -> None:
+    def __init__(self, stats: ErrorStatistics, mttr_hours: float) -> None:
         self.stats = stats
         self.mttr_hours = mttr_hours
-        self.offender_share_threshold = offender_share_threshold
-        self.max_offenders_per_xid = max_offenders_per_xid
 
     # ------------------------------------------------------------------
 
@@ -84,8 +80,8 @@ class CounterfactualAnalyzer:
         """GPUs contributing an outsized share of any single code's errors.
 
         For each code, GPUs are taken in decreasing contribution order while
-        each still holds more than ``offender_share_threshold`` of that
-        code's total, up to ``max_offenders_per_xid`` — the paper's
+        each still holds more than ``OFFENDER_SHARE_THRESHOLD`` of that
+        code's total, up to ``MAX_OFFENDERS_PER_XID`` — the paper's
         "top-offending GPUs for each GPU error".
         """
         offenders: List[Tuple[str, str]] = []
@@ -93,8 +89,8 @@ class CounterfactualAnalyzer:
             total = self.stats.count(xid)
             if total == 0:
                 continue
-            for gpu, count in self.stats.top_offenders(xid, self.max_offenders_per_xid):
-                if count / total > self.offender_share_threshold and count > 1:
+            for gpu, count in self.stats.top_offenders(xid, MAX_OFFENDERS_PER_XID):
+                if count / total > OFFENDER_SHARE_THRESHOLD and count > 1:
                     offenders.append(gpu)
         return sorted(set(offenders))
 

@@ -17,27 +17,20 @@ Joins the Slurm accounting database against coalesced GPU errors:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.coalesce import CoalescedError
-from repro.faults.xid import XID_CATALOG, Xid
+from repro.faults.xid import is_studied
 from repro.slurm.accounting import SlurmDatabase
-from repro.slurm.job import GpuKey, JobRecord
+from repro.slurm.job import GpuKey
 from repro.slurm.workload import SIZE_BUCKETS, classify_ml
 
 #: The paper's attribution window: an error within this many seconds before
 #: a job's failure is considered responsible.
 ATTRIBUTION_WINDOW = 20.0
-
-_KNOWN = {int(x) for x in Xid}
-
-
-def _studied(xid: int) -> bool:
-    return xid in _KNOWN and XID_CATALOG[Xid(xid)].studied
 
 
 @dataclass(frozen=True)
@@ -75,48 +68,78 @@ class ElapsedHistogram:
 
 
 class JobImpactAnalyzer:
-    """Correlate GPU errors with user jobs."""
+    """Correlate GPU errors with user jobs.
 
-    def __init__(
-        self,
-        database: SlurmDatabase,
-        errors: Sequence[CoalescedError],
-        attribution_window: float = ATTRIBUTION_WINDOW,
-    ) -> None:
+    The (job, GPU) join runs once, at construction: for each GPU with
+    studied errors, ``searchsorted`` finds the errors in all its jobs'
+    runtimes ``[start, end]`` and attribution windows
+    ``[end - ATTRIBUTION_WINDOW, end]`` at once (both ends inclusive; a
+    window may reach back before its job's start).  Every table and
+    figure reads that one result.
+    """
+
+    def __init__(self, database: SlurmDatabase, errors: Sequence[CoalescedError]) -> None:
         self.database = database
-        self.attribution_window = attribution_window
-        self.errors = [e for e in errors if _studied(e.xid)]
-        # Per-GPU time index over errors for range queries.
-        self._gpu_times: Dict[GpuKey, np.ndarray] = {}
-        self._gpu_xids: Dict[GpuKey, np.ndarray] = {}
+        jobs = database.jobs
         per_gpu: Dict[GpuKey, List[Tuple[float, int]]] = {}
-        for error in self.errors:
-            per_gpu.setdefault(error.gpu_key, []).append((error.time, error.xid))
-        for gpu, pairs in per_gpu.items():
-            pairs.sort()
-            self._gpu_times[gpu] = np.array([t for t, _ in pairs])
-            self._gpu_xids[gpu] = np.array([x for _, x in pairs], dtype=np.int64)
-        self._classified: Optional[Dict[int, Tuple[bool, Tuple[int, ...]]]] = None
+        for error in errors:
+            if is_studied(error.xid):
+                per_gpu.setdefault(error.gpu_key, []).append((error.time, error.xid))
+        # (job, GPU) pairs on GPUs with errors, numbered in job order and,
+        # within a job, in allocation order.
+        pair_job: List[int] = []
+        pairs_on: Dict[GpuKey, List[int]] = {gpu: [] for gpu in per_gpu}
+        for index, job in enumerate(jobs):
+            for gpu in job.gpus:
+                pairs = pairs_on.get(gpu)
+                if pairs is not None:
+                    pairs.append(len(pair_job))
+                    pair_job.append(index)
+        starts = np.array([j.start_time for j in jobs], dtype=float)
+        ends = np.array([j.end_time for j in jobs], dtype=float)
+        self._elapsed = np.array([j.elapsed_minutes for j in jobs], dtype=float)
+        self._succeeded = np.array([j.succeeded for j in jobs], dtype=bool)
 
-    # ------------------------------------------------------------------
-    # Core joins
-    # ------------------------------------------------------------------
-
-    def errors_on_job(
-        self, job: JobRecord, start: float | None = None, end: float | None = None
-    ) -> List[int]:
-        """XIDs of errors on the job's allocation within [start, end]."""
-        lo = job.start_time if start is None else start
-        hi = job.end_time if end is None else end
-        found: List[int] = []
-        for gpu in job.gpus:
-            times = self._gpu_times.get(gpu)
-            if times is None:
+        owner = np.array(pair_job, dtype=np.int64)
+        lo = np.zeros(owner.size, dtype=np.int64)
+        hi = np.zeros(owner.size, dtype=np.int64)
+        window_lo = np.zeros(owner.size, dtype=np.int64)
+        xid_parts: List[np.ndarray] = []
+        offset = 0
+        for gpu, pairs in pairs_on.items():
+            if not pairs:
                 continue
-            left = int(np.searchsorted(times, lo, side="left"))
-            right = int(np.searchsorted(times, hi, side="right"))
-            found.extend(int(x) for x in self._gpu_xids[gpu][left:right])
-        return found
+            events = sorted(per_gpu[gpu])
+            times = np.array([t for t, _ in events])
+            xid_parts.append(np.array([x for _, x in events], dtype=np.int64))
+            at = np.array(pairs, dtype=np.int64)
+            job_index = owner[at]
+            lo[at] = offset + np.searchsorted(times, starts[job_index], side="left")
+            hi[at] = offset + np.searchsorted(times, ends[job_index], side="right")
+            window_lo[at] = offset + np.searchsorted(
+                times, ends[job_index] - ATTRIBUTION_WINDOW, side="left"
+            )
+            offset += len(events)
+        xids = np.concatenate(xid_parts) if xid_parts else np.zeros(0, dtype=np.int64)
+
+        runtime = np.maximum(hi - lo, 0)
+        self._n_errors = np.bincount(owner, weights=runtime, minlength=len(jobs))
+        #: Per job with runtime errors: their XIDs, allocation order then time.
+        self._seen: Dict[int, List[int]] = {}
+        for p in np.flatnonzero(runtime).tolist():
+            self._seen.setdefault(pair_job[p], []).extend(xids[lo[p]:hi[p]].tolist())
+        blamed: Dict[int, List[int]] = {}
+        in_window = (hi > window_lo) & ~self._succeeded[owner]
+        for p in np.flatnonzero(in_window).tolist():
+            blamed.setdefault(pair_job[p], []).extend(xids[window_lo[p]:hi[p]].tolist())
+        #: Per GPU-failed job, in job order: its responsible XIDs, sorted.
+        self._responsible = {i: tuple(sorted(set(x))) for i, x in blamed.items()}
+        self._failed = np.zeros(len(jobs), dtype=bool)
+        self._failed[owner[in_window]] = True
+
+    # ------------------------------------------------------------------
+    # Classification and Table 2
+    # ------------------------------------------------------------------
 
     def classify_jobs(self) -> Dict[int, Tuple[bool, Tuple[int, ...]]]:
         """Per job: (is GPU-failed, responsible XIDs).
@@ -125,82 +148,65 @@ class JobImpactAnalyzer:
         error hit its allocation within the attribution window before its
         end; the responsible set is every code in that window.
         """
-        if self._classified is not None:
-            return self._classified
-        out: Dict[int, Tuple[bool, Tuple[int, ...]]] = {}
-        for job in self.database.jobs:
-            if job.succeeded:
-                out[job.job_id] = (False, ())
-                continue
-            responsible = self.errors_on_job(
-                job, start=job.end_time - self.attribution_window, end=job.end_time
-            )
-            out[job.job_id] = (bool(responsible), tuple(sorted(set(responsible))))
-        self._classified = out
-        return out
-
-    def gpu_failed_jobs(self) -> List[JobRecord]:
-        classified = self.classify_jobs()
-        return [j for j in self.database.jobs if classified[j.job_id][0]]
-
-    # ------------------------------------------------------------------
-    # Table 2
-    # ------------------------------------------------------------------
+        return {
+            job.job_id: (index in self._responsible, self._responsible.get(index, ()))
+            for index, job in enumerate(self.database.jobs)
+        }
 
     def table2(self) -> List[Table2Row]:
-        classified = self.classify_jobs()
+        jobs = self.database.jobs
         encountering: Dict[int, Set[int]] = {}
         failed: Dict[int, Set[int]] = {}
-        for job in self.database.jobs:
-            xids_seen = set(self.errors_on_job(job))
-            for xid in xids_seen:
-                encountering.setdefault(xid, set()).add(job.job_id)
-            is_failed, responsible = classified[job.job_id]
-            if is_failed:
-                for xid in responsible:
-                    failed.setdefault(xid, set()).add(job.job_id)
-                    # A job can fail on an error arriving in its final
-                    # seconds that the runtime join above also counts; make
-                    # sure the denominator includes every failing job.
-                    encountering.setdefault(xid, set()).add(job.job_id)
+        for index in sorted(self._seen.keys() | self._responsible.keys()):
+            job_id = jobs[index].job_id
+            for xid in set(self._seen.get(index, ())):
+                encountering.setdefault(xid, set()).add(job_id)
+            for xid in self._responsible.get(index, ()):
+                failed.setdefault(xid, set()).add(job_id)
+                # A job can fail on an error arriving in the window before
+                # its start, which the runtime join above misses; make sure
+                # the denominator includes every failing job.
+                encountering.setdefault(xid, set()).add(job_id)
         rows = [
             Table2Row(
                 xid=xid,
                 gpu_failed_jobs=len(failed.get(xid, set())),
-                jobs_encountering=len(jobs),
+                jobs_encountering=len(job_ids),
             )
-            for xid, jobs in encountering.items()
+            for xid, job_ids in encountering.items()
         ]
         rows.sort(key=lambda r: r.gpu_failed_jobs, reverse=True)
         return rows
 
     def total_gpu_failed(self) -> int:
-        return len(self.gpu_failed_jobs())
+        return len(self._responsible)
 
     # ------------------------------------------------------------------
     # Table 3
     # ------------------------------------------------------------------
 
     def table3(self) -> List[Table3Row]:
-        total = len(self.database.jobs) or 1
+        jobs = self.database.jobs
+        total = len(jobs) or 1
+        is_ml = [classify_ml(j.name) for j in jobs]
+        n_gpus = np.array([j.n_gpus for j in jobs], dtype=np.int64)
         rows: List[Table3Row] = []
         for bucket in SIZE_BUCKETS:
-            jobs = [
-                j
-                for j in self.database.jobs
-                if bucket.min_gpus <= j.n_gpus <= bucket.max_gpus
-            ]
-            if not jobs:
+            members = np.flatnonzero(
+                (n_gpus >= bucket.min_gpus) & (n_gpus <= bucket.max_gpus)
+            )
+            if not members.size:
                 rows.append(Table3Row(bucket.label, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            elapsed = np.array([j.elapsed_minutes for j in jobs])
-            ml_hours = sum(j.gpu_hours for j in jobs if classify_ml(j.name))
-            non_ml_hours = sum(j.gpu_hours for j in jobs if not classify_ml(j.name))
+            elapsed = self._elapsed[members]
+            in_bucket = members.tolist()
+            ml_hours = sum(jobs[i].gpu_hours for i in in_bucket if is_ml[i])
+            non_ml_hours = sum(jobs[i].gpu_hours for i in in_bucket if not is_ml[i])
             rows.append(
                 Table3Row(
                     label=bucket.label,
-                    count=len(jobs),
-                    share=len(jobs) / total,
+                    count=int(members.size),
+                    share=int(members.size) / total,
                     mean_minutes=float(elapsed.mean()),
                     p50_minutes=float(np.percentile(elapsed, 50)),
                     p99_minutes=float(np.percentile(elapsed, 99)),
@@ -220,18 +226,9 @@ class JobImpactAnalyzer:
     def elapsed_histogram(
         self, edges_minutes: Sequence[float] = (0, 10, 60, 240, 1000, 2000, 4000, 8000)
     ) -> ElapsedHistogram:
-        classified = self.classify_jobs()
-        completed_elapsed = [
-            j.elapsed_minutes for j in self.database.jobs if j.succeeded
-        ]
-        failed_elapsed = [
-            j.elapsed_minutes
-            for j in self.database.jobs
-            if classified[j.job_id][0]
-        ]
         edges = np.asarray(edges_minutes, dtype=float)
-        completed, _ = np.histogram(completed_elapsed, bins=edges)
-        failed, _ = np.histogram(failed_elapsed, bins=edges)
+        completed, _ = np.histogram(self._elapsed[self._succeeded], bins=edges)
+        failed, _ = np.histogram(self._elapsed[self._failed], bins=edges)
         return ElapsedHistogram(
             edges_minutes=tuple(edges),
             completed=tuple(int(c) for c in completed),
@@ -240,33 +237,28 @@ class JobImpactAnalyzer:
 
     def lost_node_hours(self) -> float:
         """Node-hours of work wasted in GPU-failed jobs (paper: ~7,500)."""
-        return sum(j.node_hours for j in self.gpu_failed_jobs())
+        jobs = self.database.jobs
+        return sum(jobs[i].node_hours for i in self._responsible)
 
     def errors_vs_duration(
         self, edges_minutes: Sequence[float] = (0, 60, 500, 1000, 2000, 4000, 90000)
     ) -> Dict[str, List[Tuple[float, float]]]:
         """Figure 9b: mean errors encountered per duration bin, for
-        completed and GPU-failed jobs."""
-        classified = self.classify_jobs()
+        completed and GPU-failed jobs (non-GPU failures are out of scope)."""
         edges = list(edges_minutes)
-        sums = {"completed": [0.0] * (len(edges) - 1), "gpu_failed": [0.0] * (len(edges) - 1)}
-        counts = {"completed": [0] * (len(edges) - 1), "gpu_failed": [0] * (len(edges) - 1)}
-        for job in self.database.jobs:
-            is_failed = classified[job.job_id][0]
-            if not is_failed and not job.succeeded:
-                continue  # non-GPU failures are out of scope for this figure
-            key = "gpu_failed" if is_failed else "completed"
-            n_errors = len(self.errors_on_job(job))
-            b = bisect_right(edges, job.elapsed_minutes) - 1
-            if 0 <= b < len(edges) - 1:
-                sums[key][b] += n_errors
-                counts[key][b] += 1
+        n_bins = len(edges) - 1
+        bins = np.searchsorted(np.asarray(edges, dtype=float), self._elapsed, side="right") - 1
+        in_range = (bins >= 0) & (bins < n_bins)
         out: Dict[str, List[Tuple[float, float]]] = {}
-        for key in ("completed", "gpu_failed"):
-            series = []
-            for b in range(len(edges) - 1):
-                mid = (edges[b] + edges[b + 1]) / 2.0
-                mean = sums[key][b] / counts[key][b] if counts[key][b] else 0.0
-                series.append((mid, mean))
-            out[key] = series
+        for key, members in (("completed", self._succeeded), ("gpu_failed", self._failed)):
+            chosen = members & in_range
+            counts = np.bincount(bins[chosen], minlength=n_bins)
+            sums = np.bincount(bins[chosen], weights=self._n_errors[chosen], minlength=n_bins)
+            out[key] = [
+                (
+                    (edges[b] + edges[b + 1]) / 2.0,
+                    float(sums[b]) / int(counts[b]) if counts[b] else 0.0,
+                )
+                for b in range(n_bins)
+            ]
         return out

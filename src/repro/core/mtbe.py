@@ -16,11 +16,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.coalesce import CoalescedError
-from repro.faults.xid import HARDWARE_MTBE_XIDS, MEMORY_MTBE_XIDS, XID_CATALOG, Xid
+from repro.faults.xid import HARDWARE_MTBE_XIDS, MEMORY_MTBE_XIDS, is_studied
 from repro.util.stats import DurationSummary, summarize_durations
 from repro.util.validation import check_positive
-
-_KNOWN_XIDS = {int(x) for x in Xid}
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,7 @@ class ErrorStatistics:
         self.excluded_count = 0
         self.errors: List[CoalescedError] = []
         for error in errors:
-            info = XID_CATALOG.get(Xid(error.xid)) if error.xid in _KNOWN_XIDS else None
-            if info is not None and not info.studied:
+            if not is_studied(error.xid):
                 self.excluded_count += 1
                 continue
             self.errors.append(error)

@@ -8,8 +8,9 @@ ground truth, so paper-vs-measured comparisons are genuine inferences.
 
 from __future__ import annotations
 
+from functools import wraps
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, TypeVar, Union
 
 from repro.core.availability import AvailabilityAnalyzer
 from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors
@@ -23,6 +24,22 @@ from repro.slurm.accounting import SlurmDatabase
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.sources import Source
+
+_Analyzer = TypeVar("_Analyzer")
+
+
+def _built_once(
+    build: Callable[["DeltaStudy"], _Analyzer]
+) -> Callable[["DeltaStudy"], _Analyzer]:
+    """Make ``build`` run once per study; later calls return its object."""
+
+    @wraps(build)
+    def analyzer(study: "DeltaStudy") -> _Analyzer:
+        if build.__name__ not in study._analyzers:
+            study._analyzers[build.__name__] = build(study)
+        return study._analyzers[build.__name__]  # type: ignore[return-value]
+
+    return analyzer
 
 
 class DeltaStudy:
@@ -39,7 +56,8 @@ class DeltaStudy:
     straight to batch Algorithm 1
     (:func:`~repro.core.coalesce.coalesce_errors`); the
     :class:`~repro.core.streaming.StreamingCoalescer` it matches serves
-    the live paths.
+    the live paths.  Each Stage-III analyzer is built on first use, and
+    every later call returns that same object.
     """
 
     def __init__(
@@ -51,7 +69,6 @@ class DeltaStudy:
         n_gpus: Optional[int] = None,
         slurm_db: SlurmDatabase | None = None,
         coalesce_config: CoalesceConfig | None = None,
-        propagation_window: float = 60.0,
         workers: int = 1,
     ) -> None:
         from repro.pipeline.sources import LinesSource, Source
@@ -63,7 +80,6 @@ class DeltaStudy:
         self.n_gpus = n_gpus
         self.slurm_db = slurm_db
         self.coalesce_config = coalesce_config or CoalesceConfig()
-        self.propagation_window = propagation_window
         self.workers = workers
         if isinstance(log_lines, Source):
             self.source: Source = log_lines
@@ -74,6 +90,7 @@ class DeltaStudy:
         self.dataset_label: Optional[str] = None
         self._records: Optional[XidBatch] = None
         self._errors: Optional[List[CoalescedError]] = None
+        self._analyzers: Dict[str, object] = {}
 
     @classmethod
     def from_dataset(cls, dataset, **kwargs) -> "DeltaStudy":
@@ -231,27 +248,33 @@ class DeltaStudy:
                 span.add("pipeline.errors", len(self._errors))
         return self._errors
 
+    @_built_once
     def error_statistics(self) -> ErrorStatistics:
         return ErrorStatistics(self.errors, self.window_hours, self.n_nodes)
 
+    @_built_once
     def persistence(self) -> PersistenceAnalyzer:
         stats = self.error_statistics()
         return PersistenceAnalyzer(stats.errors)
 
+    @_built_once
     def propagation(self) -> PropagationAnalyzer:
         stats = self.error_statistics()
-        return PropagationAnalyzer(stats.errors, window=self.propagation_window)
+        return PropagationAnalyzer(stats.errors)
 
+    @_built_once
     def job_impact(self) -> JobImpactAnalyzer:
         if self.slurm_db is None:
             raise ValueError("job impact analysis requires a Slurm database")
         return JobImpactAnalyzer(self.slurm_db, self.errors)
 
+    @_built_once
     def availability(self) -> AvailabilityAnalyzer:
         if self.slurm_db is None:
             raise ValueError("availability analysis requires node events")
         return AvailabilityAnalyzer(self.slurm_db.node_events, self.error_statistics())
 
+    @_built_once
     def counterfactual(self) -> CounterfactualAnalyzer:
         mttr = (
             self.availability().mttr_hours() if self.slurm_db is not None else 0.3

@@ -24,10 +24,10 @@ import numpy as np
 from repro.core.coalesce import CoalescedError
 from repro.faults.xid import Xid
 
-#: Default propagation window.  Must exceed the 5-second coalescing window
-#: (identical messages within that window were already merged) and cover the
-#: same-code recurrence delays seen in the data.
-DEFAULT_PROPAGATION_WINDOW = 60.0
+#: Propagation window in seconds.  Must exceed the 5-second coalescing
+#: window (identical messages within that window were already merged) and
+#: cover the same-code recurrence delays seen in the data.
+PROPAGATION_WINDOW = 60.0
 
 Edge = Tuple[int, int]  # (source xid, target xid)
 
@@ -109,14 +109,7 @@ class NVLinkInvolvement:
 class PropagationAnalyzer:
     """Estimate propagation statistics from coalesced errors."""
 
-    def __init__(
-        self,
-        errors: Sequence[CoalescedError],
-        window: float = DEFAULT_PROPAGATION_WINDOW,
-    ) -> None:
-        if window <= 0:
-            raise ValueError("propagation window must be positive")
-        self.window = window
+    def __init__(self, errors: Sequence[CoalescedError]) -> None:
         self.errors = sorted(errors, key=lambda e: e.time)
         self._by_gpu: Dict[Tuple[str, str], List[CoalescedError]] = {}
         self._by_node: Dict[str, List[CoalescedError]] = {}
@@ -127,7 +120,7 @@ class PropagationAnalyzer:
     # ------------------------------------------------------------------
 
     def analyze(self) -> PropagationGraph:
-        graph = PropagationGraph(window=self.window)
+        graph = PropagationGraph(window=PROPAGATION_WINDOW)
         for error in self.errors:
             graph.source_counts[error.xid] = graph.source_counts.get(error.xid, 0) + 1
 
@@ -141,9 +134,9 @@ class PropagationAnalyzer:
                 if i + 1 < len(gpu_errors):
                     successor = gpu_errors[i + 1]
                     gap = successor.time - error.end_time
-                    if 0.0 <= gap <= self.window or (
+                    if 0.0 <= gap <= PROPAGATION_WINDOW or (
                         successor.time - error.time
-                    ) <= self.window:
+                    ) <= PROPAGATION_WINDOW:
                         edge = (error.xid, successor.xid)
                         stats = graph.intra_edges.setdefault(edge, EdgeStats())
                         stats.count += 1
@@ -154,7 +147,7 @@ class PropagationAnalyzer:
                 )
             # Isolation: no predecessor within the window.
             for i, error in enumerate(gpu_errors):
-                if i == 0 or (error.time - gpu_errors[i - 1].end_time) > self.window:
+                if i == 0 or (error.time - gpu_errors[i - 1].end_time) > PROPAGATION_WINDOW:
                     graph.isolated_counts[error.xid] = (
                         graph.isolated_counts.get(error.xid, 0) + 1
                     )
@@ -169,7 +162,7 @@ class PropagationAnalyzer:
             for i, error in enumerate(node_errors):
                 for j in range(i + 1, n):
                     other = node_errors[j]
-                    if other.time - error.time > self.window:
+                    if other.time - error.time > PROPAGATION_WINDOW:
                         break
                     if other.gpu_key == error.gpu_key:
                         continue
@@ -181,14 +174,13 @@ class PropagationAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def nvlink_involvement(self, incident_window: float | None = None) -> NVLinkInvolvement:
+    def nvlink_involvement(self) -> NVLinkInvolvement:
         """Cluster NVLink errors per node and count involved GPUs.
 
-        Errors on one node whose inter-arrival gaps stay within the window
-        form one incident; an incident's involvement is its number of
-        distinct GPUs.
+        Errors on one node whose inter-arrival gaps stay within the
+        propagation window form one incident; an incident's involvement is
+        its number of distinct GPUs.
         """
-        window = incident_window if incident_window is not None else self.window
         multi = 0
         four_plus = 0
         all8 = 0
@@ -202,7 +194,7 @@ class PropagationAnalyzer:
             last_time: Optional[float] = None
             for error in nvlink + [None]:  # type: ignore[list-item]
                 if error is not None and (
-                    last_time is None or error.time - last_time <= window
+                    last_time is None or error.time - last_time <= PROPAGATION_WINDOW
                 ):
                     cluster.append(error)
                     last_time = error.time

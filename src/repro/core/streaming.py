@@ -84,7 +84,8 @@ class StreamingCoalescer:
     ``self.closed`` (batch-equivalence workflows read it back via
     :meth:`flush`).  A long-running service should pass
     ``keep_closed=False`` and receive closed errors through the
-    ``on_close`` callback instead, keeping memory O(open runs).
+    ``on_close`` callback instead, keeping memory O(open runs).  Alarms
+    are handed back by :meth:`feed` and only counted (``alarm_count``).
 
     ``on_close(error)`` fires whenever a run closes (including during
     :meth:`flush`).  A record started a new run exactly when
@@ -112,7 +113,7 @@ class StreamingCoalescer:
         self.time_regression = time_regression
         self.on_close = on_close
         self._open: Dict[GroupKey, OpenRun] = {}
-        self.alarms: List[PersistenceAlarm] = []
+        self.alarm_count = 0
         self.closed: List[CoalescedError] = []
 
     # ------------------------------------------------------------------
@@ -174,7 +175,7 @@ class StreamingCoalescer:
                 open_persistence=run.latest - run.start,
                 n_raw=run.n_raw,
             )
-            self.alarms.append(alarm)
+            self.alarm_count += 1
             return alarm
         return None
 

@@ -308,7 +308,7 @@ def _pipeline_parity(ctx: ExperimentContext) -> ExperimentResult:
                 float(stats["streaming"].overall_mtbe_node_hours())),
         _metric("sequences_identical", bool(identical),
                 "pipeline.parity.sequences_identical"),
-        _metric("streaming_alarms", len(coalescer.alarms)),
+        _metric("streaming_alarms", coalescer.alarm_count),
     )
     return ExperimentResult(
         experiment_id="pipeline.parity",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 
 class Xid(enum.IntEnum):
@@ -192,6 +192,11 @@ HARDWARE_MTBE_XIDS: Tuple[Xid, ...] = (
 )
 
 
-def studied(xids: Iterable[int]) -> Tuple[Xid, ...]:
-    """Filter arbitrary codes down to the studied subset, preserving order."""
-    return tuple(Xid(x) for x in xids if Xid(x) in XID_CATALOG and XID_CATALOG[Xid(x)].studied)
+def is_studied(xid: int) -> bool:
+    """Whether Stage III counts errors of this code.
+
+    Every code counts except those the catalog marks unstudied (the
+    user-induced XID 13 and 43); a code outside the catalog counts.
+    """
+    info = XID_CATALOG.get(xid)
+    return info is None or info.studied

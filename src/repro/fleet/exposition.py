@@ -149,11 +149,11 @@ def render_prometheus(
         [
             (
                 {"node": h.node_id, "pci_bus": h.pci_bus},
-                h.error_rate_per_hour(RATE_WINDOW_SECONDS),
+                h.error_rate_per_hour(),
             )
             for h in sorted(
                 snapshot,
-                key=lambda h: h.error_rate_per_hour(RATE_WINDOW_SECONDS),
+                key=lambda h: h.error_rate_per_hour(),
                 reverse=True,
             )[:RISK_TOP_K]
             if h.recent

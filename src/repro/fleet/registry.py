@@ -52,11 +52,9 @@ class GpuHealth:
     def total_onsets(self) -> int:
         return sum(self.onsets.values())
 
-    def error_rate_per_hour(self, window_seconds: float) -> float:
-        """Onsets per hour over the rolling window (as currently pruned)."""
-        if window_seconds <= 0:
-            return 0.0
-        return len(self.recent) * 3600.0 / window_seconds
+    def error_rate_per_hour(self) -> float:
+        """Onsets per hour over the rolling window ``recent`` is pruned to."""
+        return len(self.recent) * 3600.0 / RATE_WINDOW_SECONDS
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ class HealthRegistry:
         return totals
 
     def persistence_alarms(self) -> int:
-        return len(self._coalescer.alarms)
+        return self._coalescer.alarm_count
 
     def ingest_age_seconds(self) -> Optional[float]:
         """Wall seconds since the last ingested record (feed staleness).

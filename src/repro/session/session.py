@@ -233,7 +233,6 @@ class Session:
             n_gpus=study.n_gpus,
             slurm_db=study.slurm_db,
             coalesce_config=study.coalesce_config,
-            propagation_window=study.propagation_window,
         )
         if study.store_hash is not None:
             portable = DeltaStudy(study.source, **provenance)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.faults.calibration import CalibrationProfile
 from repro.faults.events import ErrorEvent, FaultTrace
-from repro.faults.xid import XID_CATALOG, Xid
+from repro.faults.xid import Xid, is_studied
 from repro.slurm.accounting import NodeEvent
 from repro.slurm.job import ExitCode, JobRecord, JobSpec, JobState
 from repro.slurm.scheduler import Schedule
@@ -118,8 +118,7 @@ class FailureCoupler:
             if job_id is None:
                 continue
             xid = event.xid
-            info = XID_CATALOG.get(xid)
-            if info is None or not info.studied:
+            if not is_studied(xid):
                 continue  # user-induced codes don't enter Table 2
             truth_encounters.setdefault(xid, set()).add(job_id)
             key = (job_id, xid)
@@ -316,8 +315,7 @@ class FailureCoupler:
         merge_window = self.profile.repair.incident_merge_window
         per_node: Dict[str, List[ErrorEvent]] = {}
         for event in trace.events:
-            info = XID_CATALOG.get(event.xid)
-            if info is None or not info.studied:
+            if not is_studied(event.xid):
                 continue
             per_node.setdefault(event.node_id, []).append(event)
 

@@ -73,15 +73,7 @@ class OccupancyIndex:
         if starts is None or starts.size == 0:
             return None
         index = int(np.searchsorted(starts, time, side="right")) - 1
-        return self._job_at_index(gpu, time, index)
-
-    #: Alias kept for call sites that emphasize the hot path.
-    job_at_fast = job_at
-
-    def _job_at_index(self, gpu: GpuKey, time: float, index: int) -> Optional[int]:
-        if index < 0:
-            return None
-        if time < float(self._ends[gpu][index]):
+        if index >= 0 and time < float(self._ends[gpu][index]):
             return int(self._job_ids[gpu][index])
         return None
 
@@ -135,7 +127,7 @@ class OccupancyIndex:
             attempts += 1
             gpu = pool[int(rng.integers(0, len(pool)))]
             t = float(rng.uniform(0.0, self.window_seconds))
-            if self.job_at_fast(gpu, t) is None:
+            if self.job_at(gpu, t) is None:
                 gpus.append(gpu)
                 times.append(t)
         # Pathologically full schedules: fall back to busy placement rather

@@ -1,12 +1,25 @@
 """Job-impact analysis: classification, Table 2, Table 3, Figure 9a/9b."""
 
+from bisect import bisect_right
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.coalesce import CoalescedError
-from repro.core.jobimpact import ATTRIBUTION_WINDOW, JobImpactAnalyzer
-from repro.faults.xid import Xid
+from repro.core.jobimpact import (
+    ATTRIBUTION_WINDOW,
+    ElapsedHistogram,
+    JobImpactAnalyzer,
+    Table2Row,
+    Table3Row,
+)
+from repro.core.mtbe import ErrorStatistics
+from repro.faults.xid import Xid, is_studied
 from repro.slurm.accounting import SlurmDatabase
 from repro.slurm.job import JobRecord, JobState
+from repro.slurm.workload import SIZE_BUCKETS, classify_ml
 
 
 def _job(job_id, start, end, state=JobState.COMPLETED, exit_code=0, gpus=None,
@@ -71,6 +84,14 @@ class TestClassification:
         errors = [_error(995.0, Xid.GENERAL_SW)]
         analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
         assert analyzer.classify_jobs()[1][0] is False
+
+    def test_code_outside_the_catalog_counts_in_tables_1_and_2(self):
+        jobs = [_job(1, 0.0, 1_000.0, state=JobState.FAILED, exit_code=1)]
+        errors = [_error(995.0, 62)]
+        assert ErrorStatistics(errors, 1.0, 1).count(62) == 1
+        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        assert analyzer.classify_jobs()[1] == (True, (62,))
+        assert analyzer.table2() == [Table2Row(62, 1, 1)]
 
 
 class TestTable2:
@@ -161,3 +182,194 @@ class TestFigure9:
         series = analyzer.errors_vs_duration(edges_minutes=(0, 4_000))
         assert series["completed"][0][1] == 0.0
         assert series["gpu_failed"][0][1] == 0.0
+
+
+class _PerJobReference:
+    """The per-job join ``JobImpactAnalyzer`` replaced, kept as its
+    reference: two ``searchsorted`` calls per (job, GPU) and per query."""
+
+    def __init__(self, database, errors):
+        self.database = database
+        per_gpu = {}
+        for error in errors:
+            if is_studied(error.xid):
+                per_gpu.setdefault(error.gpu_key, []).append((error.time, error.xid))
+        self._gpu_times = {}
+        self._gpu_xids = {}
+        for gpu, pairs in per_gpu.items():
+            pairs.sort()
+            self._gpu_times[gpu] = np.array([t for t, _ in pairs])
+            self._gpu_xids[gpu] = np.array([x for _, x in pairs], dtype=np.int64)
+
+    def errors_on_job(self, job, start=None, end=None):
+        lo = job.start_time if start is None else start
+        hi = job.end_time if end is None else end
+        found = []
+        for gpu in job.gpus:
+            times = self._gpu_times.get(gpu)
+            if times is None:
+                continue
+            left = int(np.searchsorted(times, lo, side="left"))
+            right = int(np.searchsorted(times, hi, side="right"))
+            found.extend(int(x) for x in self._gpu_xids[gpu][left:right])
+        return found
+
+    def classify_jobs(self):
+        out = {}
+        for job in self.database.jobs:
+            if job.succeeded:
+                out[job.job_id] = (False, ())
+                continue
+            responsible = self.errors_on_job(
+                job, start=job.end_time - ATTRIBUTION_WINDOW, end=job.end_time
+            )
+            out[job.job_id] = (bool(responsible), tuple(sorted(set(responsible))))
+        return out
+
+    def gpu_failed_jobs(self):
+        classified = self.classify_jobs()
+        return [j for j in self.database.jobs if classified[j.job_id][0]]
+
+    def table2(self):
+        classified = self.classify_jobs()
+        encountering = {}
+        failed = {}
+        for job in self.database.jobs:
+            for xid in set(self.errors_on_job(job)):
+                encountering.setdefault(xid, set()).add(job.job_id)
+            is_failed, responsible = classified[job.job_id]
+            if is_failed:
+                for xid in responsible:
+                    failed.setdefault(xid, set()).add(job.job_id)
+                    encountering.setdefault(xid, set()).add(job.job_id)
+        rows = [
+            Table2Row(xid, len(failed.get(xid, set())), len(jobs))
+            for xid, jobs in encountering.items()
+        ]
+        rows.sort(key=lambda r: r.gpu_failed_jobs, reverse=True)
+        return rows
+
+    def table3(self):
+        total = len(self.database.jobs) or 1
+        rows = []
+        for bucket in SIZE_BUCKETS:
+            jobs = [
+                j for j in self.database.jobs
+                if bucket.min_gpus <= j.n_gpus <= bucket.max_gpus
+            ]
+            if not jobs:
+                rows.append(Table3Row(bucket.label, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+                continue
+            elapsed = np.array([j.elapsed_minutes for j in jobs])
+            rows.append(Table3Row(
+                label=bucket.label,
+                count=len(jobs),
+                share=len(jobs) / total,
+                mean_minutes=float(elapsed.mean()),
+                p50_minutes=float(np.percentile(elapsed, 50)),
+                p99_minutes=float(np.percentile(elapsed, 99)),
+                ml_gpu_hours=sum(j.gpu_hours for j in jobs if classify_ml(j.name)),
+                non_ml_gpu_hours=sum(
+                    j.gpu_hours for j in jobs if not classify_ml(j.name)
+                ),
+            ))
+        return rows
+
+    def elapsed_histogram(self, edges_minutes=(0, 10, 60, 240, 1000, 2000, 4000, 8000)):
+        classified = self.classify_jobs()
+        edges = np.asarray(edges_minutes, dtype=float)
+        completed, _ = np.histogram(
+            [j.elapsed_minutes for j in self.database.jobs if j.succeeded], bins=edges
+        )
+        failed, _ = np.histogram(
+            [j.elapsed_minutes for j in self.database.jobs if classified[j.job_id][0]],
+            bins=edges,
+        )
+        return ElapsedHistogram(
+            tuple(edges), tuple(int(c) for c in completed), tuple(int(c) for c in failed)
+        )
+
+    def lost_node_hours(self):
+        return sum(j.node_hours for j in self.gpu_failed_jobs())
+
+    def errors_vs_duration(self, edges_minutes=(0, 60, 500, 1000, 2000, 4000, 90000)):
+        classified = self.classify_jobs()
+        edges = list(edges_minutes)
+        sums = {"completed": [0.0] * (len(edges) - 1), "gpu_failed": [0.0] * (len(edges) - 1)}
+        counts = {"completed": [0] * (len(edges) - 1), "gpu_failed": [0] * (len(edges) - 1)}
+        for job in self.database.jobs:
+            is_failed = classified[job.job_id][0]
+            if not is_failed and not job.succeeded:
+                continue
+            key = "gpu_failed" if is_failed else "completed"
+            b = bisect_right(edges, job.elapsed_minutes) - 1
+            if 0 <= b < len(edges) - 1:
+                sums[key][b] += len(self.errors_on_job(job))
+                counts[key][b] += 1
+        return {
+            key: [
+                (
+                    (edges[b] + edges[b + 1]) / 2.0,
+                    sums[key][b] / counts[key][b] if counts[key][b] else 0.0,
+                )
+                for b in range(len(edges) - 1)
+            ]
+            for key in ("completed", "gpu_failed")
+        }
+
+
+_GPUS = (("n1", "0000:07:00"), ("n1", "0000:46:00"), ("n2", "0000:07:00"))
+_FATES = (
+    (JobState.COMPLETED, 0),
+    (JobState.COMPLETED, 1),
+    (JobState.FAILED, 1),
+    (JobState.NODE_FAIL, 139),
+)
+_NAMES = ("train_resnet50", "namd_run", "gpt_finetune", "lammps")
+# 13/43 are user codes, 62 is outside the catalog; 31 and 48 iterate out of
+# a set in the opposite order to their first appearance.
+_XIDS = (13, 31, 43, 48, 62, 74, 79, 94, 95, 119, 122)
+# On one 5-second grid, errors land exactly on job starts, ends and
+# end - 20 s, and jobs on one GPU touch and overlap.
+_grid = st.integers(-4, 64).map(lambda k: 5.0 * k)
+_job_specs = st.lists(
+    st.tuples(
+        st.integers(0, 60).map(lambda k: 5.0 * k),
+        st.sampled_from((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 60.0, 300.0, 7_200.0,
+                         6_000_000.0)),
+        st.lists(st.integers(0, len(_GPUS) - 1), min_size=1, max_size=3, unique=True),
+        st.integers(0, len(_FATES) - 1),
+        st.integers(0, len(_NAMES) - 1),
+    ),
+    max_size=12,
+)
+_error_specs = st.lists(
+    st.tuples(st.integers(0, len(_GPUS) - 1), _grid, st.sampled_from(_XIDS)),
+    max_size=25,
+)
+
+
+@given(job_specs=_job_specs, error_specs=_error_specs)
+# A failed 10-second job blamed for an error 5 s before its start.
+@example(job_specs=[(100.0, 10.0, [0], 2, 0)], error_specs=[(0, 95.0, 31)])
+# One job meets XID 31, then 48: tied Table-2 rows keep the set's order.
+@example(job_specs=[(0.0, 300.0, [1, 0], 0, 1)],
+         error_specs=[(0, 10.0, 48), (1, 5.0, 31), (1, 20.0, 62)])
+@settings(max_examples=300, deadline=None)
+def test_join_matches_the_per_job_reference(job_specs, error_specs):
+    jobs = [
+        _job(job_id, start, start + duration, state=_FATES[fate][0],
+             exit_code=_FATES[fate][1], gpus=[_GPUS[g] for g in gpus],
+             name=_NAMES[name])
+        for job_id, (start, duration, gpus, fate, name) in enumerate(job_specs, 1)
+    ]
+    errors = [_error(t, xid, *_GPUS[g]) for g, t, xid in error_specs]
+    database = SlurmDatabase(jobs)
+    analyzer = JobImpactAnalyzer(database, errors)
+    reference = _PerJobReference(database, errors)
+    assert list(analyzer.classify_jobs().items()) == list(
+        reference.classify_jobs().items()
+    )
+    for output in ("table2", "table3", "elapsed_histogram", "errors_vs_duration",
+                   "lost_node_hours"):
+        assert repr(getattr(analyzer, output)()) == repr(getattr(reference, output)()), output

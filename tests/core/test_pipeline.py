@@ -14,6 +14,14 @@ class TestDeltaStudy:
         first = study.errors
         assert first is study.errors
 
+    @pytest.mark.parametrize("analyzer", [
+        "error_statistics", "persistence", "propagation", "job_impact",
+        "availability", "counterfactual",
+    ])
+    def test_each_analyzer_built_once(self, study, analyzer):
+        build = getattr(study, analyzer)
+        assert build() is build()
+
     def test_job_impact_requires_database(self):
         study = DeltaStudy([], window_hours=10.0, n_nodes=1)
         with pytest.raises(ValueError):

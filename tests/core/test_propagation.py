@@ -20,14 +20,14 @@ class TestIntraGpuEdges:
             _error(0.0, Xid.PMU_SPI),
             _error(2.0, Xid.MMU),
         ]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.PMU_SPI, Xid.MMU) == 1.0
         assert graph.mean_delay(Xid.PMU_SPI, Xid.MMU) == pytest.approx(2.0)
         assert graph.terminal_probability(Xid.MMU) == 1.0
 
     def test_successor_beyond_window_is_terminal(self):
         errors = [_error(0.0, Xid.PMU_SPI), _error(120.0, Xid.MMU)]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.PMU_SPI, Xid.MMU) == 0.0
         assert graph.terminal_probability(Xid.PMU_SPI) == 1.0
 
@@ -38,7 +38,7 @@ class TestIntraGpuEdges:
             _error(0.0, Xid.GSP, persistence=100.0),
             _error(110.0, Xid.PMU_SPI),
         ]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.GSP, Xid.PMU_SPI) == 1.0
 
     def test_probability_normalized_by_source_count(self):
@@ -47,7 +47,7 @@ class TestIntraGpuEdges:
             _error(2.0, Xid.MMU),
             _error(1_000.0, Xid.PMU_SPI),  # terminal instance
         ]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.PMU_SPI, Xid.MMU) == pytest.approx(0.5)
         assert graph.terminal_probability(Xid.PMU_SPI) == pytest.approx(0.5)
 
@@ -56,14 +56,14 @@ class TestIntraGpuEdges:
             _error(0.0, Xid.PMU_SPI),
             _error(2.0, Xid.MMU, pci="0000:46:00"),
         ]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.PMU_SPI, Xid.MMU) == 0.0
 
 
 class TestIsolation:
     def test_first_error_is_isolated(self):
         errors = [_error(0.0, Xid.GSP), _error(10.0, Xid.GSP)]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         # First GSP has no predecessor; the second follows within the window.
         assert graph.isolation_probability(Xid.GSP) == pytest.approx(0.5)
 
@@ -74,7 +74,7 @@ class TestInterGpuEdges:
             _error(0.0, Xid.NVLINK),
             _error(3.0, Xid.NVLINK, pci="0000:46:00"),
         ]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.NVLINK, Xid.NVLINK, inter=True) == pytest.approx(0.5)
 
     def test_cross_node_never_inter(self):
@@ -82,14 +82,14 @@ class TestInterGpuEdges:
             _error(0.0, Xid.NVLINK),
             _error(3.0, Xid.NVLINK, node="n2"),
         ]
-        graph = PropagationAnalyzer(errors, window=60.0).analyze()
+        graph = PropagationAnalyzer(errors).analyze()
         assert graph.probability(Xid.NVLINK, Xid.NVLINK, inter=True) == 0.0
 
 
 class TestNVLinkInvolvement:
     def test_single_gpu_incident(self):
         errors = [_error(0.0, Xid.NVLINK), _error(10.0, Xid.NVLINK)]
-        involvement = PropagationAnalyzer(errors, window=60.0).nvlink_involvement()
+        involvement = PropagationAnalyzer(errors).nvlink_involvement()
         assert involvement.total_errors == 2
         assert involvement.multi_gpu_fraction == 0.0
 
@@ -99,7 +99,7 @@ class TestNVLinkInvolvement:
             _error(3.0, Xid.NVLINK, pci="0000:46:00"),
             _error(8.0, Xid.NVLINK),
         ]
-        involvement = PropagationAnalyzer(errors, window=60.0).nvlink_involvement()
+        involvement = PropagationAnalyzer(errors).nvlink_involvement()
         assert involvement.errors_in_multi_gpu_incidents == 3
         assert involvement.incident_gpu_counts == (2,)
 
@@ -107,7 +107,7 @@ class TestNVLinkInvolvement:
         errors = [
             _error(float(i), Xid.NVLINK, pci=f"0000:{i:02d}:00") for i in range(8)
         ]
-        involvement = PropagationAnalyzer(errors, window=60.0).nvlink_involvement()
+        involvement = PropagationAnalyzer(errors).nvlink_involvement()
         assert involvement.errors_in_all8_incidents == 8
 
     def test_separate_incidents_split_by_gap(self):
@@ -115,7 +115,7 @@ class TestNVLinkInvolvement:
             _error(0.0, Xid.NVLINK),
             _error(1_000.0, Xid.NVLINK, pci="0000:46:00"),
         ]
-        involvement = PropagationAnalyzer(errors, window=60.0).nvlink_involvement()
+        involvement = PropagationAnalyzer(errors).nvlink_involvement()
         assert involvement.multi_gpu_fraction == 0.0
         assert len(involvement.incident_gpu_counts) == 2
 
@@ -133,8 +133,3 @@ class TestPaperPaths:
         assert paths["p_gsp_self_or_terminal"] > 0.9
         assert paths["p_gsp_isolated"] > 0.9
         assert paths["p_nvlink_self"] == pytest.approx(0.66, abs=0.12)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            PropagationAnalyzer([], window=0.0)
-

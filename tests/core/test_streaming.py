@@ -81,7 +81,7 @@ class TestAlarms:
         streaming = StreamingCoalescer(alarm_after_seconds=60.0)
         for t in (0.0, 2.0, 4.0):
             assert streaming.feed(_record(t)) is None
-        assert streaming.alarms == []
+        assert streaming.alarm_count == 0
 
     def test_out_of_order_input_rejected(self):
         streaming = StreamingCoalescer()
@@ -237,10 +237,8 @@ class TestLiveVersusPostMortem:
         )
         threshold = 1_800.0
         coalescer = StreamingCoalescer(alarm_after_seconds=threshold)
-        for record in records:
-            coalescer.feed(record)
+        alarms = [a for a in map(coalescer.feed, records) if a is not None]
         errors = coalescer.flush()
-        alarms = coalescer.alarms
         long_runs = [e for e in errors if e.persistence > threshold]
         assert alarms and long_runs
         # Every sufficiently long run alarmed, and it alarmed while young.

@@ -8,7 +8,7 @@ from repro.faults.xid import (
     RecoveryAction,
     Xid,
     XidCategory,
-    studied,
+    is_studied,
 )
 
 
@@ -45,5 +45,7 @@ class TestCatalog:
 
 
 class TestHelpers:
-    def test_studied_filter_preserves_order(self):
-        assert studied([95, 13, 31]) == (Xid.UNCONTAINED, Xid.MMU)
+    def test_is_studied_counts_every_code_but_the_user_ones(self):
+        assert is_studied(95) and is_studied(Xid.MMU)
+        assert not is_studied(13) and not is_studied(Xid.RESET_CHANNEL)
+        assert is_studied(62)  # outside the catalog

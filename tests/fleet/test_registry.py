@@ -73,7 +73,7 @@ class TestOnsetDetection:
         assert health.onsets == {95: 2}
         # Rolling-rate state follows the new clock: the new onset is live.
         assert health.last_seen == 10.0
-        assert health.error_rate_per_hour(3600.0) == pytest.approx(1.0)
+        assert health.error_rate_per_hour() == pytest.approx(1.0)
 
 
 class TestHealthMetrics:
@@ -83,7 +83,7 @@ class TestHealthMetrics:
             registry.ingest(_record(t))
         health = _health(registry)
         # Only the t=7200 onset is inside the last hour.
-        assert health.error_rate_per_hour(3600.0) == pytest.approx(1.0)
+        assert health.error_rate_per_hour() == pytest.approx(1.0)
         assert health.total_onsets == 4
 
     def test_persistence_alarm_propagates_through_ingest(self):

@@ -116,3 +116,19 @@ class TestCounterfactualRecovery:
         report = study.counterfactual().analyze()
         assert report.offender_improvement == pytest.approx(3.0, abs=1.1)
         assert report.improved_availability == pytest.approx(0.9987, abs=0.0015)
+
+
+class TestQuickstart:
+    def test_package_docstring_quickstart_runs(self, capsys):
+        """The quickstart in ``repro``'s docstring runs as written."""
+        import textwrap
+
+        import repro
+
+        block = []
+        for line in repro.__doc__.split("Quickstart::\n", 1)[1].splitlines():
+            if line and not line.startswith("    "):
+                break
+            block.append(line)
+        exec(textwrap.dedent("\n".join(block)), {})
+        assert float(capsys.readouterr().out) > 0

@@ -66,8 +66,7 @@ def test_alarms_fire_exactly_for_long_open_runs(records, threshold):
     """An alarm exists iff some run's final persistence crossed the
     threshold while it accumulated (one alarm per such run)."""
     streaming = StreamingCoalescer(alarm_after_seconds=threshold)
-    for record in records:
-        streaming.feed(record)
+    alarms = [a for a in map(streaming.feed, records) if a is not None]
     errors = streaming.flush()
     long_runs = sum(1 for e in errors if e.persistence >= threshold)
-    assert len(streaming.alarms) == long_runs
+    assert len(alarms) == streaming.alarm_count == long_runs

@@ -86,7 +86,7 @@ def error_streams(draw):
 @settings(max_examples=60, deadline=None)
 def test_propagation_probabilities_normalized(errors):
     """Outgoing intra edges + terminal probability sum to 1 per code."""
-    graph = PropagationAnalyzer(errors, window=60.0).analyze()
+    graph = PropagationAnalyzer(errors).analyze()
     for xid in graph.source_counts:
         outgoing = sum(
             stats.count for (src, _), stats in graph.intra_edges.items() if src == xid
@@ -98,7 +98,7 @@ def test_propagation_probabilities_normalized(errors):
 @given(errors=error_streams())
 @settings(max_examples=60, deadline=None)
 def test_nvlink_involvement_accounting(errors):
-    involvement = PropagationAnalyzer(errors, window=60.0).nvlink_involvement()
+    involvement = PropagationAnalyzer(errors).nvlink_involvement()
     nvlink_total = sum(1 for e in errors if e.xid == int(Xid.NVLINK))
     assert involvement.total_errors == nvlink_total
     assert (
