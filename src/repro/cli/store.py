@@ -142,8 +142,10 @@ def _store_stats(args: argparse.Namespace) -> int:
 
 
 def _store_query(args: argparse.Namespace) -> int:
+    import itertools
+
     from repro.store import EventStore
-    from repro.util.timeutil import format_timestamp
+    from repro.util.timeutil import format_timestamps
 
     require_positive("--limit", args.limit)
     query = parse_query_args(args)
@@ -154,14 +156,16 @@ def _store_query(args: argparse.Namespace) -> int:
         print(f"({len(candidates)} segment(s) read, {skipped} pruned by "
               "zone maps)", file=sys.stderr)
         return 0
+    records = itertools.islice(store.query(query), args.limit)
     printed = 0
-    for record in store.query(query):
-        pid = "-" if record.pid is None else str(record.pid)
-        print(f"{format_timestamp(record.time)}\t{record.node_id}\t"
-              f"{record.pci_bus}\t{record.xid}\t{pid}\t{record.message}")
-        printed += 1
-        if args.limit is not None and printed >= args.limit:
-            break
+    # One formatting call per chunk: a call costs more than a record.
+    while chunk := list(itertools.islice(records, 4096)):
+        stamps = format_timestamps([record.time for record in chunk])
+        for stamp, record in zip(stamps, chunk):
+            pid = "-" if record.pid is None else str(record.pid)
+            print(f"{stamp}\t{record.node_id}\t"
+                  f"{record.pci_bus}\t{record.xid}\t{pid}\t{record.message}")
+        printed += len(chunk)
     print(f"({printed} record(s); {len(candidates)} segment(s) read, "
           f"{skipped} pruned by zone maps)", file=sys.stderr)
     return 0

@@ -412,7 +412,7 @@ class _Parser:
     """A columnar parse of one line stream.
 
     Until :meth:`batch`, each record is held as its time plus the index of
-    its row template (node, bus, XID, pid and message codes): 16 bytes.
+    its row template (node, bus, XID, pid and message codes): 12 bytes.
     Timestamps decode a block of :data:`_BLOCK_ROWS` at a time.
     """
 
@@ -485,7 +485,7 @@ class _Parser:
         tokens, token_rows, late = self._tokens, self._token_rows, self._late
         times = np.empty(0, dtype=np.float64)
         keep = np.empty(0, dtype=bool)
-        rows = np.array(token_rows, dtype=np.int64)
+        rows = np.array(token_rows, dtype=np.int32)
         if tokens:
             times, outcome = _decode_timestamps(tokens)
             keep = outcome == _RECORD

@@ -46,7 +46,6 @@ class EdgeStats:
 class PropagationGraph:
     """Estimated propagation structure over XID codes."""
 
-    window: float
     source_counts: Dict[int, int] = field(default_factory=dict)
     intra_edges: Dict[Edge, EdgeStats] = field(default_factory=dict)
     inter_edges: Dict[Edge, EdgeStats] = field(default_factory=dict)
@@ -120,7 +119,7 @@ class PropagationAnalyzer:
     # ------------------------------------------------------------------
 
     def analyze(self) -> PropagationGraph:
-        graph = PropagationGraph(window=PROPAGATION_WINDOW)
+        graph = PropagationGraph()
         for error in self.errors:
             graph.source_counts[error.xid] = graph.source_counts.get(error.xid, 0) + 1
 

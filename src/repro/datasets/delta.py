@@ -18,10 +18,11 @@ never consumed by the analysis pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro import obs
 from repro.cluster.inventory import ClusterInventory, build_delta_cluster
 from repro.faults.calibration import (
     AMPERE_CALIBRATION,
@@ -34,7 +35,7 @@ from repro.slurm.accounting import SlurmDatabase
 from repro.slurm.failures import CouplingConfig, CouplingResult, FailureCoupler
 from repro.slurm.scheduler import GpuScheduler, Interval, Schedule
 from repro.slurm.workload import WorkloadConfig, WorkloadModel
-from repro.syslog.format import render_trace
+from repro.syslog.format import render_node_lines
 from repro.syslog.noise import NoiseConfig, generate_noise_lines
 from repro.syslog.writer import write_node_logs
 from repro.util.rng import spawn_rng
@@ -97,9 +98,10 @@ class DeltaDataset:
 
     # -- observables ------------------------------------------------------
 
-    def log_lines(self, *, include_noise: bool = True) -> Iterator[str]:
-        """Stream the dataset's raw syslog (XID lines plus benign noise)."""
-        yield from render_trace(self.trace.events, seed=self.config.seed, pids=self.pids)
+    def _node_lines(self, include_noise: bool) -> Iterator[Tuple[str, List[str]]]:
+        """The raw syslog as ``(node, lines)``: each event's lines, then
+        each node's benign noise."""
+        yield from render_node_lines(self.trace.events, seed=self.config.seed, pids=self.pids)
         if include_noise and self.config.noise_lines_per_node_hour > 0:
             yield from generate_noise_lines(
                 self.trace.node_ids,
@@ -110,8 +112,18 @@ class DeltaDataset:
                 ),
             )
 
+    def log_lines(self, *, include_noise: bool = True) -> Iterator[str]:
+        """Stream the dataset's raw syslog (XID lines plus benign noise)."""
+        for _, lines in self._node_lines(include_noise):
+            yield from lines
+
     def write_logs(self, directory: str | Path, *, compress: bool = False) -> List[Path]:
-        return write_node_logs(self.log_lines(), directory, compress=compress)
+        """Write the raw syslog as one file per node."""
+        with obs.span("datasets.write_logs"):
+            by_node: Dict[str, List[str]] = {}
+            for node_id, lines in self._node_lines(include_noise=True):
+                by_node.setdefault(node_id, []).extend(lines)
+            return write_node_logs(by_node, directory, compress=compress)
 
     def save_slurm_db(self, path: str | Path) -> None:
         self.slurm_db.save(path)
@@ -158,13 +170,11 @@ def synthesize_delta(
             mmu_budget=injector.workload_mmu_budget(),
         )
     elif workload_config.mmu_budget == 0.0:
-        from dataclasses import replace as _replace
-
-        workload_config = _replace(
+        workload_config = replace(
             workload_config, mmu_budget=injector.workload_mmu_budget()
         )
-    workload = WorkloadModel(workload_config, window_days=profile.window_days)
-    specs = workload.generate()
+    with obs.span("datasets.workload"):
+        specs = WorkloadModel(workload_config, window_days=profile.window_days).generate()
 
     # Two-pass generation: a schedule-free preview trace pins down the
     # offender GPUs (their episodes draw from dedicated RNG streams, so they
@@ -172,21 +182,23 @@ def synthesize_delta(
     # final schedule, and the real trace is then placed against the *final*
     # schedule's occupancy — so idle-biased codes are idle with respect to
     # the very schedule the coupling uses.
-    preview_trace = injector.generate(cluster)
-    cordons = derive_cordons(preview_trace, config)
-    final = GpuScheduler(cluster, blackouts=cordons).schedule(specs, window)
-    injector = FaultInjector(
-        profile,
-        InjectorConfig(
-            scale=config.scale, seed=config.seed, workload_mmu_external=config.with_jobs
-        ),
-    )
-    trace = injector.generate(cluster, occupancy=final.occupancy)
-
-    coupler = FailureCoupler(profile, CouplingConfig(seed=config.seed))
-    coupling = coupler.couple(
-        final, trace, specs, mmu_budget=injector.workload_mmu_budget()
-    )
+    with obs.span("datasets.preview"):
+        cordons = derive_cordons(injector.generate(cluster), config)
+    with obs.span("datasets.schedule", jobs=len(specs)):
+        final = GpuScheduler(cluster, blackouts=cordons).schedule(specs, window)
+    with obs.span("datasets.inject"):
+        injector = FaultInjector(
+            profile,
+            InjectorConfig(
+                scale=config.scale, seed=config.seed, workload_mmu_external=config.with_jobs
+            ),
+        )
+        trace = injector.generate(cluster, occupancy=final.occupancy)
+    with obs.span("datasets.couple"):
+        coupler = FailureCoupler(profile, CouplingConfig(seed=config.seed))
+        coupling = coupler.couple(
+            final, trace, specs, mmu_budget=injector.workload_mmu_budget()
+        )
 
     slurm_db = SlurmDatabase(
         coupling.jobs, coupling.node_events, window_seconds=window
@@ -199,7 +211,9 @@ def synthesize_delta(
         slurm_db=slurm_db,
         pids=coupling.pids,
         truth=coupling,
-        schedule=final,
+        # Without the occupancy index injection and coupling read (13 MB at
+        # scale 0.2); utilization() rebuilds it on demand.
+        schedule=replace(final, _occupancy=None),
     )
 
 

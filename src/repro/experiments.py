@@ -13,7 +13,7 @@ DESIGN.md's experiment index is the prose version of this table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.pipeline import DeltaStudy

@@ -22,8 +22,15 @@ from typing import Dict, IO, Iterable, Iterator, List, Optional
 
 from repro.faults.events import FaultTrace
 from repro.syslog.format import render_trace
-from repro.syslog.writer import _node_of
 from repro.util.timeutil import parse_timestamp
+
+
+def _node_of(line: str) -> str:
+    """Extract the hostname field (second token) of a syslog line."""
+    try:
+        return line.split(" ", 2)[1]
+    except IndexError:
+        return "unknown"
 
 
 def _merged_lines(lines: Iterable[str]) -> Iterator[str]:

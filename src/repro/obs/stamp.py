@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.obs.core import Tracer, active
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.results.artifact import ExperimentResult, RunManifest
+    from repro.results.artifact import ExperimentResult
 
 #: Subdirectory of a trace dir holding trace-stamped manifests.
 MANIFEST_SUBDIR = "manifests"

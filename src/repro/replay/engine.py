@@ -18,7 +18,7 @@ changes *when* records arrive, never *what* they produce — the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.parsing import RawXidRecord

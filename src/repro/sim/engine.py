@@ -32,7 +32,7 @@ import numpy as np
 from repro.cluster.gpu import GpuModel
 from repro.cluster.inventory import DeltaShape, build_delta_cluster
 from repro.faults.calibration import CalibrationProfile
-from repro.sim.events import EventKind, EventQueue, SimEvent
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.failures import AllocationFailureState, FailureDraw, FailureModel
 from repro.sim.metrics import RunMetrics
 from repro.sim.policies import RecoveryPolicy, resolve_interval

@@ -14,8 +14,9 @@ by the fault injector (busy/idle placement bias) and by the failure coupler
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,33 +187,32 @@ class GpuScheduler:
     def schedule(self, jobs: Sequence[JobSpec], window_seconds: float) -> Schedule:
         """Place every job; jobs whose start would fall past the window are
         dropped (counted in ``Schedule.dropped_jobs``)."""
-        heaps: Dict[str, List[Tuple[float, GpuKey]]] = {}
-        for partition, gpus in self._pools.items():
-            heaps[partition] = [(0.0, gpu) for gpu in gpus]
-            heapq.heapify(heaps[partition])
-
+        # Each partition's GPUs as one list of (release, gpu), kept sorted:
+        # the earliest-available GPUs are its head.
+        pools: Dict[str, List[Tuple[float, GpuKey]]] = {
+            partition: sorted((0.0, gpu) for gpu in gpus)
+            for partition, gpus in self._pools.items()
+        }
         records: List[JobRecord] = []
         dropped = 0
-        population: set[GpuKey] = set()
         for spec in sorted(jobs, key=lambda j: j.submit_time):
-            heap = heaps.get(spec.partition)
-            if not heap:
+            pool = pools.get(spec.partition)
+            if not pool:
                 dropped += 1
                 continue
-            k = min(spec.requested_gpus, len(heap))
-            taken = self._allocate(heap, spec.submit_time, k)
+            k = min(spec.requested_gpus, len(pool))
+            taken = self._allocate(pool, spec.submit_time, k)
             start = max(ready for ready, _ in taken)
             if start >= window_seconds:
-                # Never starts inside the window: return GPUs untouched.
-                for release, gpu in taken:
-                    heapq.heappush(heap, (release, gpu))
+                # Never starts inside the window: the GPUs return, ready
+                # from when this job would have started on each.
+                for entry in taken:
+                    insort(pool, entry)
                 dropped += 1
                 continue
             end = start + spec.duration
-            gpu_keys = tuple(gpu for _, gpu in taken)
-            population.update(gpu_keys)
             for _, gpu in taken:
-                heapq.heappush(heap, (end, gpu))
+                insort(pool, (end, gpu))
             records.append(
                 JobRecord(
                     job_id=spec.job_id,
@@ -222,7 +222,7 @@ class GpuScheduler:
                     start_time=start,
                     end_time=end,
                     n_gpus=k,
-                    gpus=gpu_keys,
+                    gpus=tuple(gpu for _, gpu in taken),
                     partition=spec.partition,
                     is_ml=spec.is_ml,
                     state=spec.natural_state,
@@ -238,61 +238,65 @@ class GpuScheduler:
         )
 
     def _allocate(
-        self, heap: List[Tuple[float, GpuKey]], submit_time: float, k: int
+        self, pool: List[Tuple[float, GpuKey]], submit_time: float, k: int
     ) -> List[Tuple[float, GpuKey]]:
-        """Take the ``k`` earliest-available GPUs, packed onto one node when
-        a single node can host the job.
+        """Take the ``k`` earliest-available GPUs of a sorted ``pool``,
+        packed onto one node when a single node can host the job; returns
+        their ``(ready, gpu)`` and removes only them from the pool.
 
         Slurm packs small GPU jobs within a node; node spread matters to the
         analysis because a job's *node*-hours (Figure 9a's loss accounting)
         and its exposure to node-local errors scale with it.
         """
+        blackouts = self._blackouts
         if k == 1:
-            # The window below would pick the heap head whenever no blackout
-            # delays it: every other candidate is ready no earlier than its
-            # own release, which is no earlier than the head's, and ties
-            # break on (release, gpu).  Heap entries are distinct, so later
-            # pops do not depend on how the heap is laid out.
-            release, gpu = heap[0]
+            # The window below would pick the pool head whenever no
+            # blackout delays it: every other candidate is ready no earlier
+            # than its own release, which is no earlier than the head's,
+            # and ties break on (release, gpu).
+            release, gpu = pool[0]
             ready = max(submit_time, release)
-            if self._skip_blackout(gpu, ready) == ready:
-                heapq.heappop(heap)
+            if gpu not in blackouts or self._skip_blackout(gpu, ready) == ready:
+                del pool[0]
                 return [(ready, gpu)]
-        # Pop a candidate window: enough to usually contain a same-node set.
-        window = min(len(heap), max(4 * k, 24))
-        candidates: List[Tuple[float, float, GpuKey]] = []  # (ready, release, gpu)
-        for _ in range(window):
-            release, gpu = heapq.heappop(heap)
-            ready = self._skip_blackout(gpu, max(submit_time, release))
-            candidates.append((ready, release, gpu))
+        # A candidate window at the pool head: enough to usually contain a
+        # same-node set.
+        head = pool[: max(4 * k, 24)]
+        if not blackouts.keys().isdisjoint(map(itemgetter(1), head)):
+            candidates = sorted(  # (ready, release, gpu)
+                (self._skip_blackout(gpu, max(submit_time, release)), release, gpu)
+                for release, gpu in head
+            )
+        else:
+            # ready = max(submit, release) keeps the head's order.
+            candidates = [
+                (max(submit_time, release), release, gpu) for release, gpu in head
+            ]
 
         # Packing must never delay the job materially: only candidates ready
         # within a bounded slack of the plain earliest-k start are eligible
         # for node-grouping; within that set, fewer nodes win.
-        candidates.sort()
         plain_start = candidates[k - 1][0]
         slack = 600.0  # seconds of start delay we trade for packing
-        eligible = [c for c in candidates if c[0] <= plain_start + slack]
-
         by_node: Dict[str, List[Tuple[float, float, GpuKey]]] = {}
-        for item in eligible:
+        for item in candidates:
+            if item[0] > plain_start + slack:
+                break
             by_node.setdefault(item[2][0], []).append(item)
         packable = [group for group in by_node.values() if len(group) >= k]
         if packable:
             chosen = min(
-                (sorted(group)[:k] for group in packable),
-                key=lambda group: max(r for r, _, _ in group),
+                (group[:k] for group in packable),
+                key=lambda group: group[-1][0],
             )
         else:
             # Multi-node job: fill the largest eligible nodes first, topping
             # up with the earliest leftovers.
             chosen = []
-            taken_keys: set = set()
             for group in sorted(by_node.values(), key=len, reverse=True):
                 if len(chosen) >= k:
                     break
-                chosen.extend(sorted(group)[: k - len(chosen)])
-            chosen = chosen[:k]
+                chosen.extend(group[: k - len(chosen)])
             if len(chosen) < k:
                 taken_keys = {gpu for _, _, gpu in chosen}
                 for item in candidates:
@@ -301,12 +305,11 @@ class GpuScheduler:
                     if item[2] not in taken_keys:
                         chosen.append(item)
 
-        chosen_keys = {gpu for _, _, gpu in chosen}
-        for ready, release, gpu in candidates:
-            if gpu not in chosen_keys:
-                # Return unused candidates with their *original* release so
-                # later jobs are not penalized by this job's blackout skips.
-                heapq.heappush(heap, (release, gpu))
+        # Candidates not chosen stay in the pool with their *original*
+        # release, so later jobs are not penalized by this job's blackout
+        # skips.
+        for _, release, gpu in chosen:
+            del pool[bisect_left(pool, (release, gpu))]
         return [(ready, gpu) for ready, _, gpu in chosen]
 
     def _skip_blackout(self, gpu: GpuKey, ready: float) -> float:

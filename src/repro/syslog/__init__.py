@@ -8,6 +8,7 @@ text lines, exactly as the paper's pipeline saw Delta's 202 GB of syslog.
 from repro.syslog.format import (
     XID_MESSAGES,
     render_event_lines,
+    render_node_lines,
     render_trace,
 )
 from repro.syslog.noise import NoiseConfig, generate_noise_lines
@@ -17,6 +18,7 @@ from repro.syslog.writer import write_node_logs
 __all__ = [
     "XID_MESSAGES",
     "render_event_lines",
+    "render_node_lines",
     "render_trace",
     "NoiseConfig",
     "generate_noise_lines",

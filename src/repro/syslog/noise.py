@@ -11,10 +11,10 @@ without being NVRM Xid records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.util.rng import spawn_rng
-from repro.util.timeutil import format_timestamp
+from repro.util.timeutil import format_timestamps
 
 _TEMPLATES: Sequence[str] = (
     "systemd[1]: Started Session {n} of user u{n2}.",
@@ -42,21 +42,19 @@ def generate_noise_lines(
     node_ids: Sequence[str],
     window_seconds: float,
     config: NoiseConfig | None = None,
-) -> Iterator[str]:
-    """Yield benign syslog lines across nodes over the window."""
+) -> Iterator[Tuple[str, List[str]]]:
+    """Benign syslog lines across nodes over the window: ``(node, lines)``
+    for each node in turn, its timestamps formatted at once."""
     config = config or NoiseConfig()
     rng = spawn_rng(config.seed, "noise")
     hours = window_seconds / 3600.0
     for node_id in node_ids:
         n_lines = int(rng.poisson(config.lines_per_node_hour * hours))
         times = rng.uniform(0.0, window_seconds, size=n_lines)
-        picks = rng.integers(0, len(_TEMPLATES), size=n_lines)
-        numbers = rng.integers(1, 60000, size=(max(n_lines, 1), 4))
-        for i in range(n_lines):
-            body = _TEMPLATES[int(picks[i])].format(
-                n=int(numbers[i, 0]),
-                n2=int(numbers[i, 1]),
-                n3=int(numbers[i, 2]) % 255,
-                n4=int(numbers[i, 3]) % 255,
-            )
-            yield f"{format_timestamp(float(times[i]))} {node_id} {body}"
+        picks = rng.integers(0, len(_TEMPLATES), size=n_lines).tolist()
+        numbers = rng.integers(1, 60000, size=(max(n_lines, 1), 4)).tolist()
+        yield node_id, [
+            f"{stamp} {node_id} "
+            + _TEMPLATES[pick].format(n=n, n2=n2, n3=n3 % 255, n4=n4 % 255)
+            for stamp, pick, (n, n2, n3, n4) in zip(format_timestamps(times), picks, numbers)
+        ]

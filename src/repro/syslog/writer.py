@@ -9,55 +9,39 @@ layout a real collection pipeline would.
 from __future__ import annotations
 
 import gzip
-import io
 from pathlib import Path
-from typing import Dict, Iterable, List
+from typing import List, Mapping, Sequence
 
-
-def _node_of(line: str) -> str:
-    """Extract the hostname field (second token) of a syslog line."""
-    try:
-        return line.split(" ", 2)[1]
-    except IndexError:
-        return "unknown"
+#: Lines joined into one write: a file's text is built a block at a time,
+#: never whole.
+_WRITE_LINES = 65536
 
 
 def write_node_logs(
-    lines: Iterable[str],
+    lines_by_node: Mapping[str, Sequence[str]],
     directory: str | Path,
     *,
     compress: bool = False,
-    sort_within_node: bool = True,
 ) -> List[Path]:
-    """Write lines into ``<directory>/<node>.log[.gz]``, one file per node.
+    """Write each node's lines into ``<directory>/<node>.log[.gz]``.
 
-    Returns the written paths.  With ``sort_within_node`` each node's lines
-    are ordered by their timestamp prefix (ISO-8601 sorts lexically), as a
-    node-local syslog daemon would produce.
+    Returns the written paths, in node order; a node without lines gets
+    no file.  Each node's lines are ordered by their timestamp prefix
+    (ISO-8601 sorts lexically), as a node-local syslog daemon would
+    produce.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    buckets: Dict[str, List[str]] = {}
-    for line in lines:
-        buckets.setdefault(_node_of(line), []).append(line)
-
+    suffix = ".log.gz" if compress else ".log"
+    opener = gzip.open if compress else open
     paths: List[Path] = []
-    for node_id, node_lines in sorted(buckets.items()):
-        if sort_within_node:
-            node_lines.sort()  # timestamp-prefixed => chronological
-        suffix = ".log.gz" if compress else ".log"
+    for node_id in sorted(lines_by_node):
+        node_lines = sorted(lines_by_node[node_id])  # timestamp-prefixed => chronological
+        if not node_lines:
+            continue
         path = directory / f"{node_id}{suffix}"
-        if compress:
-            with gzip.open(path, "wt", encoding="utf-8") as handle:
-                _write_all(handle, node_lines)
-        else:
-            with open(path, "w", encoding="utf-8") as handle:
-                _write_all(handle, node_lines)
+        with opener(path, "wt", encoding="utf-8") as handle:  # type: ignore[operator]
+            for at in range(0, len(node_lines), _WRITE_LINES):
+                handle.write("\n".join(node_lines[at:at + _WRITE_LINES]) + "\n")
         paths.append(path)
     return paths
-
-
-def _write_all(handle: io.TextIOBase, lines: List[str]) -> None:
-    for line in lines:
-        handle.write(line)
-        handle.write("\n")

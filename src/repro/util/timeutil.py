@@ -10,6 +10,9 @@ precision), which is what the paper's pipeline had to work with as well.
 from __future__ import annotations
 
 import datetime as _dt
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 #: One minute, in seconds.
 MINUTE: float = 60.0
@@ -26,36 +29,72 @@ EPOCH: _dt.datetime = _dt.datetime(2022, 1, 1, 0, 0, 0)
 
 _SYSLOG_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
+#: The rendered shape, ``YYYY-MM-DDTHH:MM:SS.mmm``, as ASCII bytes; the
+#: formatter adds each digit to its ``0``.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00.000", dtype=np.uint8)
 
-#: Per-(day, epoch) cache of rendered date prefixes; formatting is the
-#: hottest loop of the syslog renderer.
-_DAY_CACHE: dict = {}
+#: Where :func:`format_timestamps` writes the digits of a time of day
+#: (``HHMMSSmmm``), and the place value, in milliseconds, and base of each.
+_DIGIT_COLUMNS = np.array([11, 12, 14, 15, 17, 18, 20, 21, 22])
+_DIGIT_PLACES = np.array([36_000_000, 3_600_000, 600_000, 60_000, 10_000, 1_000, 100, 10, 1])
+_DIGIT_BASES = np.array([10, 10, 6, 10, 6, 10, 10, 10, 10])
+
+#: ``(first, rows)``: ``YYYY-MM-DD`` of consecutive days as ASCII rows,
+#: ``rows[i]`` being day ``first + i`` after :data:`EPOCH`.  It grows to
+#: cover every day formatted so far, with a year to spare on each side, so
+#: a time-ordered stream rebuilds it about once a year of its span.
+_dates: Tuple[int, np.ndarray] = (0, np.empty((0, 10), dtype=np.uint8))
 
 
-def format_timestamp(sim_seconds: float, epoch: _dt.datetime = EPOCH) -> str:
-    """Render a simulation timestamp as an ISO-8601 syslog timestamp.
+def _date_rows(first: int, last: int) -> Tuple[int, np.ndarray]:
+    """The date table, grown to hold days ``first..last``."""
+    global _dates
+    start, rows = _dates
+    stop = start + len(rows)
+    if not len(rows) or first < start or last >= stop:
+        if len(rows):
+            first, last = min(first, start), max(last, stop - 1)
+        first, last = first - 366, last + 366
+        text = "".join(
+            (EPOCH + _dt.timedelta(days=day)).date().isoformat()
+            for day in range(first, last + 1)
+        )
+        _dates = (first, np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 10))
+    return _dates
+
+
+def format_timestamps(times: Sequence[float] | np.ndarray) -> List[str]:
+    """Render simulation timestamps as ISO-8601 syslog timestamps.
 
     Millisecond precision (RFC 5424 style), matching the resolution the
-    paper's persistence analysis requires — Table 1 reports P50 persistence
-    values of 0.12 s, which whole-second syslog could not resolve.
+    paper's persistence analysis requires: Table 1 reports P50 persistence
+    values of 0.12 s, which whole-second syslog could not resolve.  Each
+    time is split into its whole second (rounded down) and its fraction
+    rounded half-even to milliseconds, carrying 1000 ms into the next
+    second.  The digits are written into one fixed-width byte array and
+    the dates looked up in a table indexed by day.
     """
-    whole = int(sim_seconds)
-    millis = int(round((sim_seconds - whole) * 1000.0))
-    if millis >= 1000:  # rounding carried into the next second
-        whole += 1
-        millis -= 1000
-    if epoch.hour == 0 and epoch.minute == 0 and epoch.second == 0:
-        day, rem = divmod(whole, 86400)
-        key = (day, epoch)
-        date_str = _DAY_CACHE.get(key)
-        if date_str is None:
-            date_str = (epoch + _dt.timedelta(days=day)).strftime("%Y-%m-%d")
-            _DAY_CACHE[key] = date_str
-        hours, rem = divmod(rem, 3600)
-        minutes, seconds = divmod(rem, 60)
-        return f"{date_str}T{hours:02d}:{minutes:02d}:{seconds:02d}.{millis:03d}"
-    moment = epoch + _dt.timedelta(seconds=whole)
-    return f"{moment.strftime(_SYSLOG_FORMAT)}.{millis:03d}"
+    times = np.asarray(times, dtype=np.float64).reshape(-1)
+    if not times.size:
+        return []
+    if not np.isfinite(times).all():
+        raise ValueError("timestamps must be finite")
+    whole = np.floor(times)
+    millis = whole.astype(np.int64) * 1000 + np.rint((times - whole) * 1000.0).astype(np.int64)
+    day, of_day = np.divmod(millis, 86_400_000)
+    first, rows = _date_rows(int(day.min()), int(day.max()))
+    out = np.empty((times.size, len(_STAMP)), dtype=np.uint8)
+    out[:] = _STAMP
+    out[:, :10] = rows[day - first]
+    out[:, _DIGIT_COLUMNS] += (of_day[:, None] // _DIGIT_PLACES % _DIGIT_BASES).astype(np.uint8)
+    text = out.tobytes().decode("ascii")
+    width = len(_STAMP)
+    return [text[at:at + width] for at in range(0, len(text), width)]
+
+
+def format_timestamp(sim_seconds: float) -> str:
+    """One simulation timestamp as :func:`format_timestamps` renders it."""
+    return format_timestamps([sim_seconds])[0]
 
 
 #: Per-(date, epoch) cache of midnight offsets; parsing is the hottest loop

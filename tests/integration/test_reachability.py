@@ -1,4 +1,5 @@
-"""Every module and top-level name under ``src/repro`` has a use outside tests.
+"""Every module, top-level name and import under ``src/repro`` has a use
+outside tests.
 
 Modules: a static walk of the import graph.  Its roots are the ``repro.cli``
 modules and the scripts under ``examples/``.  From each reached module it
@@ -13,6 +14,10 @@ Names: every module-level function and class must be named somewhere in
 ``src/repro``, ``examples/`` or ``benchmarks/ledger/``, as a name, an
 attribute or an imported name.  Its own definition and a package
 ``__init__``'s imports do not count.  ``KEPT`` lists the exceptions.
+
+Imports: every name a module imports is used in that module, as a name or
+the root of an attribute, in a string annotation or in ``__all__``.  A
+package ``__init__``'s module-level imports are re-exports and exempt.
 """
 
 import ast
@@ -30,6 +35,9 @@ KEPT = {
         "the checkpoint-overhead model behind the tested optimal_interval claims",
     "repro.replay.clock.VirtualClock":
         "the fake clock the replay tests drive the pacer with",
+    "repro.syslog.format.render_event_lines":
+        "one event's lines, which the rendering and substrate tests check; "
+        "the program renders whole traces, formatting across events",
 }
 
 
@@ -177,3 +185,75 @@ def test_kept_names_exist_and_are_still_unused():
     for qualified in KEPT:
         assert qualified in definitions, f"{qualified} is gone; drop it from KEPT"
         assert definitions[qualified] not in used, f"{qualified} has a use; drop it from KEPT"
+
+
+def _annotation_names(annotation: ast.AST) -> set:
+    """The names in an annotation, string annotations parsed."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                names |= _annotation_names(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def _unused_imports(path: Path) -> list:
+    """``(line, name)`` of each name ``path`` imports and never uses."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if path.name == "__init__.py" and node in tree.body:
+            continue  # a re-export
+        for alias in node.names:
+            if alias.name != "*":
+                imported.setdefault(alias.asname or alias.name.partition(".")[0], node.lineno)
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_scan_sees_string_annotations_and_reexports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from typing import TYPE_CHECKING, Optional\n"
+        "import os.path\n"
+        "from a import b, c as d, e\n"
+        "if TYPE_CHECKING:\n"
+        "    from f import G, H\n"
+        "__all__ = ['e']\n"
+        "def run(x: Optional['G']) -> None:\n"
+        "    return os.path.join(b)\n"
+    )
+    assert _unused_imports(module) == [(3, "d"), (5, "H")]
+    package = tmp_path / "__init__.py"
+    package.write_text("from a import b\ndef run():\n    from c import d\n")
+    assert _unused_imports(package) == [(3, "d")]
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in MODULES.values()
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, "imported names never used:\n  " + "\n  ".join(unused)

@@ -15,6 +15,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.obs import read_trace_dir, summarize
 
@@ -145,3 +146,48 @@ class TestTraceContents:
             assert block["trace_id"] in trace_ids
             assert block["spans"], path.name
             assert "session.experiment" in block["spans"]
+
+
+#: The substrate's program spans: one per synthesis phase.
+SYNTHESIS_SPANS = (
+    "datasets.workload",
+    "datasets.preview",
+    "datasets.schedule",
+    "datasets.inject",
+    "datasets.couple",
+)
+
+
+class TestSubstrateSpans:
+    def test_in_memory_study_traces_each_synthesis_phase_once(self, tmp_path):
+        trace_dir = tmp_path / "trace"
+        argv = ["study", "--scale", "0.02", "--seed", "7",
+                "--output-dir", str(tmp_path / "out"), "--trace", str(trace_dir)]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        data = read_trace_dir(trace_dir)
+        assert data.problems == []
+        by_id = {s["id"]: s for s in data.spans}
+
+        def ancestors(span):
+            while span.get("parent") in by_id:
+                span = by_id[span["parent"]]
+                yield span["name"]
+
+        for name in SYNTHESIS_SPANS:
+            (span,) = [s for s in data.spans if s["name"] == name]
+            assert "session.study.build" in set(ancestors(span)), name
+        # Building the study, rendering included, opens each span once:
+        # none per event, per line or per formatting block.
+        built = [s["name"] for s in data.spans
+                 if "session.study.build" in set(ancestors(s))]
+        assert len(built) == len(set(built)), sorted(built)
+
+    def test_write_logs_opens_one_span(self, dataset, tmp_path):
+        obs.activate(tmp_path / "trace")
+        try:
+            dataset.write_logs(tmp_path / "logs")
+        finally:
+            obs.deactivate()
+        spans = read_trace_dir(tmp_path / "trace").spans
+        assert [s["name"] for s in spans] == ["datasets.write_logs"]

@@ -48,9 +48,11 @@ def rendered_chains(draw):
                 ),
             )
         )
-    lines = [line for event in events for line in render_event_lines(event, seed=5)]
+    lines_by_node = {}
+    for event in events:
+        lines_by_node.setdefault(event.node_id, []).extend(render_event_lines(event, seed=5))
     with tempfile.TemporaryDirectory() as tmp:
-        write_node_logs(lines, Path(tmp))
+        write_node_logs(lines_by_node, Path(tmp))
         records = extract_records(FileSetSource(Path(tmp)))
     swaps = draw(st.sets(st.integers(min_value=0, max_value=max(0, len(records) - 2))))
     return records, _perturb(records, swaps)

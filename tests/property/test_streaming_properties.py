@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coalesce import CoalesceConfig, coalesce_errors
+from repro.core.coalesce import coalesce_errors
 from repro.core.parsing import RawXidRecord
 from repro.core.streaming import StreamingCoalescer
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.slurm.job import JobSpec, JobState
+from repro.cluster import DeltaShape, build_delta_cluster
+from repro.slurm.job import JobRecord, JobSpec, JobState
 from repro.slurm.scheduler import GpuScheduler, OccupancyIndex, PARTITIONS
 from repro.slurm.workload import WorkloadConfig, WorkloadModel
 
@@ -272,8 +273,9 @@ class TestSingleGpuAllocation:
         ready, release, gpu = _window_pick(list(heap), submit, blackouts)
         remaining = sorted(entry for entry in heap if entry != (release, gpu))
 
-        assert scheduler._allocate(heap, submit, 1) == [(ready, gpu)]
-        assert sorted(heap) == remaining
+        pool = sorted(heap)
+        assert scheduler._allocate(pool, submit, 1) == [(ready, gpu)]
+        assert pool == remaining
 
 
 class TestOccupancyIndex:
@@ -312,3 +314,164 @@ class TestOccupancyIndex:
         gpus, times = occupancy.sample_busy(rng, 5)
         assert gpus == [] and times.size == 0
         assert occupancy.utilization() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The heap scheduler the sorted pools replaced, kept as the reference.
+# ---------------------------------------------------------------------------
+
+
+def _heap_allocate(scheduler, heap, submit_time, k):
+    """Pop a window of up to max(4k, 24) heap entries, choose as
+    ``GpuScheduler._allocate`` does, and push the rest back with their
+    original release."""
+    if k == 1:
+        release, gpu = heap[0]
+        ready = max(submit_time, release)
+        if scheduler._skip_blackout(gpu, ready) == ready:
+            heapq.heappop(heap)
+            return [(ready, gpu)]
+    window = min(len(heap), max(4 * k, 24))
+    candidates = []
+    for _ in range(window):
+        release, gpu = heapq.heappop(heap)
+        ready = scheduler._skip_blackout(gpu, max(submit_time, release))
+        candidates.append((ready, release, gpu))
+    candidates.sort()
+    plain_start = candidates[k - 1][0]
+    eligible = [c for c in candidates if c[0] <= plain_start + 600.0]
+    by_node = {}
+    for item in eligible:
+        by_node.setdefault(item[2][0], []).append(item)
+    packable = [group for group in by_node.values() if len(group) >= k]
+    if packable:
+        chosen = min(
+            (sorted(group)[:k] for group in packable),
+            key=lambda group: max(r for r, _, _ in group),
+        )
+    else:
+        chosen = []
+        for group in sorted(by_node.values(), key=len, reverse=True):
+            if len(chosen) >= k:
+                break
+            chosen.extend(sorted(group)[: k - len(chosen)])
+        chosen = chosen[:k]
+        if len(chosen) < k:
+            taken_keys = {gpu for _, _, gpu in chosen}
+            for item in candidates:
+                if len(chosen) >= k:
+                    break
+                if item[2] not in taken_keys:
+                    chosen.append(item)
+    chosen_keys = {gpu for _, _, gpu in chosen}
+    for ready, release, gpu in candidates:
+        if gpu not in chosen_keys:
+            heapq.heappush(heap, (release, gpu))
+    return [(ready, gpu) for ready, _, gpu in chosen]
+
+
+def _heap_schedule(scheduler, jobs, window_seconds):
+    """(placed jobs, dropped count) from one heap per partition."""
+    heaps = {}
+    for partition, gpus in scheduler._pools.items():
+        heaps[partition] = [(0.0, gpu) for gpu in gpus]
+        heapq.heapify(heaps[partition])
+    records, dropped = [], 0
+    for spec in sorted(jobs, key=lambda j: j.submit_time):
+        heap = heaps.get(spec.partition)
+        if not heap:
+            dropped += 1
+            continue
+        k = min(spec.requested_gpus, len(heap))
+        taken = _heap_allocate(scheduler, heap, spec.submit_time, k)
+        start = max(ready for ready, _ in taken)
+        if start >= window_seconds:
+            for ready, gpu in taken:  # back ready from the would-be start
+                heapq.heappush(heap, (ready, gpu))
+            dropped += 1
+            continue
+        end = start + spec.duration
+        for _, gpu in taken:
+            heapq.heappush(heap, (end, gpu))
+        records.append(JobRecord(
+            job_id=spec.job_id, name=spec.name, user=spec.user,
+            submit_time=spec.submit_time, start_time=start, end_time=end,
+            n_gpus=k, gpus=tuple(gpu for _, gpu in taken),
+            partition=spec.partition, is_ml=spec.is_ml,
+            state=spec.natural_state, exit_code=spec.natural_exit_code,
+        ))
+    return records, dropped
+
+
+#: 52 a100 GPUs on 9 four-way and 2 eight-way nodes, so candidate windows
+#: (24 or 4k GPUs) cover part of a pool, not all of it.
+_MEDIUM_CLUSTER = build_delta_cluster(DeltaShape(1, 3, 9, 2, 2))
+
+
+@st.composite
+def workloads(draw):
+    """Jobs on a 300 s grid (ties and equal releases are common), some
+    larger than a node or than a pool, blackouts whose ends fall before, on
+    and after the times GPUs come free, and windows short enough that
+    jobs are dropped."""
+    specs = [
+        JobSpec(
+            job_id=i + 1,
+            name="job",
+            user="u001",
+            submit_time=draw(st.integers(0, 48)) * 300.0,
+            requested_gpus=draw(st.sampled_from([1, 1, 1, 2, 3, 4, 5, 8, 9, 12, 16, 60])),
+            duration=draw(st.integers(1, 24)) * 900.0,
+            partition=draw(st.sampled_from(["a100", "a100", "a40", "h100"])),
+            is_ml=False,
+        )
+        for i in range(draw(st.integers(1, 50)))
+    ]
+    gpus = [gpu.key for node in _MEDIUM_CLUSTER.gpu_nodes for gpu in node.gpus]
+    blackouts = {
+        gpu: [
+            (start * 300.0, start * 300.0 + length)
+            for start, length in draw(st.lists(
+                st.tuples(st.integers(0, 60), st.sampled_from([300.0, 900.0, 3600.0, 6 * 3600.0])),
+                min_size=1, max_size=3,
+            ))
+        ]
+        for gpu in draw(st.lists(st.sampled_from(gpus), unique=True, max_size=30))
+    }
+    window = draw(st.sampled_from([2 * 3600.0, 6 * 3600.0, 86400.0, 30 * 86400.0]))
+    return specs, blackouts, window
+
+
+class TestMatchesHeapReference:
+    @given(workload=workloads())
+    @settings(max_examples=300, deadline=None)
+    def test_schedule_equals_heap_scheduler(self, workload):
+        specs, blackouts, window = workload
+        scheduler = GpuScheduler(_MEDIUM_CLUSTER, blackouts=blackouts)
+        schedule = scheduler.schedule(specs, window)
+        jobs, dropped = _heap_schedule(scheduler, specs, window)
+        assert schedule.jobs == jobs
+        assert schedule.dropped_jobs == dropped
+
+    def test_dropped_job_returns_its_gpus_ready_at_its_would_be_start(self):
+        # Node X, the a100 node whose GPUs sort first, drains until 5 h and
+        # one GPU of another node until 12 h, past the 10 h window.  A
+        # whole-pool job is dropped and puts X's GPUs back released at 5 h,
+        # not at 0: at 6 h a one-GPU job then takes a GPU that was idle
+        # all along, not one of X's.
+        a100 = sorted(
+            gpu.key
+            for node in _MEDIUM_CLUSTER.nodes_of_kind(*PARTITIONS["a100"])
+            for gpu in node.gpus
+        )
+        x_gpus = {gpu for gpu in a100 if gpu[0] == a100[0][0]}
+        blackouts = {gpu: [(0.0, 5 * 3600.0)] for gpu in x_gpus}
+        blackouts[a100[-1]] = [(0.0, 12 * 3600.0)]
+        specs = [_spec(1, submit=0.0, gpus=len(a100)), _spec(2, submit=6 * 3600.0)]
+        scheduler = GpuScheduler(_MEDIUM_CLUSTER, blackouts=blackouts)
+        schedule = scheduler.schedule(specs, 10 * 3600.0)
+        assert schedule.dropped_jobs == 1
+        assert schedule.jobs[0].gpus == (min(set(a100) - x_gpus),)
+        assert (schedule.jobs, schedule.dropped_jobs) == _heap_schedule(
+            scheduler, specs, 10 * 3600.0
+        )

@@ -1,5 +1,7 @@
 """Syslog rendering: line shape, burst structure, determinism."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,20 @@ from repro.core.parsing import parse_line
 from repro.faults.events import ErrorEvent
 from repro.faults.xid import Xid
 from repro.syslog.format import (
+    BLOCK_LINES,
     BURST_GAP_HIGH,
     BURST_GAP_LOW,
     XID_MESSAGES,
+    _event_detail,
+    _event_seed,
     render_event_lines,
+    render_node_lines,
     render_trace,
 )
+from repro.syslog.noise import _TEMPLATES, NoiseConfig, generate_noise_lines
+from repro.util.rng import spawn_rng
 from repro.util.timeutil import parse_timestamp
+from tests.util.test_timeutil import _per_value_reference
 
 
 def _event(t=100.0, persistence=0.0, xid=Xid.GSP):
@@ -107,3 +116,85 @@ class TestRenderTrace:
         lines = list(render_trace(events, seed=1, pids={1: 777}))
         assert "pid='<unknown>'" in lines[0]
         assert "pid=777" in lines[1]
+
+
+def _per_line_burst(event, seed=0, pid=None):
+    """The renderer before block formatting: one draw, one offset and one
+    formatted timestamp per line."""
+    message = XID_MESSAGES[event.xid].format(detail=_event_detail(event), pci=event.pci_bus)
+    pid_text = str(pid) if pid is not None else "'<unknown>'"
+    suffix = (
+        f" {event.node_id} kernel: NVRM: Xid (PCI:{event.pci_bus}): "
+        f"{int(event.xid)}, pid={pid_text}, {message}"
+    )
+    start = event.time
+    if event.persistence <= 0.0:
+        return [_per_value_reference(start) + suffix]
+    rnd = random.Random(_event_seed(seed, event))
+    lines = [_per_value_reference(start) + suffix]
+    offset = rnd.uniform(BURST_GAP_LOW, BURST_GAP_HIGH)
+    while offset < event.persistence:
+        lines.append(_per_value_reference(start + offset) + suffix)
+        offset += rnd.uniform(BURST_GAP_LOW, BURST_GAP_HIGH)
+    lines.append(_per_value_reference(start + event.persistence) + suffix)
+    return lines
+
+
+def _per_line_noise(node_ids, window_seconds, config):
+    rng = spawn_rng(config.seed, "noise")
+    lines = []
+    for node_id in node_ids:
+        n_lines = int(rng.poisson(config.lines_per_node_hour * window_seconds / 3600.0))
+        times = rng.uniform(0.0, window_seconds, size=n_lines)
+        picks = rng.integers(0, len(_TEMPLATES), size=n_lines)
+        numbers = rng.integers(1, 60000, size=(max(n_lines, 1), 4))
+        for i in range(n_lines):
+            body = _TEMPLATES[int(picks[i])].format(
+                n=int(numbers[i, 0]), n2=int(numbers[i, 1]),
+                n3=int(numbers[i, 2]) % 255, n4=int(numbers[i, 3]) % 255,
+            )
+            lines.append(f"{_per_value_reference(float(times[i]))} {node_id} {body}")
+    return lines
+
+
+class TestBlockRendering:
+    """Block formatting writes what one line at a time wrote."""
+
+    @pytest.mark.parametrize("persistence", [0.0, 0.12, 47.3, 14_998.0, 40_000.0, 75_123.456])
+    def test_burst_equals_the_per_line_reference(self, persistence):
+        # 40,000 s is about 11,000 lines: three formatting blocks.
+        event = _event(t=12_345.6789, persistence=persistence)
+        lines = render_event_lines(event, seed=7, pid=99)
+        assert lines == _per_line_burst(event, seed=7, pid=99)
+        if persistence > 20_000.0:
+            assert len(lines) > 2 * BLOCK_LINES
+
+    def test_a_trace_equals_the_per_line_reference_across_blocks(self):
+        # Thousands of one-line events with bursts between them: blocks end
+        # inside bursts and between events, and a trace's last block is
+        # short.
+        rng = random.Random(3)
+        events = []
+        for i in range(3 * BLOCK_LINES):
+            persistence = rng.choice([0.0] * 20 + [0.12, 7.5, 300.0, 9_000.0])
+            events.append(_event(t=i * 37.25 + rng.random(), persistence=persistence,
+                                 xid=rng.choice(list(XID_MESSAGES))))
+        pids = {i: 1000 + i for i in range(0, len(events), 7)}
+        reference = [
+            line
+            for i, event in enumerate(events)
+            for line in _per_line_burst(event, seed=2, pid=pids.get(i))
+        ]
+        assert len(reference) > 4 * BLOCK_LINES
+        assert list(render_trace(events, seed=2, pids=pids)) == reference
+        nodes = [node for node, _ in render_node_lines(events, seed=2, pids=pids)]
+        assert nodes == [event.node_id for event in events]
+
+    def test_noise_equals_the_per_line_reference(self):
+        config = NoiseConfig(lines_per_node_hour=40.0, seed=5)
+        window = 300 * 3600.0  # about 12,000 lines a node
+        nodes = ["gpua001", "gpub017", "gpuc003"]
+        rendered = [line for _, lines in generate_noise_lines(nodes, window, config)
+                    for line in lines]
+        assert rendered == _per_line_noise(nodes, window, config)
+        assert len(rendered) > 3 * BLOCK_LINES

@@ -11,29 +11,43 @@ from repro.syslog.format import render_trace
 from repro.syslog.writer import write_node_logs
 
 
+def _noise(node_ids, window_seconds, config):
+    return [
+        line
+        for _, lines in generate_noise_lines(node_ids, window_seconds, config)
+        for line in lines
+    ]
+
+
+def _by_node(lines):
+    """Lines grouped by their host field, as the writer takes them."""
+    grouped = {}
+    for line in lines:
+        grouped.setdefault(line.split(" ")[1], []).append(line)
+    return grouped
+
+
 class TestNoise:
     def test_noise_never_parses_as_xid(self):
-        lines = list(
-            generate_noise_lines(["gpua001", "gpub001"], 500 * 3600.0,
-                                 NoiseConfig(lines_per_node_hour=1.0, seed=1))
-        )
+        lines = _noise(["gpua001", "gpub001"], 500 * 3600.0,
+                       NoiseConfig(lines_per_node_hour=1.0, seed=1))
         assert len(lines) > 500
         assert all(parse_line(line) is None for line in lines)
 
     def test_noise_volume_scales(self):
-        few = list(generate_noise_lines(["n1"], 100 * 3600.0,
-                                        NoiseConfig(lines_per_node_hour=0.5, seed=1)))
-        many = list(generate_noise_lines(["n1"], 100 * 3600.0,
-                                         NoiseConfig(lines_per_node_hour=5.0, seed=1)))
+        few = _noise(["n1"], 100 * 3600.0, NoiseConfig(lines_per_node_hour=0.5, seed=1))
+        many = _noise(["n1"], 100 * 3600.0, NoiseConfig(lines_per_node_hour=5.0, seed=1))
         assert len(many) > len(few) * 5
 
     def test_noise_attributed_to_requested_nodes(self):
-        lines = list(generate_noise_lines(["nodeX"], 50 * 3600.0, NoiseConfig(seed=2)))
-        assert all(line.split(" ")[1] == "nodeX" for line in lines)
+        pairs = list(generate_noise_lines(["nodeX", "nodeY"], 50 * 3600.0, NoiseConfig(seed=2)))
+        assert [node for node, _ in pairs] == ["nodeX", "nodeY"]
+        for node, lines in pairs:
+            assert lines and all(line.split(" ")[1] == node for line in lines)
 
     def test_deterministic(self):
-        a = list(generate_noise_lines(["n1"], 3600.0 * 100, NoiseConfig(seed=3)))
-        b = list(generate_noise_lines(["n1"], 3600.0 * 100, NoiseConfig(seed=3)))
+        a = _noise(["n1"], 3600.0 * 100, NoiseConfig(seed=3))
+        b = _noise(["n1"], 3600.0 * 100, NoiseConfig(seed=3))
         assert a == b
 
 
@@ -52,23 +66,34 @@ def _read_back(directory):
 class TestWriterReader:
     def test_round_trip_plain(self, tmp_path):
         lines = list(render_trace(_events(), seed=1))
-        paths = write_node_logs(lines, tmp_path)
+        paths = write_node_logs(_by_node(lines), tmp_path)
         assert sorted(p.name for p in paths) == ["gpua001.log", "gpub001.log"]
         back = _read_back(tmp_path)
         assert sorted(back) == sorted(lines)
 
     def test_round_trip_gzip(self, tmp_path):
         lines = list(render_trace(_events(), seed=1))
-        paths = write_node_logs(lines, tmp_path, compress=True)
+        paths = write_node_logs(_by_node(lines), tmp_path, compress=True)
         assert all(p.suffix == ".gz" for p in paths)
         back = _read_back(tmp_path)
         assert sorted(back) == sorted(lines)
 
     def test_lines_sorted_within_node(self, tmp_path):
         lines = list(render_trace(_events(), seed=1))
-        write_node_logs(reversed(lines), tmp_path)
+        write_node_logs(_by_node(reversed(lines)), tmp_path)
         node_lines = list(iter_log_lines(tmp_path / "gpub001.log"))
         assert node_lines == sorted(node_lines)
+
+    def test_node_without_lines_gets_no_file(self, tmp_path):
+        paths = write_node_logs({"gpua001": ["a"], "gpua002": []}, tmp_path)
+        assert [p.name for p in paths] == ["gpua001.log"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gpua001.log"]
+
+    def test_file_is_its_lines_newline_terminated(self, tmp_path):
+        # Files span several write blocks; each line ends in one newline.
+        lines = [f"2022-01-01T00:00:{i % 60:02d}.{i % 1000:03d} n{i}" for i in range(150_000)]
+        (path,) = write_node_logs({"n": lines}, tmp_path)
+        assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in sorted(lines))
 
     def test_iter_single_file(self, tmp_path):
         (tmp_path / "x.log").write_text("a\nb\n")

@@ -145,5 +145,5 @@ class TestPaperFigures:
         from repro.core.propagation import PropagationGraph
         from repro.viz.figures import propagation_figure
 
-        canvas = propagation_figure(PropagationGraph(window=60.0))
+        canvas = propagation_figure(PropagationGraph())
         assert "no events" in canvas.render()
