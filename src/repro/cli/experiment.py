@@ -170,6 +170,7 @@ register(Command(
                  ("verify", "table1", "--scale", "0.02", "--seed", "1234",
                   "--tolerance-scale", "1e-6"), 1),
         ExitCase("unknown ids", ("verify", "nope", "--scale", "0.02"), 2),
+        ExitCase("infinite scale", ("verify", "table1", "--scale", "inf"), 2),
         ExitCase("negative tolerance scale",
                  ("verify", "table1", "--scale", "0.004",
                   "--tolerance-scale", "-1"), 2),

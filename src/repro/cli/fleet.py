@@ -19,8 +19,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.pipeline import FileSetSource, iter_source_records
     from repro.util.timeutil import format_duration, format_timestamp
 
-    if args.alarm_minutes <= 0:
-        raise CliError("--alarm-minutes must be positive")
+    require_positive("--alarm-minutes", args.alarm_minutes)
     if not args.logs.is_dir():
         raise CliError(f"{args.logs} is not a directory")
 
@@ -103,8 +102,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     require_positive("--speedup", args.speedup)
-    if args.alarm_minutes <= 0:
-        raise CliError("--alarm-minutes must be positive")
+    require_positive("--alarm-minutes", args.alarm_minutes)
     if not 0 <= args.port <= 65535:
         raise CliError(f"--port must be in 0..65535, got {args.port}")
     if args.duration is not None and args.duration < 0:
@@ -223,6 +221,8 @@ register(Command(
         ExitCase("missing log directory", ("monitor", "{absent}"), 2),
         ExitCase("non-positive alarm threshold",
                  ("monitor", "{logs}", "--alarm-minutes", "0"), 2),
+        ExitCase("NaN alarm threshold",
+                 ("monitor", "{logs}", "--alarm-minutes", "nan"), 2),
     ),
 ))
 

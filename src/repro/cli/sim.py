@@ -25,10 +25,8 @@ def _configure_simulate(parser: argparse.ArgumentParser) -> None:
                         help="override the scenario's job length")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="cache replica results here (resumable sweeps)")
-    parser.add_argument("--format", choices=("text", "json"), default=None,
+    parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="table (text) or the aggregate as JSON")
-    parser.add_argument("--json", action="store_true",
-                        help="alias for --format json")
     parser.add_argument("--output-dir", type=Path, default=None,
                         help="write result.json + manifest.json for the sweep")
     parser.add_argument("--list-scenarios", action="store_true",
@@ -45,7 +43,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"{name:<20} {description}")
         return 0
     require_positive("--workers", args.workers)
-    output_format = args.format or ("json" if args.json else "text")
     try:
         config = SweepConfig(
             scenario=args.scenario,
@@ -76,7 +73,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 _json.dumps(result.manifest.to_dict(), indent=2) + "\n",
                 encoding="utf-8",
             )
-    if output_format == "json":
+    if args.format == "json":
         print(_json.dumps(result.to_dict(), indent=2, sort_keys=True))
         return 0
     aggregate = result.aggregate

@@ -4,6 +4,7 @@ overprovision."""
 from __future__ import annotations
 
 import argparse
+import math
 from pathlib import Path
 
 from repro.cli.common import write_result_dir
@@ -27,6 +28,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     from repro.datasets import synthesize_delta
 
     require_positive("--scale", args.scale)
+    if not math.isfinite(args.scale):
+        raise CliError("--scale must be finite")
     if args.output.exists() and not args.output.is_dir():
         raise CliError(f"{args.output} exists and is not a directory")
     dataset = synthesize_delta(scale=args.scale, seed=args.seed)
@@ -122,6 +125,8 @@ register(Command(
         ExitCase("missing output directory argument", ("synthesize",), 2),
         ExitCase("nonpositive scale",
                  ("synthesize", "{tmp}/data", "--scale", "0"), 2),
+        ExitCase("infinite scale",
+                 ("synthesize", "{tmp}/x", "--scale", "inf"), 2),
         ExitCase("output is an existing file",
                  ("synthesize", "{dataset}/slurm.jsonl", "--scale", "0.004"), 2),
     ),
@@ -147,6 +152,7 @@ register(Command(
                  ("study", "--scale", "0.004", "--seed", "3"), 0),
         ExitCase("nonpositive workers",
                  ("study", "--scale", "0.004", "--workers", "0"), 2),
+        ExitCase("NaN scale", ("study", "--scale", "nan"), 2),
         ExitCase("missing --dataset directory",
                  ("study", "--dataset", "{absent}", "--scale", "0.004"), 2),
         ExitCase("--dataset without logs/, fanned out",

@@ -123,13 +123,9 @@ class ClusterInventory:
         return f"ClusterInventory(nodes={s['nodes']}, gpus={s['gpus']})"
 
 
-def build_delta_cluster(
-    shape: DeltaShape | None = None, *, scale: float = 1.0
-) -> ClusterInventory:
-    """Build a Delta-shaped cluster, optionally scaled down for fast runs."""
+def build_delta_cluster(shape: DeltaShape | None = None) -> ClusterInventory:
+    """Build a Delta-shaped cluster (the stock shape by default)."""
     shape = shape or DeltaShape()
-    if scale != 1.0:
-        shape = shape.scaled(scale)
     nodes: List[Node] = []
     for kind, count in shape.counts().items():
         nodes.extend(make_node(kind, ordinal) for ordinal in range(1, count + 1))

@@ -47,6 +47,10 @@ HOLD_PER_RECOVERY_HOUR = 21.8
 #: GPU node has two nines; measured 99.5%).
 BASE_AVAILABILITY = 0.995
 
+#: A job counts as blocked when fewer than n_nodes are operational; the
+#: required overprovision keeps its blocked-time fraction at most this.
+MAX_BLOCKED_FRACTION = 0.005
+
 
 def _hold_mean_hours(recovery_minutes: float) -> float:
     return HOLD_BASE_HOURS + HOLD_PER_RECOVERY_HOUR * recovery_minutes / 60.0
@@ -73,8 +77,6 @@ class OverprovisionConfig:
     failure_prob_per_hour: float = 0.01
     recovery_minutes: float = 40.0
     availability: float = BASE_AVAILABILITY
-    #: Job counts as blocked when fewer than n_nodes are operational.
-    max_blocked_fraction: float = 0.005
     n_trials: int = 5
     seed: int = 7
 
@@ -84,7 +86,6 @@ class OverprovisionConfig:
         check_probability("failure_prob_per_hour", self.failure_prob_per_hour)
         check_positive("recovery_minutes", self.recovery_minutes)
         check_fraction("availability", self.availability, allow_zero=False)
-        check_probability("max_blocked_fraction", self.max_blocked_fraction)
         check_positive("n_trials", self.n_trials)
 
     @property
@@ -255,14 +256,14 @@ class OverprovisionSimulator:
         config = self.config
         guess = int(math.ceil(required_overprovision_analytic(config) * config.n_nodes))
         hi = max(4, guess * 2)
-        while self.blocked_fraction(hi) > config.max_blocked_fraction:
+        while self.blocked_fraction(hi) > MAX_BLOCKED_FRACTION:
             hi *= 2
             if hi > config.n_nodes * 2:
                 break
         lo = 0
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.blocked_fraction(mid) <= config.max_blocked_fraction:
+            if self.blocked_fraction(mid) <= MAX_BLOCKED_FRACTION:
                 hi = mid
             else:
                 lo = mid + 1

@@ -165,45 +165,33 @@ class DeltaStudy:
         cls,
         store,
         *,
-        window_hours: Optional[float] = None,
-        n_nodes: Optional[int] = None,
         slurm_db: SlurmDatabase | None = None,
-        query=None,
         workers: int = 1,
         **kwargs,
     ) -> "DeltaStudy":
         """Build over a built :class:`~repro.store.store.EventStore`.
 
         ``store`` is an :class:`EventStore` or its directory.  Stage I
-        becomes a columnar decode with zone-map pushdown (pass ``query``
-        to slice); ``window_hours`` / ``n_nodes`` default from the
-        metadata ``repro-delta store build`` records.  Store segments are
-        re-iterable, so the study keeps only its coalesced errors, not the
-        decoded batch, and its run manifests carry the store content hash.
+        becomes a columnar decode of every segment; the window and node
+        count come from the metadata ``repro-delta store build`` records.
+        Store segments are re-iterable, so the study keeps only its
+        coalesced errors, not the decoded batch, and its run manifests
+        carry the store content hash.
         """
-        from repro.store import MATCH_ALL, EventStore, StoreSource
+        from repro.store import EventStore, StoreSource
 
         if not isinstance(store, EventStore):
             store = EventStore.open(store)
         meta = store.meta
-        if window_hours is None:
-            if "window_hours" not in meta:
-                raise ValueError(
-                    "window_hours not given and not recorded in store meta"
-                )
-            window_hours = float(meta["window_hours"])  # type: ignore[arg-type]
-        if n_nodes is None:
-            if "n_nodes" not in meta:
-                raise ValueError(
-                    "n_nodes not given and not recorded in store meta"
-                )
-            n_nodes = int(meta["n_nodes"])  # type: ignore[arg-type]
+        for key in ("window_hours", "n_nodes"):
+            if key not in meta:
+                raise ValueError(f"{key} not recorded in store meta")
         if "n_gpus" in meta:
             kwargs.setdefault("n_gpus", int(meta["n_gpus"]))  # type: ignore[arg-type]
         study = cls(
-            StoreSource(store, query=query if query is not None else MATCH_ALL),
-            window_hours=window_hours,
-            n_nodes=n_nodes,
+            StoreSource(store),
+            window_hours=float(meta["window_hours"]),  # type: ignore[arg-type]
+            n_nodes=int(meta["n_nodes"]),  # type: ignore[arg-type]
             slurm_db=slurm_db,
             workers=workers,
             **kwargs,

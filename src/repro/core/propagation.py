@@ -64,9 +64,8 @@ class PropagationGraph:
         stats = edges.get((int(source), int(target)))
         return stats.count / n_source if stats else 0.0
 
-    def mean_delay(self, source: int, target: int, *, inter: bool = False) -> float:
-        edges = self.inter_edges if inter else self.intra_edges
-        stats = edges.get((int(source), int(target)))
+    def mean_delay(self, source: int, target: int) -> float:
+        stats = self.intra_edges.get((int(source), int(target)))
         return stats.mean_delay if stats else float("nan")
 
     def terminal_probability(self, source: int) -> float:
@@ -222,13 +221,13 @@ class PropagationAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def memory_recovery_paths(self, graph: PropagationGraph | None = None) -> Dict[str, float]:
+    def memory_recovery_paths(self) -> Dict[str, float]:
         """Figure 7's DBE recovery tree, as measured.
 
         Returns the branch probabilities plus the overall DBE "alleviation"
         rate (RRE success + containment after RRF), the paper's 70.6%.
         """
-        graph = graph or self.analyze()
+        graph = self.analyze()
         p_dbe_rre = graph.probability(Xid.DBE, Xid.RRE)
         p_dbe_rrf = graph.probability(Xid.DBE, Xid.RRF)
         p_rrf_contained = graph.probability(Xid.RRF, Xid.CONTAINED)
@@ -243,9 +242,9 @@ class PropagationAnalyzer:
             "dbe_alleviated": alleviated,
         }
 
-    def hardware_paths(self, graph: PropagationGraph | None = None) -> Dict[str, float]:
+    def hardware_paths(self) -> Dict[str, float]:
         """Figure 5's headline hardware-propagation numbers, as measured."""
-        graph = graph or self.analyze()
+        graph = self.analyze()
         return {
             "p_gsp_self_or_terminal": graph.probability(Xid.GSP, Xid.GSP)
             + graph.terminal_probability(Xid.GSP),

@@ -13,7 +13,7 @@ doubles as the EXPERIMENTS.md comparison.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.availability import AvailabilityAnalyzer
 from repro.core.counterfactual import CounterfactualReport
@@ -484,13 +484,11 @@ def generations_result(comparison) -> ExperimentResult:
     )
 
 
-def spatial_result(
-    analyzer, xids: Sequence[int] = (95, 31, 74, 119)
-) -> ExperimentResult:
+def spatial_result(analyzer) -> ExperimentResult:
     """Section 4.2 (iii)'s concentration story, quantified."""
     counts = Counter(e.xid for e in analyzer.errors)
     rows = []
-    for xid in xids:
+    for xid in (95, 31, 74, 119):
         offenders = analyzer.offenders(xid)
         rows.append((
             int(xid),

@@ -25,6 +25,9 @@ from repro.core.coalesce import CoalescedError
 
 GpuKey = Tuple[str, str]
 
+#: Poisson-tail surprise (-log10 p) above which a GPU is an offender.
+SURPRISE_THRESHOLD = 6.0
+
 
 def gini_coefficient(counts: Sequence[float], population: int | None = None) -> float:
     """Gini inequality of counts, optionally padded with zero-count units.
@@ -96,12 +99,14 @@ class SpatialAnalyzer:
 
     # ------------------------------------------------------------------
 
-    def offenders(self, xid: int, *, surprise_threshold: float = 6.0) -> List[Offender]:
+    def offenders(self, xid: int) -> List[Offender]:
         """GPUs whose counts are statistically inconsistent with chance.
 
         Under uniform placement each GPU's count is ~Poisson(total/n_gpus);
         the surprise score is -log10 of that tail probability (Chernoff
-        bound for numerical robustness at extreme counts).
+        bound for numerical robustness at extreme counts).  An offender
+        scores at least :data:`SURPRISE_THRESHOLD` with three or more
+        errors.
         """
         per_gpu = self._per_gpu.get(int(xid), {})
         total = sum(per_gpu.values())
@@ -111,7 +116,7 @@ class SpatialAnalyzer:
         out: List[Offender] = []
         for gpu, count in per_gpu.items():
             surprise = _poisson_tail_surprise(count, rate)
-            if surprise >= surprise_threshold and count >= 3:
+            if surprise >= SURPRISE_THRESHOLD and count >= 3:
                 out.append(
                     Offender(gpu=gpu, count=count, share=count / total,
                              surprise=surprise)

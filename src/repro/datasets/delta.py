@@ -32,15 +32,24 @@ from repro.faults.calibration import (
 from repro.faults.events import FaultTrace
 from repro.faults.injector import FaultInjector, InjectorConfig
 from repro.slurm.accounting import SlurmDatabase
-from repro.slurm.failures import CouplingConfig, CouplingResult, FailureCoupler
+from repro.slurm.failures import CouplingResult, FailureCoupler
 from repro.slurm.scheduler import GpuScheduler, Interval, Schedule
 from repro.slurm.workload import WorkloadConfig, WorkloadModel
 from repro.syslog.format import render_node_lines
-from repro.syslog.noise import NoiseConfig, generate_noise_lines
+from repro.syslog.noise import generate_noise_lines
 from repro.syslog.writer import write_node_logs
 from repro.util.rng import spawn_rng
 
 GpuKey = Tuple[str, str]
+
+#: Probability each offender-GPU error episode is cordoned by SREs
+#: (drained: no new jobs placed), keeping Table 2's encounter counts in
+#: the regime the paper observed.
+CORDON_PROB = 0.7
+#: Events on one GPU within this gap merge into one cordon episode.
+CORDON_EPISODE_GAP = 4 * 3600.0
+#: GPUs with at least this many events of one code count as offenders.
+CORDON_EVENT_THRESHOLD = 60
 
 
 @dataclass(frozen=True)
@@ -50,15 +59,6 @@ class DeltaDatasetConfig:
     scale: float = 0.05
     seed: int = 7
     with_jobs: bool = True
-    noise_lines_per_node_hour: float = 0.5
-    #: Probability each offender-GPU error episode is cordoned by SREs
-    #: (drained: no new jobs placed), keeping Table 2's encounter counts in
-    #: the regime the paper observed.
-    cordon_prob: float = 0.7
-    #: Events on one GPU within this gap merge into one cordon episode.
-    cordon_episode_gap: float = 4 * 3600.0
-    #: GPUs with at least this many events of one code count as offenders.
-    cordon_event_threshold: int = 60
 
 
 @dataclass
@@ -102,14 +102,9 @@ class DeltaDataset:
         """The raw syslog as ``(node, lines)``: each event's lines, then
         each node's benign noise."""
         yield from render_node_lines(self.trace.events, seed=self.config.seed, pids=self.pids)
-        if include_noise and self.config.noise_lines_per_node_hour > 0:
+        if include_noise:
             yield from generate_noise_lines(
-                self.trace.node_ids,
-                self.window_seconds,
-                NoiseConfig(
-                    lines_per_node_hour=self.config.noise_lines_per_node_hour,
-                    seed=self.config.seed,
-                ),
+                self.trace.node_ids, self.window_seconds, self.config.seed
             )
 
     def log_lines(self, *, include_noise: bool = True) -> Iterator[str]:
@@ -183,7 +178,7 @@ def synthesize_delta(
     # schedule's occupancy — so idle-biased codes are idle with respect to
     # the very schedule the coupling uses.
     with obs.span("datasets.preview"):
-        cordons = derive_cordons(injector.generate(cluster), config)
+        cordons = derive_cordons(injector.generate(cluster), config.seed)
     with obs.span("datasets.schedule", jobs=len(specs)):
         final = GpuScheduler(cluster, blackouts=cordons).schedule(specs, window)
     with obs.span("datasets.inject"):
@@ -195,7 +190,7 @@ def synthesize_delta(
         )
         trace = injector.generate(cluster, occupancy=final.occupancy)
     with obs.span("datasets.couple"):
-        coupler = FailureCoupler(profile, CouplingConfig(seed=config.seed))
+        coupler = FailureCoupler(profile, config.seed)
         coupling = coupler.couple(
             final, trace, specs, mmu_budget=injector.workload_mmu_budget()
         )
@@ -217,31 +212,22 @@ def synthesize_delta(
     )
 
 
-def synthesize_h100(
-    *,
-    scale: float = 1.0,
-    seed: int = 7,
-    config: DeltaDatasetConfig | None = None,
-    cluster: ClusterInventory | None = None,
-) -> DeltaDataset:
+def synthesize_h100(*, scale: float = 1.0, seed: int = 7) -> DeltaDataset:
     """Build the Hopper early-deployment (Section 6) dataset.
 
     H100 jobs run at ~20% utilization over a shorter window; the default
     scale of 1.0 is cheap because the Section-6 event population is small.
     """
-    config = config or DeltaDatasetConfig(scale=scale, seed=seed)
     workload_config = WorkloadConfig(
-        scale=config.scale,
-        seed=config.seed,
+        scale=scale,
+        seed=seed,
         jobs_per_day=244.0,  # ~20% utilization of the 320-GPU partition
         partition_override="h100",
     )
     return synthesize_delta(
-        scale=config.scale,
-        seed=config.seed,
+        scale=scale,
+        seed=seed,
         profile=H100_CALIBRATION,
-        config=config,
-        cluster=cluster,
         workload_config=workload_config,
     )
 
@@ -249,36 +235,34 @@ def synthesize_h100(
 # ---------------------------------------------------------------------------
 
 
-def derive_cordons(
-    trace: FaultTrace, config: DeltaDatasetConfig
-) -> Dict[GpuKey, List[Interval]]:
+def derive_cordons(trace: FaultTrace, seed: int) -> Dict[GpuKey, List[Interval]]:
     """Drain intervals for offender GPUs, derived from the fault trace.
 
     GPUs emitting dense error episodes get cordoned (no new job placements)
-    for the episode span with probability ``cordon_prob`` per episode —
+    for the episode span with probability :data:`CORDON_PROB` per episode —
     modelling SREs repeatedly draining a defective part without managing to
     replace it (the paper's 17-day uncontained case).
     """
-    rng = spawn_rng(config.seed, "cordons")
+    rng = spawn_rng(seed, "cordons")
     per_gpu_xid: Dict[Tuple[GpuKey, int], List[float]] = {}
     for event in trace.events:
         per_gpu_xid.setdefault((event.gpu_key, int(event.xid)), []).append(event.time)
 
     cordons: Dict[GpuKey, List[Interval]] = {}
     for (gpu, _xid), times in per_gpu_xid.items():
-        if len(times) < config.cordon_event_threshold:
+        if len(times) < CORDON_EVENT_THRESHOLD:
             continue
         times.sort()
         episode_start = times[0]
         last = times[0]
         episodes: List[Interval] = []
         for t in times[1:]:
-            if t - last > config.cordon_episode_gap:
+            if t - last > CORDON_EPISODE_GAP:
                 episodes.append((episode_start, last + 3600.0))
                 episode_start = t
             last = t
         episodes.append((episode_start, last + 3600.0))
-        kept = [ep for ep in episodes if rng.random() < config.cordon_prob]
+        kept = [ep for ep in episodes if rng.random() < CORDON_PROB]
         if kept:
             cordons.setdefault(gpu, []).extend(kept)
     for gpu in cordons:

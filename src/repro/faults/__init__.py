@@ -2,7 +2,7 @@
 
 This subpackage is the generative half of the reproduction: it plants
 ground-truth fault chains on a simulated cluster, shaped by the statistics
-the paper published for Delta (``DELTA_CALIBRATION``).  The analysis pipeline
+the paper published for Delta (``AMPERE_CALIBRATION``).  The analysis pipeline
 in :mod:`repro.core` never reads these ground-truth events directly — it only
 sees the rendered syslog text — so recovering the calibration constants from
 the logs is an end-to-end test of the paper's methodology.
@@ -10,7 +10,6 @@ the logs is an end-to-end test of the paper's methodology.
 
 from repro.faults.calibration import (
     AMPERE_CALIBRATION,
-    DELTA_CALIBRATION,
     H100_CALIBRATION,
     CalibrationProfile,
     XidCalibration,
@@ -25,7 +24,6 @@ from repro.faults.xid import Xid, XidCategory, XidInfo, XID_CATALOG, RecoveryAct
 
 __all__ = [
     "AMPERE_CALIBRATION",
-    "DELTA_CALIBRATION",
     "H100_CALIBRATION",
     "CalibrationProfile",
     "XidCalibration",

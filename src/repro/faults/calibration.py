@@ -356,7 +356,6 @@ class CalibrationProfile:
 
 _DELAY_FAST = DelayModel(0.5, 4.0)  # cross-XID propagation within a burst
 _DELAY_REPEAT = DelayModel(7.0, 45.0)  # same-XID recurrence (beyond coalescing)
-_DELAY_NVLINK_PEER = DelayModel(0.5, 10.0)
 
 AMPERE_KERNEL: Dict[Xid, KernelRow] = {
     # Figure 5: GSP errors are overwhelmingly isolated & fatal to the GPU;
@@ -591,9 +590,6 @@ AMPERE_CALIBRATION = CalibrationProfile(
     xids=_ampere_xids(),
     kernel=AMPERE_KERNEL,
 )
-
-#: Alias: the paper's headline characterization is the Ampere population.
-DELTA_CALIBRATION = AMPERE_CALIBRATION
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,13 @@ class InjectorConfig:
     """Injection parameters.
 
     ``scale`` shrinks (or stretches) the observation window; event counts
-    scale proportionally so MTBE statistics are scale-invariant.  With
-    ``deterministic_counts`` the number of events per XID is the rounded
-    expectation (paper-faithful totals at ``scale=1``); otherwise counts are
-    Poisson-distributed around it.
+    scale proportionally so MTBE statistics are scale-invariant.  The
+    number of root events per XID is the rounded expectation
+    (paper-faithful totals at ``scale=1``).
     """
 
     scale: float = 1.0
     seed: int = 7
-    deterministic_counts: bool = True
     #: When True the workload substrate supplies the job-correlated share of
     #: MMU root events (see ``CalibrationProfile.mmu_from_workload_fraction``)
     #: and the injector generates only the hardware share.
@@ -190,7 +188,7 @@ class FaultInjector:
 
         for xid, root_count in sorted(self.root_counts().items(), key=lambda kv: int(kv[0])):
             rng = self._streams.get("xid", str(int(xid)))
-            n = self._realized_count(rng, root_count)
+            n = int(round(root_count))
             if n <= 0:
                 continue
             if xid is Xid.NVLINK:
@@ -227,11 +225,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Root placement
     # ------------------------------------------------------------------
-
-    def _realized_count(self, rng: np.random.Generator, expected: float) -> int:
-        if self.config.deterministic_counts:
-            return int(round(expected))
-        return int(rng.poisson(expected))
 
     def _place_roots(
         self,

@@ -170,14 +170,6 @@ XID_CATALOG: Dict[Xid, XidInfo] = {
     )
 }
 
-#: Codes included in the paper's Ampere characterization (Table 1 rows).
-STUDIED_XIDS: Tuple[Xid, ...] = tuple(
-    sorted(
-        (x for x, info in XID_CATALOG.items() if info.studied and x is not Xid.XID_136),
-        key=int,
-    )
-)
-
 #: Memory-category codes whose combined MTBE defines "GPU memory" resilience.
 #: The paper excludes uncontained errors from the 30x memory-vs-hardware
 #: comparison because >90% originate from a handful of defective GPUs.

@@ -126,7 +126,7 @@ def demo_trace(seed: int = 11) -> FaultTrace:
     """Inject the demo profile onto the demo cluster."""
     injector = FaultInjector(
         demo_profile(),
-        InjectorConfig(scale=1.0, seed=seed, deterministic_counts=True),
+        InjectorConfig(scale=1.0, seed=seed),
     )
     return injector.generate(demo_cluster())
 

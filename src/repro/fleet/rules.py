@@ -32,7 +32,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, IO, Iterable, List, Optional, Protocol, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.core.parsing import RawXidRecord
 from repro.core.streaming import PersistenceAlarm
@@ -165,14 +165,12 @@ class MemorySink:
 class StdoutSink:
     """Human-readable one-line-per-alert sink."""
 
-    def __init__(self, stream: Optional[IO[str]] = None) -> None:
-        self._stream = stream
+    def __init__(self) -> None:
         self._lock = threading.Lock()
 
     def emit(self, alert: Alert) -> None:
-        stream = self._stream if self._stream is not None else sys.stdout
         with self._lock:
-            print(alert.render(), file=stream, flush=True)
+            print(alert.render(), file=sys.stdout, flush=True)
 
 
 class JsonLinesSink:

@@ -29,6 +29,11 @@ from repro.fleet.registry import HealthRegistry, RiskScorer
 from repro.fleet.rules import AlertSink, RuleEngine, default_rules
 from repro.fleet.tailer import DirectoryTailer
 
+#: How long :meth:`FleetHealthService.stop` waits for the ingest thread.
+STOP_TIMEOUT_SECONDS = 30.0
+#: Ingestion this long without a record counts as idle.
+IDLE_SECONDS = 0.3
+
 
 @dataclass(frozen=True)
 class FleetServiceConfig:
@@ -125,7 +130,7 @@ class FleetHealthService:
         self._consumer.start()
         return self
 
-    def stop(self, *, timeout: float = 30.0) -> None:
+    def stop(self) -> None:
         """Stop tailing, drain the queue, shut the endpoint down.
 
         Raises whatever killed the ingest thread, after that shutdown.
@@ -135,7 +140,7 @@ class FleetHealthService:
         self._stopped = True
         self.tailer.stop()
         if self._consumer is not None:
-            self._consumer.join(timeout)
+            self._consumer.join(STOP_TIMEOUT_SECONDS)
         if self.metrics_server is not None:
             self.metrics_server.stop()
         # File-backed sinks buffer alerts written from the ingest thread;
@@ -207,10 +212,8 @@ class FleetHealthService:
     # Batch-session helpers
     # ------------------------------------------------------------------
 
-    def wait_idle(
-        self, *, idle_for: float = 0.3, timeout: float = 30.0
-    ) -> bool:
-        """Wait until ingestion has been quiet for ``idle_for`` seconds.
+    def wait_idle(self, *, timeout: float = 30.0) -> bool:
+        """Wait until ingestion has been quiet for :data:`IDLE_SECONDS`.
 
         "Quiet" = no new records ingested and the queue empty — the state
         a finished emitter leaves behind.  Returns False on timeout, or at
@@ -226,7 +229,7 @@ class FleetHealthService:
                 quiet_since = None
             elif quiet_since is None:
                 quiet_since = self.clock()
-            elif self.clock() - quiet_since >= idle_for:
+            elif self.clock() - quiet_since >= IDLE_SECONDS:
                 return True
             self.sleep(0.05)
         return False

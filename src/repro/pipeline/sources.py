@@ -7,10 +7,10 @@ lazy row stream for the live paths), and the caller hands the result to
 Algorithm 1.  Two shapes cover every batch ingestion surface
 in the repository:
 
-* **file sets** (:class:`FileSetSource`) — a directory or explicit list
-  of per-node syslog files, the batch-study shape.  Each file is an
-  independent *shard*: it can be parsed by any worker process, and its
-  records are time-ordered (node-local syslog is chronological), so the
+* **file sets** (:class:`FileSetSource`) — a directory of per-node
+  syslog files, the batch-study shape.  Each file is an independent
+  *shard*: it can be parsed by any worker process, and its records are
+  time-ordered (node-local syslog is chronological), so the
   per-shard streams k-way-merge into one globally time-ordered stream.
 * **in-memory line streams** (:class:`LinesSource`) — an iterable of raw
   syslog text, the in-memory study and adapter shape.  One shard, no
@@ -121,24 +121,14 @@ class Source:
 
 
 class FileSetSource(Source):
-    """A fixed set of node log files (a directory, or explicit paths)."""
+    """The node log files of one directory."""
 
     reiterable = True
 
-    def __init__(
-        self,
-        directory: str | Path | None = None,
-        *,
-        paths: Iterable[str | Path] | None = None,
-    ) -> None:
-        if (directory is None) == (paths is None):
-            raise ValueError("pass exactly one of directory= or paths=")
-        if directory is not None:
-            from repro.syslog.reader import list_log_files
+    def __init__(self, directory: str | Path) -> None:
+        from repro.syslog.reader import list_log_files
 
-            self.paths: List[Path] = list_log_files(directory)
-        else:
-            self.paths = [Path(p) for p in paths]  # caller-chosen order
+        self.paths: List[Path] = list_log_files(directory)
 
     def shards(self) -> Sequence[FileShard]:
         return [FileShard(path) for path in self.paths]

@@ -196,8 +196,8 @@ def _best_leads(
     return best
 
 
-def _round(value: float, digits: int = 6) -> float:
-    return round(float(value), digits)
+def _round(value: float) -> float:
+    return round(float(value), 6)
 
 
 def _lead_row(name: str, leads: Sequence[float]) -> Tuple:

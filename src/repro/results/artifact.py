@@ -348,8 +348,8 @@ class ExperimentResult:
 
         return render_text(self)
 
-    def render_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def render_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def render_svg(self) -> Optional[str]:
         from repro.results.render import render_svg

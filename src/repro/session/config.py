@@ -19,6 +19,7 @@ make equal results look different.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -57,8 +58,8 @@ class RunConfig:
     format: str = "text"
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise SessionError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise SessionError(f"scale must be positive and finite, got {self.scale}")
         if self.workers < 1:
             raise SessionError(f"--workers must be >= 1, got {self.workers}")
         if self.jobs < 1:

@@ -242,10 +242,8 @@ class Session:
         portable.dataset_label = study.dataset_label
         return portable
 
-    def run_many(
-        self, identifiers: Sequence[str], *, jobs: Optional[int] = None
-    ) -> List["ExperimentResult"]:
-        """Run several experiments, optionally fanned over processes.
+    def run_many(self, identifiers: Sequence[str]) -> List["ExperimentResult"]:
+        """Run several experiments, fanned over ``config.jobs`` processes.
 
         Results come back in ``identifiers`` order whatever the job
         count, and each result is byte-identical to what :meth:`run`
@@ -254,10 +252,7 @@ class Session:
         shared study to worker processes is a pure speed knob.
         """
         identifiers = list(identifiers)
-        jobs = self.config.jobs if jobs is None else jobs
-        if jobs < 1:
-            raise SessionError(f"--jobs must be >= 1, got {jobs}")
-        jobs = min(jobs, len(identifiers))
+        jobs = min(self.config.jobs, len(identifiers))
         if jobs <= 1:
             return [self.run(identifier) for identifier in identifiers]
         from repro import obs

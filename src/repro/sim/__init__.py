@@ -28,7 +28,6 @@ recovery policy buys it back?
 
 from repro.sim.engine import (
     SimulationConfig,
-    SimTimings,
     TrainingJobConfig,
     WhatIfEngine,
     simulate_training_run,
@@ -53,7 +52,6 @@ from repro.sim.sweep import SweepConfig, SweepResult, run_sweep
 
 __all__ = [
     "SimulationConfig",
-    "SimTimings",
     "TrainingJobConfig",
     "WhatIfEngine",
     "simulate_training_run",

@@ -61,21 +61,15 @@ class TrainingJobConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimTimings:
-    """Fixed costs of the recovery machinery (hours)."""
-
-    checkpoint_cost_hours: float = 0.1
-    restore_cost_hours: float = 0.25
-    #: Failure detection + rescheduling latency before recovery begins.
-    detection_hours: float = 0.1
-    spare_swap_hours: float = 0.05
-
-    def __post_init__(self) -> None:
-        check_positive("checkpoint_cost_hours", self.checkpoint_cost_hours)
-        check_positive("restore_cost_hours", self.restore_cost_hours)
-        if self.detection_hours < 0 or self.spare_swap_hours < 0:
-            raise ValueError("detection/swap delays must be non-negative")
+#: Fixed costs of the recovery machinery (hours).
+CHECKPOINT_COST_HOURS = 0.1
+RESTORE_COST_HOURS = 0.25
+#: Failure detection + rescheduling latency before recovery begins.
+DETECTION_HOURS = 0.1
+SPARE_SWAP_HOURS = 0.05
+#: Abort incomplete runs at ``useful_hours * MAX_WALL_FACTOR`` (the
+#: no-checkpoint baseline on a long job would otherwise never return).
+MAX_WALL_FACTOR = 50.0
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,6 @@ class SimulationConfig:
     profile: CalibrationProfile
     job: TrainingJobConfig
     policy: RecoveryPolicy
-    timings: SimTimings = SimTimings()
-    include_workload_mmu: bool = False
-    #: Abort incomplete runs at ``useful_hours * max_wall_factor`` (the
-    #: no-checkpoint baseline on a long job would otherwise never return).
-    max_wall_factor: float = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +155,7 @@ class WhatIfEngine:
     def __init__(self, config: SimulationConfig, rng: np.random.Generator) -> None:
         self.config = config
         self.rng = rng
-        self.model = FailureModel(
-            config.profile, include_workload_mmu=config.include_workload_mmu
-        )
+        self.model = FailureModel(config.profile)
         self.node_sizes: Tuple[int, ...] = allocate_job(
             config.job.n_gpus, config.job.partition
         )
@@ -183,8 +170,8 @@ class WhatIfEngine:
         fatal_rate = self.state.fatal_rate()
         self.interval = resolve_interval(
             config.policy,
-            checkpoint_cost_hours=config.timings.checkpoint_cost_hours,
-            restore_cost_hours=config.timings.restore_cost_hours,
+            checkpoint_cost_hours=CHECKPOINT_COST_HOURS,
+            restore_cost_hours=RESTORE_COST_HOURS,
             mtbf_hours=(1.0 / fatal_rate) if fatal_rate > 0 else float("inf"),
         )
 
@@ -192,9 +179,8 @@ class WhatIfEngine:
 
     def run(self) -> RunMetrics:
         cfg = self.config
-        timings = cfg.timings
         useful = cfg.job.useful_hours
-        max_wall = useful * cfg.max_wall_factor + 100.0
+        max_wall = useful * MAX_WALL_FACTOR + 100.0
 
         q = EventQueue()
         clock = 0.0
@@ -272,9 +258,9 @@ class WhatIfEngine:
             segment += 1  # invalidate the segment's scheduled events
             phase = _DOWN
             failure_started = t
-            ready = t + timings.detection_hours
+            ready = t + DETECTION_HOURS
             ready += handle_node_down(t, draw)
-            ready += timings.restore_cost_hours
+            ready += RESTORE_COST_HOURS
             begin_recovery(t, ready)
 
         def handle_node_down(t: float, draw: FailureDraw) -> float:
@@ -309,13 +295,13 @@ class WhatIfEngine:
             if policy.n_spares > 0 and spares_free > 0:
                 spares_free -= 1
                 n_swaps += 1
-                q.schedule(t + timings.spare_swap_hours, EventKind.SPARE_SWAP)
+                q.schedule(t + SPARE_SWAP_HOURS, EventKind.SPARE_SWAP)
                 if draw.offender_index is not None:
                     # The defective part leaves the allocation with its node.
                     self.state.evict_offender(draw.offender_index)
                     reschedule_failures(t)
                 q.schedule(t + draw.repair_hours, EventKind.DRAIN_END)
-                return timings.spare_swap_hours
+                return SPARE_SWAP_HOURS
             # No spare: the job blocks on the in-place repair.
             repair_wait += draw.repair_hours
             return draw.repair_hours
@@ -351,9 +337,9 @@ class WhatIfEngine:
                         begin_recovery(
                             t,
                             t
-                            + timings.detection_hours
+                            + DETECTION_HOURS
                             + extra
-                            + timings.restore_cost_hours,
+                            + RESTORE_COST_HOURS,
                         )
 
             elif kind is EventKind.CHECKPOINT_WRITE:
@@ -363,7 +349,7 @@ class WhatIfEngine:
                 volatile = 0.0
                 phase = _WRITE
                 q.schedule(
-                    t + timings.checkpoint_cost_hours,
+                    t + CHECKPOINT_COST_HOURS,
                     EventKind.CHECKPOINT_DONE,
                     generation=segment,
                 )
@@ -373,7 +359,7 @@ class WhatIfEngine:
                     continue
                 durable += pending_commit
                 pending_commit = 0.0
-                ckpt_write += timings.checkpoint_cost_hours
+                ckpt_write += CHECKPOINT_COST_HOURS
                 n_ckpt += 1
                 start_segment(t)
 
@@ -385,7 +371,7 @@ class WhatIfEngine:
                 if active_gpus <= 0:
                     phase = _STALL  # every node is drained: wait for repairs
                     continue
-                restore_spent += timings.restore_cost_hours
+                restore_spent += RESTORE_COST_HOURS
                 if failure_started is not None:
                     recoveries.append(t - failure_started)
                     failure_started = None
@@ -407,7 +393,7 @@ class WhatIfEngine:
                         start_segment(t)
                     elif phase == _STALL:
                         phase = _DOWN
-                        begin_recovery(t, t + timings.restore_cost_hours)
+                        begin_recovery(t, t + RESTORE_COST_HOURS)
                 elif cfg.policy.n_spares > 0:
                     spares_free += 1  # repaired node rejoins the spare pool
 
@@ -446,23 +432,12 @@ class WhatIfEngine:
 
 
 def simulate_training_run(
-    config: SimulationConfig,
-    *,
-    seed: int = 7,
-    replica: int = 0,
-    rng: Optional[np.random.Generator] = None,
+    config: SimulationConfig, *, seed: int = 7, replica: int = 0
 ) -> RunMetrics:
     """One replica, on its own named stream of ``seed``.
 
     The stream path includes profile, policy, and replica index, so adding
     replicas (or running them on any worker) never perturbs existing ones.
     """
-    if rng is None:
-        rng = spawn_rng(
-            seed,
-            "sim",
-            config.profile.name,
-            config.policy.name,
-            str(replica),
-        )
+    rng = spawn_rng(seed, "sim", config.profile.name, config.policy.name, str(replica))
     return WhatIfEngine(config, rng).run()

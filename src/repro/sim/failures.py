@@ -154,16 +154,11 @@ class FailureModel:
     offender lottery and returns the mutable view the engine works with.
     """
 
-    def __init__(
-        self,
-        profile: CalibrationProfile,
-        *,
-        include_workload_mmu: bool = False,
-    ) -> None:
+    def __init__(self, profile: CalibrationProfile) -> None:
         self.profile = profile
         window_hours = profile.window_days * 24.0
         roots = solve_root_counts(profile.scaled_counts(1.0), profile.kernel)
-        if not include_workload_mmu and Xid.MMU in roots:
+        if Xid.MMU in roots:
             roots[Xid.MMU] *= 1.0 - profile.mmu_from_workload_fraction
 
         #: Uniform background: per-node-per-hour root rate by XID.

@@ -25,7 +25,7 @@ from repro.faults.calibration import (
 )
 from repro.faults.variants import burned_in_profile, profile_variant
 from repro.faults.xid import Xid
-from repro.sim.engine import SimTimings, SimulationConfig, TrainingJobConfig
+from repro.sim.engine import SimulationConfig, TrainingJobConfig
 from repro.sim.policies import RecoveryPolicy, parse_policy
 
 
@@ -39,8 +39,6 @@ class Scenario:
     #: module never pays for counterfactual reconstruction.
     profile_factory: Callable[[], CalibrationProfile] = field(repr=False)
     job: TrainingJobConfig = TrainingJobConfig()
-    timings: SimTimings = SimTimings()
-    include_workload_mmu: bool = False
 
     def config(
         self,
@@ -69,8 +67,6 @@ class Scenario:
             profile=self.profile_factory(),
             job=job,
             policy=policy,
-            timings=self.timings,
-            include_workload_mmu=self.include_workload_mmu,
         )
 
 

@@ -17,7 +17,7 @@ from repro.slurm.checkpointing import (
     expected_overhead,
     optimal_interval,
 )
-from repro.slurm.failures import CouplingConfig, FailureCoupler, CouplingResult
+from repro.slurm.failures import FailureCoupler, CouplingResult
 
 __all__ = [
     "ExitCode",
@@ -32,7 +32,6 @@ __all__ = [
     "OccupancyIndex",
     "NodeEvent",
     "SlurmDatabase",
-    "CouplingConfig",
     "FailureCoupler",
     "CouplingResult",
     "CheckpointConfig",

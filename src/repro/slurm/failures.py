@@ -25,28 +25,22 @@ import numpy as np
 
 from repro.faults.calibration import CalibrationProfile
 from repro.faults.events import ErrorEvent, FaultTrace
+from repro.faults.injector import COALESCE_GUARD_SECONDS
 from repro.faults.xid import Xid, is_studied
 from repro.slurm.accounting import NodeEvent
 from repro.slurm.job import ExitCode, JobRecord, JobSpec, JobState
 from repro.slurm.scheduler import Schedule
 from repro.util.rng import RngStreams
 
-#: The paper's job-failure attribution window (Section 5.3).
-ATTRIBUTION_WINDOW = 20.0
-
-
-@dataclass(frozen=True)
-class CouplingConfig:
-    seed: int = 7
-    #: Delay between a fatal error and the job's recorded end (must stay
-    #: inside the attribution window for the pipeline to classify the job).
-    failure_delay_range: Tuple[float, float] = (2.0, 15.0)
-    #: Long-running jobs carry checkpoint/retry machinery that masks MMU
-    #: errors (paper Section 5.3 / Figure 9b: >4,000-minute jobs encounter
-    #: multiple MMU errors yet run to completion), so their per-job MMU
-    #: failure probability is scaled down.
-    long_job_minutes: float = 4_000.0
-    long_job_mmu_failure_scale: float = 0.15
+#: Delay between a fatal error and the job's recorded end (must stay
+#: inside the pipeline's attribution window for it to classify the job).
+FAILURE_DELAY_RANGE: Tuple[float, float] = (2.0, 15.0)
+#: Long-running jobs carry checkpoint/retry machinery that masks MMU
+#: errors (paper Section 5.3 / Figure 9b: >4,000-minute jobs encounter
+#: multiple MMU errors yet run to completion), so their per-job MMU
+#: failure probability is scaled down.
+LONG_JOB_MINUTES = 4_000.0
+LONG_JOB_MMU_FAILURE_SCALE = 0.15
 
 
 @dataclass
@@ -70,10 +64,9 @@ _NODE_FAIL_XIDS = {Xid.GSP, Xid.FALLEN_OFF_BUS, Xid.UNCONTAINED, Xid.RRF}
 class FailureCoupler:
     """Apply the error->job and error->node coupling models."""
 
-    def __init__(self, profile: CalibrationProfile, config: CouplingConfig | None = None):
+    def __init__(self, profile: CalibrationProfile, seed: int):
         self.profile = profile
-        self.config = config or CouplingConfig()
-        self._streams = RngStreams(self.config.seed).fork("coupling", profile.name)
+        self._streams = RngStreams(seed).fork("coupling", profile.name)
 
     # ------------------------------------------------------------------
 
@@ -128,13 +121,10 @@ class FailureCoupler:
             prob = self.profile.xids[xid].job_failure_prob if xid in self.profile.xids else 1.0
             if xid is Xid.MMU:
                 job = jobs_by_id.get(job_id)
-                if (
-                    job is not None
-                    and job.elapsed >= self.config.long_job_minutes * 60.0
-                ):
-                    prob *= self.config.long_job_mmu_failure_scale
+                if job is not None and job.elapsed >= LONG_JOB_MINUTES * 60.0:
+                    prob *= LONG_JOB_MMU_FAILURE_SCALE
             if rng.random() < prob:
-                delay = rng.uniform(*self.config.failure_delay_range)
+                delay = rng.uniform(*FAILURE_DELAY_RANGE)
                 end = min(event.time + delay, current_end[job_id])
                 # A failure must land strictly after the error to be
                 # attributable; clamp within the job's natural lifetime.
@@ -185,8 +175,8 @@ class FailureCoupler:
         )
 
         def p_of(job: JobRecord) -> float:
-            if job.elapsed >= self.config.long_job_minutes * 60.0:
-                return base_p * self.config.long_job_mmu_failure_scale
+            if job.elapsed >= LONG_JOB_MINUTES * 60.0:
+                return base_p * LONG_JOB_MMU_FAILURE_SCALE
             return base_p
 
         buggy = [
@@ -235,7 +225,7 @@ class FailureCoupler:
             # Keep same-GPU MMU events separated beyond the coalescing window.
             last_end = -np.inf
             for t, d in zip(times, durations):
-                t = max(t, last_end + 6.0)
+                t = max(t, last_end + COALESCE_GUARD_SECONDS)
                 last_end = t + d
                 events.append(
                     ErrorEvent(

@@ -111,13 +111,11 @@ class OccupancyIndex:
             gpus.append(gpu)
         return gpus, times
 
-    def sample_idle(
-        self, rng: np.random.Generator, n: int, candidates: Sequence[GpuKey] | None = None
-    ) -> Tuple[List[GpuKey], np.ndarray]:
+    def sample_idle(self, rng: np.random.Generator, n: int) -> Tuple[List[GpuKey], np.ndarray]:
         """``n`` (GPU, time) points with no job active (rejection sampling)."""
         if n <= 0:
             return [], np.zeros(0)
-        pool: Sequence[GpuKey] = candidates if candidates is not None else self._gpus
+        pool = self._gpus
         if not pool:
             return [], np.zeros(0)
         gpus: List[GpuKey] = []

@@ -77,6 +77,18 @@ SIZE_BUCKETS: Tuple[SizeBucket, ...] = (
 PAPER_GPU_JOB_COUNT = 1_445_119
 PAPER_GPU_JOB_SUCCESS_RATE = 0.7468
 PAPER_WINDOW_DAYS = 855.0
+BACKGROUND_FAILURE_PROB = 1.0 - PAPER_GPU_JOB_SUCCESS_RATE
+#: Probability a <=4-GPU job targets the A40 partition (larger jobs
+#: always request A100s).
+SMALL_JOB_A40_PROB = 0.50
+#: Fraction of jobs in long-haul queues exceeding the standard walltime
+#: (the paper's Figure 9a/9b show jobs beyond 4,000 minutes that
+#: encounter multiple MMU errors yet complete), and their length range.
+LONG_JOB_PROB = 0.001
+LONG_JOB_MINUTES: Tuple[float, float] = (4_000.0, 20_000.0)
+#: User-induced XID 13 and XID 43 emissions per 1000 jobs.
+XID13_PER_KJOB = 20.0
+XID43_PER_KJOB = 5.0
 
 _ML_NAMES = (
     "train_resnet50", "llm_finetune", "bert_pretrain", "model_eval",
@@ -101,20 +113,9 @@ class WorkloadConfig:
     scale: float = 1.0
     seed: int = 7
     jobs_per_day: float = PAPER_GPU_JOB_COUNT / PAPER_WINDOW_DAYS
-    background_failure_prob: float = 1.0 - PAPER_GPU_JOB_SUCCESS_RATE
-    #: Probability a <=4-GPU job targets the A40 partition (larger jobs
-    #: always request A100s).
-    small_job_a40_prob: float = 0.50
     #: Route every job to one partition (the H100 dataset uses "h100").
     partition_override: str | None = None
-    #: Fraction of jobs in long-haul queues exceeding the standard walltime
-    #: (the paper's Figure 9a/9b show jobs beyond 4,000 minutes that
-    #: encounter multiple MMU errors yet complete).
-    long_job_prob: float = 0.001
-    long_job_minutes: Tuple[float, float] = (4_000.0, 20_000.0)
     mmu_budget: float = 0.0
-    xid13_per_kjob: float = 20.0  # user-induced XID 13 emissions per 1000 jobs
-    xid43_per_kjob: float = 5.0
 
     def __post_init__(self) -> None:
         check_positive("scale", self.scale)
@@ -170,14 +171,13 @@ class WorkloadModel:
         # Long-haul queue: a small fraction of single-GPU jobs exceed the
         # standard walltime by special allocation (log-uniform 4k-40k min),
         # populating the >4,000-minute region of Figures 9a/9b.
-        if self.config.long_job_prob > 0:
-            long_mask = rng.random(n) < self.config.long_job_prob
-            n_long = int(long_mask.sum())
-            if n_long:
-                lo, hi = self.config.long_job_minutes
-                draw = rng.uniform(math.log(lo * 60.0), math.log(hi * 60.0), size=n_long)
-                durations[long_mask] = np.exp(draw)
-                n_gpus[long_mask] = 1
+        long_mask = rng.random(n) < LONG_JOB_PROB
+        n_long = int(long_mask.sum())
+        if n_long:
+            lo, hi = LONG_JOB_MINUTES
+            draw = rng.uniform(math.log(lo * 60.0), math.log(hi * 60.0), size=n_long)
+            durations[long_mask] = np.exp(draw)
+            n_gpus[long_mask] = 1
 
         if self.config.partition_override is not None:
             partitions = np.full(n, self.config.partition_override, dtype=object)
@@ -185,15 +185,15 @@ class WorkloadModel:
             partitions = np.where(
                 n_gpus > 4,
                 "a100",
-                np.where(rng.random(n) < self.config.small_job_a40_prob, "a40", "a100"),
+                np.where(rng.random(n) < SMALL_JOB_A40_PROB, "a40", "a100"),
             )
 
-        natural_fail = rng.random(n) < self.config.background_failure_prob
+        natural_fail = rng.random(n) < BACKGROUND_FAILURE_PROB
         fail_kind = rng.random(n)
 
         mmu_emissions = self._assign_mmu_emissions(rng, durations, n)
-        xid13 = rng.random(n) < self.config.xid13_per_kjob / 1000.0
-        xid43 = rng.random(n) < self.config.xid43_per_kjob / 1000.0
+        xid13 = rng.random(n) < XID13_PER_KJOB / 1000.0
+        xid43 = rng.random(n) < XID43_PER_KJOB / 1000.0
 
         ml_pick = rng.integers(0, len(_ML_NAMES), size=n)
         nml_pick = rng.integers(0, len(_NON_ML_NAMES), size=n)

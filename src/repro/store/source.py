@@ -4,11 +4,10 @@
 Algorithm-1 engines, the study, ``replay`` — read from a built store
 exactly the way it reads from raw log files, except that "extraction"
 is now a columnar decode instead of a regex scan.  Each segment is one
-picklable shard (a path plus the query), so ``workers > 1`` fans decode
-across processes; segments are internally time-ordered, so the standard
-time merge applies and ties break by shard order = manifest order =
-the store's own replay order.  An attached :class:`~repro.store.query.Query`
-is pushed down: pruned segments never become shards at all.
+picklable shard (a path), so ``workers > 1`` fans decode across
+processes; segments are internally time-ordered, so the standard time
+merge applies and ties break by shard order = manifest order = the
+store's own replay order.
 """
 
 from __future__ import annotations
@@ -19,23 +18,21 @@ from typing import Iterator, Sequence, Union
 
 from repro.core.parsing import RawXidRecord, XidBatch
 from repro.pipeline.sources import Source
-from repro.store.query import MATCH_ALL, Query
 from repro.store.segment import iter_segment_records, read_segment
 from repro.store.store import EventStore
 
 
 @dataclass(frozen=True)
 class SegmentShard:
-    """One segment file plus the residual predicate; picklable."""
+    """One segment file; picklable."""
 
     path: Path
-    query: Query = MATCH_ALL
 
     def batch(self) -> XidBatch:
-        return read_segment(self.path, self.query)
+        return read_segment(self.path)
 
     def iter_records(self) -> Iterator[RawXidRecord]:
-        return iter_segment_records(self.path, self.query)
+        return iter_segment_records(self.path)
 
 
 class StoreSource(Source):
@@ -43,20 +40,11 @@ class StoreSource(Source):
 
     reiterable = True
 
-    def __init__(
-        self,
-        store: Union[EventStore, str, Path],
-        *,
-        query: Query = MATCH_ALL,
-    ) -> None:
+    def __init__(self, store: Union[EventStore, str, Path]) -> None:
         if not isinstance(store, EventStore):
             store = EventStore.open(store)
         self.store = store
-        self.query = query
 
     def shards(self) -> Sequence[SegmentShard]:
-        candidates, _ = self.store.plan(self.query)
-        return [
-            SegmentShard(self.store.directory / entry.name, self.query)
-            for entry in candidates
-        ]
+        candidates, _ = self.store.plan()
+        return [SegmentShard(self.store.directory / entry.name) for entry in candidates]

@@ -11,7 +11,7 @@ from repro.syslog.format import (
     render_node_lines,
     render_trace,
 )
-from repro.syslog.noise import NoiseConfig, generate_noise_lines
+from repro.syslog.noise import generate_noise_lines
 from repro.syslog.reader import LOG_SUFFIXES, iter_log_lines, list_log_files
 from repro.syslog.writer import write_node_logs
 
@@ -20,7 +20,6 @@ __all__ = [
     "render_event_lines",
     "render_node_lines",
     "render_trace",
-    "NoiseConfig",
     "generate_noise_lines",
     "LOG_SUFFIXES",
     "iter_log_lines",

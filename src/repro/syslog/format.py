@@ -151,20 +151,13 @@ def render_event_lines(
     return lines
 
 
-def render_trace(
-    events: Iterable[ErrorEvent],
-    seed: int = 0,
-    pids: Dict[int, int] | None = None,
-) -> Iterator[str]:
+def render_trace(events: Iterable[ErrorEvent], seed: int = 0) -> Iterator[str]:
     """Render a full trace, streaming lines event-by-event.
 
     Lines are *not* globally time-ordered (overlapping bursts from different
     events interleave in real logs too; the per-node log files the paper
     mined are only approximately ordered).  The analysis pipeline sorts
     parsed records itself and must never rely on input ordering.
-
-    ``pids`` optionally maps an event's index (enumeration order) to the
-    owning process ID for job-attributed errors.
     """
-    for _, lines in render_node_lines(events, seed, pids):
+    for _, lines in render_node_lines(events, seed):
         yield from lines

@@ -10,7 +10,6 @@ without being NVRM Xid records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.util.rng import spawn_rng
@@ -29,27 +28,19 @@ _TEMPLATES: Sequence[str] = (
     "prometheus-node-exporter[{n}]: level=info msg=scrape ok",
 )
 
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Volume and identity of benign noise lines."""
-
-    lines_per_node_hour: float = 2.0
-    seed: int = 0
+#: Mean benign lines per node-hour (Poisson).
+LINES_PER_NODE_HOUR = 0.5
 
 
 def generate_noise_lines(
-    node_ids: Sequence[str],
-    window_seconds: float,
-    config: NoiseConfig | None = None,
+    node_ids: Sequence[str], window_seconds: float, seed: int
 ) -> Iterator[Tuple[str, List[str]]]:
     """Benign syslog lines across nodes over the window: ``(node, lines)``
     for each node in turn, its timestamps formatted at once."""
-    config = config or NoiseConfig()
-    rng = spawn_rng(config.seed, "noise")
+    rng = spawn_rng(seed, "noise")
     hours = window_seconds / 3600.0
     for node_id in node_ids:
-        n_lines = int(rng.poisson(config.lines_per_node_hour * hours))
+        n_lines = int(rng.poisson(LINES_PER_NODE_HOUR * hours))
         times = rng.uniform(0.0, window_seconds, size=n_lines)
         picks = rng.integers(0, len(_TEMPLATES), size=n_lines).tolist()
         numbers = rng.integers(1, 60000, size=(max(n_lines, 1), 4)).tolist()

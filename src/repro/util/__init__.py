@@ -16,7 +16,6 @@ from repro.util.timeutil import (
     HOUR,
     MINUTE,
     DAY,
-    SECONDS_PER_HOUR,
     format_duration,
     format_timestamp,
     parse_timestamp,
@@ -34,7 +33,6 @@ __all__ = [
     "HOUR",
     "MINUTE",
     "DAY",
-    "SECONDS_PER_HOUR",
     "format_duration",
     "format_timestamp",
     "parse_timestamp",

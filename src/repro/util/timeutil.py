@@ -20,8 +20,6 @@ MINUTE: float = 60.0
 HOUR: float = 3600.0
 #: One day, in seconds.
 DAY: float = 86400.0
-#: Seconds per hour as an int, for integer arithmetic contexts.
-SECONDS_PER_HOUR: int = 3600
 
 #: Wall-clock anchor corresponding to simulation time 0.0.  January 1st 2022
 #: matches the start of the paper's 855-day characterization window.
@@ -97,12 +95,12 @@ def format_timestamp(sim_seconds: float) -> str:
     return format_timestamps([sim_seconds])[0]
 
 
-#: Per-(date, epoch) cache of midnight offsets; parsing is the hottest loop
-#: of Stage I, and ``strptime`` is ~10x slower than fixed-width slicing.
+#: Per-date cache of midnight offsets; parsing is the hottest loop of
+#: Stage I, and ``strptime`` is ~10x slower than fixed-width slicing.
 _MIDNIGHT_CACHE: dict = {}
 
 
-def parse_timestamp(text: str, epoch: _dt.datetime = EPOCH) -> float:
+def parse_timestamp(text: str) -> float:
     """Parse an ISO-8601 syslog timestamp back to simulation seconds.
 
     Accepts both fractional (``...T12:00:00.123``) and whole-second forms.
@@ -112,12 +110,12 @@ def parse_timestamp(text: str, epoch: _dt.datetime = EPOCH) -> float:
     00:00:00-23:59:60.
     """
     try:
-        key = (text[:10], epoch)
-        midnight = _MIDNIGHT_CACHE.get(key)
+        date = text[:10]
+        midnight = _MIDNIGHT_CACHE.get(date)
         if midnight is None:
             day = _dt.datetime(int(text[0:4]), int(text[5:7]), int(text[8:10]))
-            midnight = (day - epoch).total_seconds()
-            _MIDNIGHT_CACHE[key] = midnight
+            midnight = (day - EPOCH).total_seconds()
+            _MIDNIGHT_CACHE[date] = midnight
         hours, minutes, seconds = int(text[11:13]), int(text[14:16]), int(text[17:19])
         fraction = float(text[19:]) if len(text) > 19 else 0.0
     except (ValueError, IndexError):
@@ -126,7 +124,7 @@ def parse_timestamp(text: str, epoch: _dt.datetime = EPOCH) -> float:
             text, frac_text = text.split(".", 1)
             fraction = float(f"0.{frac_text}")
         moment = _dt.datetime.strptime(text, _SYSLOG_FORMAT)
-        return (moment - epoch).total_seconds() + fraction
+        return (moment - EPOCH).total_seconds() + fraction
     if not (0 <= hours <= 23 and 0 <= minutes <= 59 and 0 <= seconds <= 60):
         raise ValueError(f"time of day out of range in {text!r}")
     return midnight + (hours * 3600 + minutes * 60 + seconds) + fraction

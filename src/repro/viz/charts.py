@@ -16,6 +16,9 @@ _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 70
+#: Canvas size of every chart but the grouped bar chart (720 x 420).
+_WIDTH = 640
+_HEIGHT = 400
 
 
 @dataclass
@@ -99,16 +102,14 @@ def bar_chart(
     labels: Sequence[str],
     values: Sequence[float],
     *,
-    width: int = 640,
-    height: int = 400,
+    width: int = _WIDTH,
     log_y: bool = False,
     y_label: str = "",
-    color: str = PALETTE[0],
 ) -> SvgCanvas:
     if len(labels) != len(values):
         raise ValueError("labels and values must align")
     y_max = max(values) if values else 1.0
-    frame = _frame(title, width, height, y_max, log_y=log_y, y_label=y_label)
+    frame = _frame(title, width, _HEIGHT, y_max, log_y=log_y, y_label=y_label)
     n = max(len(values), 1)
     slot = frame.plot_width / n
     bar_width = slot * 0.65
@@ -116,7 +117,7 @@ def bar_chart(
     for i, (label, value) in enumerate(zip(labels, values)):
         x = frame.x0 + i * slot + (slot - bar_width) / 2
         y = frame.y_of(value)
-        frame.canvas.rect(x, y, bar_width, base - y, fill=color,
+        frame.canvas.rect(x, y, bar_width, base - y, fill=PALETTE[0],
                           title=f"{label}: {_fmt(value)}")
         frame.canvas.text(x + bar_width / 2, base + 14, label, size=10,
                           anchor="middle", rotate=30.0)
@@ -128,13 +129,11 @@ def grouped_bar_chart(
     labels: Sequence[str],
     series: Sequence[Tuple[str, Sequence[float]]],
     *,
-    width: int = 720,
-    height: int = 420,
     log_y: bool = False,
     y_label: str = "",
 ) -> SvgCanvas:
     y_max = max((max(values) for _, values in series if len(values)), default=1.0)
-    frame = _frame(title, width, height, y_max, log_y=log_y, y_label=y_label)
+    frame = _frame(title, 720, 420, y_max, log_y=log_y, y_label=y_label)
     n = max(len(labels), 1)
     slot = frame.plot_width / n
     group_width = slot * 0.7
@@ -162,8 +161,6 @@ def cdf_chart(
     title: str,
     values: Sequence[float],
     *,
-    width: int = 640,
-    height: int = 400,
     x_label: str = "",
     log_x: bool = False,
     color: str = PALETTE[0],
@@ -171,11 +168,11 @@ def cdf_chart(
     if not len(values):
         raise ValueError("cdf_chart needs at least one value")
     ordered = sorted(float(v) for v in values)
-    canvas = SvgCanvas(width, height)
-    canvas.text(width / 2, 22, title, size=14, anchor="middle", bold=True)
+    canvas = SvgCanvas(_WIDTH, _HEIGHT)
+    canvas.text(_WIDTH / 2, 22, title, size=14, anchor="middle", bold=True)
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP
-    plot_width = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_height = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_width = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_height = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     base = y0 + plot_height
     canvas.line(x0, y0, x0, base)
     canvas.line(x0, base, x0 + plot_width, base)
@@ -211,7 +208,7 @@ def cdf_chart(
         canvas.line(x, base, x, base + 4)
         canvas.text(x, base + 16, _fmt(value), size=10, anchor="middle")
     if x_label:
-        canvas.text(x0 + plot_width / 2, height - 12, x_label, size=11,
+        canvas.text(x0 + plot_width / 2, _HEIGHT - 12, x_label, size=11,
                     anchor="middle")
     return canvas
 
@@ -220,8 +217,6 @@ def line_chart(
     title: str,
     series: Sequence[Tuple[str, Sequence[Tuple[float, float]]]],
     *,
-    width: int = 640,
-    height: int = 400,
     x_label: str = "",
     y_label: str = "",
 ) -> SvgCanvas:
@@ -231,7 +226,7 @@ def line_chart(
     y_max = max(y for _, y in all_points) or 1.0
     x_lo = min(x for x, _ in all_points)
     x_hi = max(x for x, _ in all_points)
-    frame = _frame(title, width, height, y_max, y_label=y_label)
+    frame = _frame(title, _WIDTH, _HEIGHT, y_max, y_label=y_label)
     base = frame.y0 + frame.plot_height
 
     def x_of(value: float) -> float:
@@ -256,6 +251,6 @@ def line_chart(
         frame.canvas.line(x, base, x, base + 4)
         frame.canvas.text(x, base + 16, _fmt(value), size=10, anchor="middle")
     if x_label:
-        frame.canvas.text(frame.x0 + frame.plot_width / 2, height - 12, x_label,
+        frame.canvas.text(frame.x0 + frame.plot_width / 2, _HEIGHT - 12, x_label,
                           size=11, anchor="middle")
     return frame.canvas

@@ -14,6 +14,9 @@ from repro.faults.xid import XID_CATALOG, Xid
 from repro.viz.charts import bar_chart, cdf_chart, grouped_bar_chart, line_chart
 from repro.viz.svg import PALETTE, SvgCanvas
 
+#: The propagation figure leaves out edges rarer than this.
+MIN_EDGE_PROBABILITY = 0.005
+
 
 def _abbrev(xid: int) -> str:
     try:
@@ -107,9 +110,9 @@ def propagation_figure(
     codes: Sequence[int] = (119, 122, 31, 79),
     *,
     title: str = "Intra-GPU hardware error propagation (Figure 5)",
-    min_probability: float = 0.005,
 ) -> SvgCanvas:
-    """A node-and-edge rendering of the measured propagation graph."""
+    """A node-and-edge rendering of the measured propagation graph; edges
+    below :data:`MIN_EDGE_PROBABILITY` are not drawn."""
     width, height = 720, 440
     canvas = SvgCanvas(width, height)
     canvas.text(width / 2, 24, title, size=14, anchor="middle", bold=True)
@@ -129,7 +132,7 @@ def propagation_figure(
         if src not in positions or dst not in positions:
             continue
         probability = graph.probability(src, dst)
-        if probability < min_probability:
+        if probability < MIN_EDGE_PROBABILITY:
             continue
         x1, y1 = positions[src]
         x2, y2 = positions[dst]

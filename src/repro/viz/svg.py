@@ -33,23 +33,21 @@ class SvgCanvas:
     # -- primitives --------------------------------------------------------
 
     def rect(self, x: float, y: float, w: float, h: float, *, fill: str,
-             stroke: str = "none", opacity: float = 1.0, title: str = "") -> None:
+             title: str = "") -> None:
         tooltip = f"<title>{html.escape(title)}</title>" if title else ""
         self._elements.append(
             f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-            f'fill="{fill}" stroke="{stroke}" opacity="{opacity}">{tooltip}</rect>'
+            f'fill="{fill}" stroke="none" opacity="1.0">{tooltip}</rect>'
             if title
             else f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-            f'fill="{fill}" stroke="{stroke}" opacity="{opacity}"/>'
+            f'fill="{fill}" stroke="none" opacity="1.0"/>'
         )
 
     def line(self, x1: float, y1: float, x2: float, y2: float, *,
-             stroke: str = "#333333", width: float = 1.0,
-             dash: str | None = None) -> None:
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+             stroke: str = "#333333", width: float = 1.0) -> None:
         self._elements.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{stroke}" stroke-width="{width}"{dash_attr}/>'
+            f'stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def polyline(self, points: Sequence[Tuple[float, float]], *,

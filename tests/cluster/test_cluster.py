@@ -57,7 +57,7 @@ class TestDeltaInventory:
             ClusterInventory([node, node])
 
     def test_scaled_shape_keeps_every_kind(self):
-        cluster = build_delta_cluster(scale=0.05)
+        cluster = build_delta_cluster(DeltaShape().scaled(0.05))
         kinds = {n.kind for n in cluster.nodes}
         assert kinds == set(NodeKind)
 

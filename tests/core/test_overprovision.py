@@ -89,8 +89,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             OverprovisionConfig(n_trials=0)
         with pytest.raises(ValueError):
-            OverprovisionConfig(max_blocked_fraction=-0.1)
-        with pytest.raises(ValueError):
             OverprovisionConfig(availability=0.0)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import DeltaStudy
 from repro.datasets import DeltaDatasetConfig, synthesize_delta
+from repro.datasets import delta
 from repro.datasets.delta import derive_cordons
 from repro.faults.xid import Xid
 
@@ -86,17 +87,14 @@ class TestSchedulePinned:
 
 class TestCordons:
     def test_offender_gpu_cordoned(self, dataset):
-        cordons = derive_cordons(dataset.trace, dataset.config)
+        cordons = derive_cordons(dataset.trace, dataset.config.seed)
         assert cordons, "the uncontained offender must trigger cordons"
         for intervals in cordons.values():
             assert all(end > start for start, end in intervals)
 
-    def test_threshold_filters_quiet_gpus(self, dataset):
-        config = DeltaDatasetConfig(
-            scale=dataset.config.scale, seed=dataset.config.seed,
-            cordon_event_threshold=10 ** 9,
-        )
-        assert derive_cordons(dataset.trace, config) == {}
+    def test_threshold_filters_quiet_gpus(self, dataset, monkeypatch):
+        monkeypatch.setattr(delta, "CORDON_EVENT_THRESHOLD", 10 ** 9)
+        assert derive_cordons(dataset.trace, dataset.config.seed) == {}
 
 
 class TestGroundTruthConsistency:

@@ -65,13 +65,6 @@ class TestCounts:
         times2 = [e.time for e in t2.events[:50]]
         assert times1 != times2
 
-    def test_poisson_counts_mode(self, delta_cluster):
-        config = InjectorConfig(scale=0.02, seed=5, deterministic_counts=False)
-        trace = FaultInjector(AMPERE_CALIBRATION, config).generate(delta_cluster)
-        counts = Counter(int(e.xid) for e in trace)
-        target = AMPERE_CALIBRATION.scaled_counts(0.02)[Xid.UNCONTAINED]
-        assert counts[95] == pytest.approx(target, rel=0.25)
-
     def test_workload_mmu_exclusion_reduces_mmu(self, delta_cluster):
         base = FaultInjector(AMPERE_CALIBRATION, InjectorConfig(scale=0.02, seed=5))
         reduced = FaultInjector(

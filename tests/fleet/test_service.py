@@ -34,7 +34,7 @@ class TestSinkLifecycle:
         sink = JsonLinesSink(tmp_path / "alerts.jsonl")
         service = _service(tmp_path, sinks=(sink,))
         service.start()
-        service.stop(timeout=10.0)
+        service.stop()
         assert sink._handle.closed
 
     def test_alerts_written_before_close_survive(self, tmp_path):
@@ -45,7 +45,7 @@ class TestSinkLifecycle:
         service.engine.observe_onset(_record(0.0, xid=119))
         service.engine.observe_onset(_record(1.0, xid=119))
         service.engine.observe_onset(_record(2.0, xid=119))
-        service.stop(timeout=10.0)
+        service.stop()
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows and rows[0]["rule"] == "xid119-gsp-repeat"
 
@@ -55,7 +55,7 @@ class TestSinkLifecycle:
         sink = MemorySink()  # no close(): stop() must not choke on it
         service = _service(tmp_path, sinks=(sink,))
         service.start()
-        service.stop(timeout=10.0)
+        service.stop()
 
 
 class TestClockInjection:
@@ -72,7 +72,7 @@ class TestClockInjection:
             )
             assert float(line.split()[-1]) == 123.0
         finally:
-            service.stop(timeout=10.0)
+            service.stop()
 
 
 class TestIngestStaleness:
@@ -105,7 +105,7 @@ class TestIngestStaleness:
             )
             assert float(line.split()[-1]) == 7.0
         finally:
-            service.stop(timeout=10.0)
+            service.stop()
 
 
 class _FullDiskSink:
@@ -136,5 +136,5 @@ class TestIngestFailure:
         assert service.wait_idle(timeout=30.0) is False
         assert time.monotonic() - started < 10.0  # gave up, did not time out
         with pytest.raises(OSError, match="No space left on device"):
-            service.stop(timeout=10.0)
+            service.stop()
         assert service.records_ingested == 1

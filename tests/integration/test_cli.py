@@ -138,7 +138,7 @@ class TestCli:
         args = [
             "simulate", "--scenario", "a100-256", "--policy", "ckpt",
             "--replicas", "2", "--seed", "13", "--gpus", "32",
-            "--useful-hours", "12", "--cache-dir", str(tmp_path), "--json",
+            "--useful-hours", "12", "--cache-dir", str(tmp_path), "--format", "json",
         ]
         assert main(args) == 0
         first = json.loads(capsys.readouterr().out)

@@ -10,14 +10,24 @@ name, or else to the module the package's ``__init__`` imports it from;
 ``obs.stamp_result`` reaches ``repro.obs.stamp``.  A package ``__init__``'s
 own imports are re-exports, not uses, so they reach nothing by themselves.
 
-Names: every module-level function and class must be named somewhere in
-``src/repro``, ``examples/`` or ``benchmarks/ledger/``, as a name, an
-attribute or an imported name.  Its own definition and a package
-``__init__``'s imports do not count.  ``KEPT`` lists the exceptions.
+Names: every module-level function, class and assigned name must be
+named somewhere in ``src/repro``, ``examples/`` or ``benchmarks/ledger/``,
+as a name, an attribute or an imported name.  Its own definition and a
+package ``__init__``'s imports do not count.  ``KEPT`` lists the
+exceptions.
 
 Imports: every name a module imports is used in that module, as a name or
 the root of an attribute, in a string annotation or in ``__all__``.  A
 package ``__init__``'s module-level imports are re-exports and exempt.
+
+Options: every defaulted parameter of a function, method or ``__init__``
+under ``src/repro``, and every field of a dataclass named ``*Config``, is
+passed by some call in ``src/repro``, ``examples/`` or
+``benchmarks/ledger/``: by keyword (``dataclasses.replace`` included) or
+by position.  Calls match definitions by name, ``cls(...)`` resolves to
+the enclosing class, and a call that forwards ``**kwargs`` passes every
+parameter.  An option set only one way is a constant.  ``KEPT_OPTIONS``
+lists the exceptions; the options of a ``KEPT`` name are exempt with it.
 """
 
 import ast
@@ -38,6 +48,8 @@ KEPT = {
     "repro.syslog.format.render_event_lines":
         "one event's lines, which the rendering and substrate tests check; "
         "the program renders whole traces, formatting across events",
+    "repro.results.artifact.RESULT_SCHEMA":
+        "the result format's version, which docs/results.md points readers to",
 }
 
 
@@ -149,14 +161,33 @@ def _identifiers(node: ast.AST, *, imports: bool) -> set:
     return found
 
 
+def _assigned(node: ast.AST) -> list:
+    """The names a module-level assignment binds (dunders aside)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        child.id
+        for target in targets
+        for child in ast.walk(target)
+        if isinstance(child, ast.Name) and not child.id.startswith("__")
+    ]
+
+
 def _definitions() -> dict:
-    """``module.name`` -> name, for every top-level function and class."""
-    return {
-        f"{module}.{node.name}": node.name
-        for module, path in MODULES.items()
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
+    """``module.name`` -> name, for every top-level function, class and
+    assigned name."""
+    definitions = {}
+    for module, path in MODULES.items():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[f"{module}.{node.name}"] = node.name
+            for name in _assigned(node):
+                definitions[f"{module}.{name}"] = name
+    return definitions
 
 
 def _used_names() -> set:
@@ -169,6 +200,7 @@ def _used_names() -> set:
             names = _identifiers(node, imports=imports)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names.discard(node.name)  # a use inside its own definition
+            names.difference_update(_assigned(node))  # the binding itself
             used |= names
     return used
 
@@ -257,3 +289,208 @@ def test_every_import_is_used():
         for line, name in _unused_imports(path)
     ]
     assert not unused, "imported names never used:\n  " + "\n  ".join(unused)
+
+
+#: Options nothing outside tests passes, kept on purpose.
+KEPT_OPTIONS = {
+    "repro.cli.main(argv=)":
+        "the CLI's entry point: the console script passes no argv, tests do",
+    "repro.core.coalesce.CoalesceConfig.window_seconds":
+        "Algorithm 1's window is the paper's own parameter; tier-1 checks "
+        "its 5-20 s insensitivity",
+    "repro.core.coalesce.CoalesceConfig.max_persistence":
+        "Algorithm 1's cut-off, swept by the same insensitivity checks",
+    "repro.core.jobimpact.JobImpactAnalyzer.elapsed_histogram(edges_minutes=)":
+        "the Figure-9 long-job claims bin elapsed time differently",
+    "repro.core.jobimpact.JobImpactAnalyzer.errors_vs_duration(edges_minutes=)":
+        "the Figure-9 long-job claims bin elapsed time differently",
+    "repro.datasets.delta.DeltaDatasetConfig.with_jobs":
+        "the Section-5.5 burned-in re-synthesis claims build jobless worlds",
+    "repro.datasets.delta.synthesize_delta(config=)":
+        "the Section-5.5 burned-in re-synthesis claims build jobless worlds",
+    "repro.datasets.delta.synthesize_delta(cluster=)":
+        "the Section-5.5 burned-in re-synthesis claims share one cluster",
+    "repro.fleet.service.FleetServiceConfig.metrics_host":
+        "a deployment setting: the address the metrics endpoint binds",
+    "repro.fleet.service.FleetHealthService.__init__(clock=)":
+        "an injected clock, which the tests replace with a fake",
+    "repro.fleet.service.FleetHealthService.__init__(sleep=)":
+        "an injected sleep, which the tests replace with a fake",
+    "repro.replay.clock.ReplayPacer.__init__(monotonic=)":
+        "an injected clock, which the tests replace with a fake",
+    "repro.replay.clock.ReplayPacer.__init__(sleep=)":
+        "an injected sleep, which the tests replace with a fake",
+    **{
+        f"repro.replay.backtest.BacktestConfig.{name}":
+            "a scoring setting, which the scorecard's run id records"
+        for name in ("critical_xid", "incident_merge_seconds", "long_threshold_seconds",
+                     "observe_seconds", "train_fraction", "thresholds")
+    },
+}
+
+
+def _is_config_dataclass(node: ast.ClassDef) -> bool:
+    if not node.name.endswith("Config"):
+        return False
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _parameters(function: ast.FunctionDef, bound: bool) -> list:
+    """``(name, position or None)`` of each defaulted parameter a caller can
+    pass; ``bound`` drops the ``self`` or ``cls`` slot."""
+    arguments = function.args
+    positional = [*arguments.posonlyargs, *arguments.args]
+    first_default = len(positional) - len(arguments.defaults)
+    skip = 1 if bound else 0
+    out = [(arg.arg, index - skip) for index, arg in enumerate(positional)
+           if index >= max(first_default, skip)]
+    out += [(arg.arg, None) for arg, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _options() -> dict:
+    """``qualified`` -> ``(call name, parameter, position)`` of each option."""
+    options = {}
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = {getattr(d, "id", None) for d in node.decorator_list}
+                bound = cls is not None and "staticmethod" not in decorators
+                call_name = cls if cls is not None and node.name == "__init__" else node.name
+                for name, position in _parameters(node, bound):
+                    options[f"{prefix}.{node.name}({name}=)"] = (call_name, name, position)
+            elif isinstance(node, ast.ClassDef):
+                if _is_config_dataclass(node):
+                    fields = [
+                        statement.target.id for statement in node.body
+                        if isinstance(statement, ast.AnnAssign)
+                        and isinstance(statement.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(statement.annotation)
+                    ]
+                    for position, name in enumerate(fields):
+                        options[f"{prefix}.{node.name}.{name}"] = (node.name, name, position)
+                visit(node.body, f"{prefix}.{node.name}", node.name)
+
+    for module, path in MODULES.items():
+        visit(ast.parse(path.read_text()).body, module, None)
+    return options
+
+
+def _callee(function: ast.AST, cls):
+    """The name a call reaches definitions by, or ``None``."""
+    if isinstance(function, ast.Name):
+        return cls if function.id == "cls" and cls is not None else function.id
+    if isinstance(function, ast.Attribute):
+        return function.attr
+    return None
+
+
+def _passed() -> dict:
+    """Call name -> ``(positions, keywords)`` passed by some call outside
+    tests.  A forwarded ``*args`` passes every position from its own on,
+    and a forwarded ``**kwargs`` adds the keyword ``"**"``.  The keywords
+    of ``replace(obj, ...)`` count under ``"replace"``."""
+    passed = {}
+
+    def record(name, args, keywords):
+        positions, names = passed.setdefault(name, (set(), set()))
+        for index, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):  # no signature here has 64 positions
+                positions.update(range(index, index + 64))
+                break
+            positions.add(index)
+        names.update(keyword.arg or "**" for keyword in keywords)
+
+    def walk(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = _callee(child.func, cls)
+                if name == "partial" and child.args:
+                    record(_callee(child.args[0], cls), child.args[1:], child.keywords)
+                elif name == "replace" and child.args:
+                    record("replace", child.args[1:], child.keywords)
+                elif name is not None:
+                    record(name, child.args, child.keywords)
+            walk(child, cls)
+
+    files = [*MODULES.values(), *(ROOT / "examples").glob("*.py"),
+             *(ROOT / "benchmarks" / "ledger").rglob("*.py")]
+    for path in files:
+        walk(ast.parse(path.read_text()), None)
+    return passed
+
+
+def _never_passed() -> list:
+    passed = _passed()
+    replaced = passed.get("replace", (set(), set()))[1]
+    unpassed = []
+    for qualified, (call_name, name, position) in _options().items():
+        positions, names = passed.get(call_name, (set(), set()))
+        by_replace = "(" not in qualified and name in replaced
+        if not ({"**", name} & names or position in positions or by_replace):
+            unpassed.append(qualified)
+    return unpassed
+
+
+def _exempt_with_a_kept_name(qualified: str) -> bool:
+    owner = qualified.partition("(")[0]
+    while owner:
+        if owner in KEPT:
+            return True
+        owner = owner.rpartition(".")[0]
+    return False
+
+
+def test_option_scan_matches_calls_by_name_keyword_and_position(tmp_path, monkeypatch):
+    source = tmp_path / "src" / "repro"
+    source.mkdir(parents=True)
+    (source / "m.py").write_text(
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass\n"
+        "class RunConfig:\n"
+        "    a: int = 1\n"
+        "    b: int = 2\n"
+        "    c: int = 3\n"
+        "    @classmethod\n"
+        "    def make(cls, **kwargs):\n"
+        "        return replace(cls(5), c=kwargs['c'])\n"
+        "class Thing:\n"
+        "    def __init__(self, x=1, *, y=2):\n"
+        "        pass\n"
+        "    def go(self, p=1, q=2):\n"
+        "        return go_forward(**{}), Thing(0)\n"
+        "def go_forward(r=1, s=2):\n"
+        "    return Thing().go(*[3])\n"
+    )
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    monkeypatch.setitem(globals(), "MODULES", {"repro.m": source / "m.py"})
+    assert sorted(_never_passed()) == [
+        "repro.m.RunConfig.b",
+        "repro.m.Thing.__init__(y=)",
+    ]
+
+
+def test_every_option_is_set_outside_tests():
+    unpassed = [q for q in _never_passed()
+                if q not in KEPT_OPTIONS and not _exempt_with_a_kept_name(q)]
+    assert not unpassed, (
+        "options nothing outside tests passes (make each a constant):\n  "
+        + "\n  ".join(unpassed)
+    )
+
+
+def test_kept_options_exist_and_are_still_unpassed():
+    options, unpassed = _options(), set(_never_passed())
+    for qualified, reason in KEPT_OPTIONS.items():
+        assert reason, f"{qualified} has no reason"
+        assert qualified in options, f"{qualified} is gone; drop it from KEPT_OPTIONS"
+        assert qualified in unpassed, f"{qualified} has a caller; drop it from KEPT_OPTIONS"

@@ -24,20 +24,6 @@ class TestFileSetSource:
         assert all(p.name.endswith(".log") for p in source.paths)
         assert len(source.shards()) == len(source.paths)
 
-    def test_explicit_paths_keep_caller_order(self, tmp_path):
-        a = tmp_path / "b.log"
-        b = tmp_path / "a.log"
-        for path in (a, b):
-            path.write_text(LINE + "\n")
-        source = FileSetSource(paths=[a, b])
-        assert [p.name for p in source.paths] == ["b.log", "a.log"]
-
-    def test_requires_exactly_one_of_directory_or_paths(self, tmp_path):
-        with pytest.raises(ValueError):
-            FileSetSource()
-        with pytest.raises(ValueError):
-            FileSetSource(tmp_path, paths=[])
-
     def test_reads_gzip_files(self, tmp_path):
         path = tmp_path / "node.log.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:

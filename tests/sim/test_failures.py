@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.faults.calibration import AMPERE_CALIBRATION, H100_CALIBRATION
+from repro.faults.calibration import AMPERE_CALIBRATION, H100_CALIBRATION, solve_root_counts
 from repro.faults.xid import Xid
 from repro.sim.failures import FailureModel
 
@@ -30,14 +30,18 @@ class TestRates:
         assert model.base_rate_per_node_hour > 0
         assert 1.0 / model.base_rate_per_node_hour > 67.0
 
-    def test_workload_mmu_excluded_by_default(self):
-        with_mmu = FailureModel(AMPERE_CALIBRATION, include_workload_mmu=True)
-        without = FailureModel(AMPERE_CALIBRATION, include_workload_mmu=False)
-        assert without.base_rates[Xid.MMU] < with_mmu.base_rates[Xid.MMU]
-        ratio = without.base_rates[Xid.MMU] / with_mmu.base_rates[Xid.MMU]
-        assert ratio == pytest.approx(
-            1.0 - AMPERE_CALIBRATION.mmu_from_workload_fraction, rel=0.01
+    def test_workload_mmu_excluded_by_default(self, model):
+        # The job-correlated MMU share belongs to workloads, not to the
+        # fleet a training job runs on.
+        profile = AMPERE_CALIBRATION
+        roots = solve_root_counts(profile.scaled_counts(1.0), profile.kernel)
+        skew = profile.xids[Xid.MMU].offenders
+        share = skew.offender_share if skew is not None else 0.0
+        hardware = roots[Xid.MMU] * (1.0 - profile.mmu_from_workload_fraction)
+        expected = hardware * (1.0 - share) / (
+            profile.window_days * 24.0 * profile.reference_node_count
         )
+        assert model.base_rates[Xid.MMU] == pytest.approx(expected, rel=1e-9)
 
     def test_offender_mass_is_concentrated(self, model):
         # Uncontained errors (Xid 95): one of four defective GPUs carries

@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
+from repro.core.jobimpact import ATTRIBUTION_WINDOW
 from repro.faults.calibration import AMPERE_CALIBRATION
 from repro.faults.events import ErrorEvent, FaultTrace
 from repro.faults.xid import Xid
-from repro.slurm.failures import CouplingConfig, FailureCoupler
+from repro.slurm.failures import FAILURE_DELAY_RANGE, FailureCoupler
 from repro.slurm.job import JobSpec, JobState
 from repro.slurm.scheduler import GpuScheduler
 
@@ -38,14 +39,20 @@ def _spec(job_id, submit, duration=7200.0, gpus=1, mmu=0, xid13=0):
     )
 
 
-def _couple(cluster, specs, events, config=None):
+def _couple(cluster, specs, events):
     schedule = GpuScheduler(cluster).schedule(specs, WINDOW)
     trace = FaultTrace(list(events), window_seconds=WINDOW)
-    coupler = FailureCoupler(AMPERE_CALIBRATION, config or CouplingConfig(seed=3))
+    coupler = FailureCoupler(AMPERE_CALIBRATION, 3)
     return schedule, coupler.couple(schedule, trace, specs)
 
 
 class TestEncounterAndFailure:
+    def test_failure_delay_lands_inside_the_attribution_window(self):
+        # A coupled failure ends its job this long after the error; Stage
+        # III attributes a failure only within its Section-5.3 window.
+        low, high = FAILURE_DELAY_RANGE
+        assert 0.0 < low < high < ATTRIBUTION_WINDOW
+
     def test_gsp_error_on_busy_gpu_kills_job(self, small_cluster):
         specs = [_spec(1, submit=0.0, duration=10_000.0)]
         schedule = GpuScheduler(small_cluster).schedule(specs, WINDOW)
@@ -55,7 +62,7 @@ class TestEncounterAndFailure:
             node_id=gpu[0], pci_bus=gpu[1], xid=Xid.GSP, inoperable=True,
         )
         trace = FaultTrace([error], window_seconds=WINDOW)
-        result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=3)).couple(
+        result = FailureCoupler(AMPERE_CALIBRATION, 3).couple(
             schedule, trace, specs
         )
         job = result.jobs[0]
@@ -75,7 +82,7 @@ class TestEncounterAndFailure:
             node_id=gpu[0], pci_bus=gpu[1], xid=Xid.GSP,
         )
         trace = FaultTrace([error], window_seconds=WINDOW)
-        result = FailureCoupler(AMPERE_CALIBRATION).couple(schedule, trace, specs)
+        result = FailureCoupler(AMPERE_CALIBRATION, 7).couple(schedule, trace, specs)
         assert result.jobs[0].state is JobState.COMPLETED
         assert Xid.GSP not in result.truth_encounters
 
@@ -92,7 +99,7 @@ class TestEncounterAndFailure:
                            pci_bus=gpu[1], xid=Xid.MMU)
             )
         trace = FaultTrace(events, window_seconds=400 * 20_000.0)
-        result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=5)).couple(
+        result = FailureCoupler(AMPERE_CALIBRATION, 5).couple(
             schedule, trace, specs
         )
         assert _failure_probability(result, Xid.MMU) == pytest.approx(0.5867, abs=0.09)
@@ -113,7 +120,7 @@ class TestEncounterAndFailure:
                            pci_bus=gpu[1], xid=Xid.MMU)
             )
         trace = FaultTrace(events, window_seconds=window)
-        result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=5)).couple(
+        result = FailureCoupler(AMPERE_CALIBRATION, 5).couple(
             schedule, trace, specs
         )
         assert _failure_probability(result, Xid.MMU) < 0.25
@@ -138,7 +145,7 @@ class TestWorkloadEmissions:
         window = 102 * 60_000.0
         schedule = GpuScheduler(small_cluster).schedule(specs, window)
         trace = FaultTrace([], window_seconds=window)
-        result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=7)).couple(
+        result = FailureCoupler(AMPERE_CALIBRATION, 7).couple(
             schedule, trace, specs
         )
         realized = len(_of(result.trace, Xid.MMU))
@@ -160,7 +167,7 @@ class TestWorkloadEmissions:
         window = 82 * 60_000.0
         schedule = GpuScheduler(small_cluster).schedule(specs, window)
         trace = FaultTrace([], window_seconds=window)
-        result = FailureCoupler(AMPERE_CALIBRATION, CouplingConfig(seed=9)).couple(
+        result = FailureCoupler(AMPERE_CALIBRATION, 9).couple(
             schedule, trace, specs
         )
         per_job = Counter()

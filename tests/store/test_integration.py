@@ -8,7 +8,7 @@ from repro.cli import main
 from repro.core import DeltaStudy
 from repro.pipeline.extract import iter_source_records
 from repro.pipeline.sources import FileSetSource
-from repro.store import EventStore, Query, StoreSource, StoreWriter
+from repro.store import EventStore, StoreSource, StoreWriter
 from repro.store import writer as writer_module
 
 
@@ -21,10 +21,13 @@ def pipeline_stream(logs_dir):
 
 
 @pytest.fixture(scope="module")
-def built_store(logs_dir, tmp_path_factory):
+def built_store(logs_dir, dataset, tmp_path_factory):
     """One store ingested (workers=2) from the shared dataset's logs."""
     directory = tmp_path_factory.mktemp("store") / "events"
-    store = EventStore.create(directory)
+    store = EventStore.create(directory, meta={
+        "window_hours": dataset.window_hours,
+        "n_nodes": dataset.reference_node_count,
+    })
     store.ingest(FileSetSource(logs_dir), workers=2, segment_records=500)
     return store
 
@@ -59,15 +62,6 @@ class TestPipelineIdentity:
 
 
 class TestStoreSource:
-    def test_store_source_shards_prune(self, built_store):
-        window = built_store.time_span
-        midpoint = (window[0] + window[1]) / 2
-        source = StoreSource(built_store, query=Query(time_range=(midpoint, None)))
-        shards = source.shards()
-        assert 0 < len(shards) < built_store.n_segments
-        records = [r for shard in shards for r in shard.iter_records()]
-        assert records == list(built_store.query(Query(time_range=(midpoint, None))))
-
     def test_source_is_reiterable(self, built_store):
         source = StoreSource(built_store)
         assert source.reiterable
@@ -94,14 +88,8 @@ class TestStudyRoundTrip:
         assert ours.total_count == theirs.total_count
         assert ours.counts() == theirs.counts()
 
-    def test_store_backed_study_streams_without_materializing(
-        self, built_store, dataset
-    ):
-        study = DeltaStudy.from_store(
-            built_store,
-            window_hours=dataset.window_seconds / 3600.0,
-            n_nodes=dataset.reference_node_count,
-        )
+    def test_store_backed_study_streams_without_materializing(self, built_store):
+        study = DeltaStudy.from_store(built_store)
         study.errors  # Stage I+II runs off the streaming path
         assert study._records is None  # never materialized the raw stream
 

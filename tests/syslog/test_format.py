@@ -19,7 +19,8 @@ from repro.syslog.format import (
     render_node_lines,
     render_trace,
 )
-from repro.syslog.noise import _TEMPLATES, NoiseConfig, generate_noise_lines
+from repro.syslog import noise
+from repro.syslog.noise import _TEMPLATES, generate_noise_lines
 from repro.util.rng import spawn_rng
 from repro.util.timeutil import parse_timestamp
 from tests.util.test_timeutil import _per_value_reference
@@ -113,7 +114,8 @@ class TestRenderTrace:
 
     def test_pid_map_by_event_index(self):
         events = [_event(10.0), _event(50.0)]
-        lines = list(render_trace(events, seed=1, pids={1: 777}))
+        lines = [line for _, event_lines in render_node_lines(events, seed=1, pids={1: 777})
+                 for line in event_lines]
         assert "pid='<unknown>'" in lines[0]
         assert "pid=777" in lines[1]
 
@@ -140,11 +142,11 @@ def _per_line_burst(event, seed=0, pid=None):
     return lines
 
 
-def _per_line_noise(node_ids, window_seconds, config):
-    rng = spawn_rng(config.seed, "noise")
+def _per_line_noise(node_ids, window_seconds, seed, rate):
+    rng = spawn_rng(seed, "noise")
     lines = []
     for node_id in node_ids:
-        n_lines = int(rng.poisson(config.lines_per_node_hour * window_seconds / 3600.0))
+        n_lines = int(rng.poisson(rate * window_seconds / 3600.0))
         times = rng.uniform(0.0, window_seconds, size=n_lines)
         picks = rng.integers(0, len(_TEMPLATES), size=n_lines)
         numbers = rng.integers(1, 60000, size=(max(n_lines, 1), 4))
@@ -186,15 +188,15 @@ class TestBlockRendering:
             for line in _per_line_burst(event, seed=2, pid=pids.get(i))
         ]
         assert len(reference) > 4 * BLOCK_LINES
-        assert list(render_trace(events, seed=2, pids=pids)) == reference
-        nodes = [node for node, _ in render_node_lines(events, seed=2, pids=pids)]
-        assert nodes == [event.node_id for event in events]
+        rendered = list(render_node_lines(events, seed=2, pids=pids))
+        assert [line for _, lines in rendered for line in lines] == reference
+        assert [node for node, _ in rendered] == [event.node_id for event in events]
 
-    def test_noise_equals_the_per_line_reference(self):
-        config = NoiseConfig(lines_per_node_hour=40.0, seed=5)
+    def test_noise_equals_the_per_line_reference(self, monkeypatch):
+        monkeypatch.setattr(noise, "LINES_PER_NODE_HOUR", 40.0)
         window = 300 * 3600.0  # about 12,000 lines a node
         nodes = ["gpua001", "gpub017", "gpuc003"]
-        rendered = [line for _, lines in generate_noise_lines(nodes, window, config)
+        rendered = [line for _, lines in generate_noise_lines(nodes, window, 5)
                     for line in lines]
-        assert rendered == _per_line_noise(nodes, window, config)
+        assert rendered == _per_line_noise(nodes, window, 5, 40.0)
         assert len(rendered) > 3 * BLOCK_LINES

@@ -123,10 +123,6 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("not-a-timestamp")
 
-    def test_custom_epoch(self):
-        epoch = dt.datetime(2024, 8, 1)
-        assert parse_timestamp("2024-08-01T00:01:00", epoch=epoch) == 60.0
-
 
 class TestFormatDuration:
     def test_seconds(self):
