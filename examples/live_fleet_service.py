@@ -10,13 +10,16 @@ against a simulated cluster:
    repeated GSP timeouts, a DBE -> row-remap chain, a bursty uncontained
    offender with a heavy persistence tail);
 2. replay its syslog lines into per-node log files, live;
-3. follow those files with the concurrent tailer pool (bounded queue,
-   no global sort), maintain per-GPU health in the registry, evaluate
-   the paper's operator rules, and serve Prometheus metrics;
-4. once the service is idle, print every alert in event-time order
-   (concurrent tailers deliver nodes in an order thread timing picks,
-   so the firing order is not reproducible), then a closing health
-   report and a final ``/metrics`` scrape.
+3. follow those files with the service's one ingest thread (file-name
+   order, a byte budget per file per pass, no queue and no global
+   sort), maintain per-GPU health in the registry, evaluate the paper's
+   operator rules, and serve Prometheus metrics;
+4. once the service is idle, print every alert in event-time order,
+   then a closing health report and a final ``/metrics`` scrape.  The
+   service reads a static directory in a fixed order, but here the
+   emitter is still writing while it reads: how many lines each pass
+   finds depends on thread timing, and so does the firing order across
+   nodes.  Sorting by event time makes the printout reproducible.
 
 The same service runs against a real log directory via
 ``repro-delta serve /var/log/gpu-logs``.

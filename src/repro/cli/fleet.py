@@ -172,14 +172,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if emitter is not None:
             emitter.stop()
-        metrics_text = service.render_metrics()
         try:
-            service.stop()  # drains the queue and flushes the store writer
+            service.stop()
         except Exception as error:
             raise CliError(
                 f"fleet ingest thread died ({service.records_ingested:,} "
                 f"records ingested): {type(error).__name__}: {error}"
             ) from error
+        metrics_text = service.render_metrics()
         summary = service.summary()
         if jsonl_sink is not None:
             jsonl_sink.close()

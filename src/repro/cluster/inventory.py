@@ -1,12 +1,12 @@
-"""Cluster inventory: the full Delta machine and scaled variants.
+"""Cluster inventory: the full Delta machine and smaller variants.
 
 ``build_delta_cluster()`` reproduces the paper's Figure 2 shape: 132
 CPU-only nodes and 286 GPU nodes — 100 4-way A40, 100 4-way A100, 6 8-way
 A100, and 80 4-way GH200 (H100) — for 1,168 GPUs total, of which 848 are
 Ampere GPUs on 206 Ampere nodes (the population Table 1 normalizes by).
 
-``DeltaShape`` lets tests and benchmarks build proportionally smaller
-clusters while keeping the configuration mix.
+A ``DeltaShape`` with other node counts builds a smaller cluster of the
+same node kinds, as the incident scenarios do.
 """
 
 from __future__ import annotations
@@ -36,22 +36,6 @@ class DeltaShape:
             NodeKind.A100_X8: self.a100_x8_nodes,
             NodeKind.GH200_X4: self.gh200_nodes,
         }
-
-    def scaled(self, factor: float) -> "DeltaShape":
-        """A proportionally smaller (or larger) cluster, min 1 node per kind."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-
-        def scale(count: int) -> int:
-            return max(1, round(count * factor)) if count else 0
-
-        return DeltaShape(
-            cpu_nodes=scale(self.cpu_nodes),
-            a40_x4_nodes=scale(self.a40_x4_nodes),
-            a100_x4_nodes=scale(self.a100_x4_nodes),
-            a100_x8_nodes=scale(self.a100_x8_nodes),
-            gh200_nodes=scale(self.gh200_nodes),
-        )
 
 
 class ClusterInventory:

@@ -4,9 +4,9 @@ The always-on counterpart of the batch characterization — the operational
 shape Section 4.3's guidance ("continuously monitor the errors at the
 tail of the GPU error persistence distribution") actually requires:
 
-* :mod:`repro.fleet.tailer` — concurrent live-log tailers with bounded
-  queues and backpressure; merged arrival-order record stream, no global
-  sort;
+* :mod:`repro.fleet.tailer` — live-log tailing that the service's one
+  ingest thread polls, in file-name order, a byte budget per file per
+  pass; no queue and no global sort;
 * :mod:`repro.fleet.registry` — per-GPU health state: rolling onset
   rates, MTBE, open-run persistence, online risk scores;
 * :mod:`repro.fleet.rules` — the paper's operator guidance as declarative

@@ -2,8 +2,9 @@
 
 Two pieces:
 
-* :func:`render_prometheus` — serialize a service snapshot (registry +
-  rule engine + tailer stats) into Prometheus exposition format 0.0.4;
+* :func:`render_prometheus` — serialize a service snapshot (registry,
+  rule engine, tailer stats and self-observability counters) into
+  Prometheus exposition format 0.0.4;
 * :class:`MetricsServer` — a threaded HTTP server with ``/metrics``
   (scrape endpoint) and ``/healthz`` (liveness), bindable to an
   ephemeral port for tests.
@@ -82,20 +83,18 @@ def _xid_labels(xid: int) -> Dict[str, str]:
 
 def render_prometheus(
     registry: HealthRegistry,
-    engine: Optional[RuleEngine] = None,
-    tailer: Optional[DirectoryTailer] = None,
-    extra_gauges: Optional[Dict[str, float]] = None,
-    counters: Optional[Dict[str, float]] = None,
+    engine: RuleEngine,
+    tailer: DirectoryTailer,
+    extra_gauges: Dict[str, float],
+    counters: Dict[str, float],
 ) -> str:
     """One scrape of the fleet health service's state.
 
-    ``counters`` is a snapshot of the service's ``repro.obs``
-    :class:`~repro.obs.metrics.CounterSet` — the self-observability
-    series (``fleet.records_ingested``, ``store.flushes`` /
-    ``store.flush_seconds`` / ``store.records_written``).
+    ``counters`` holds the self-observability series:
+    ``fleet.records_ingested`` always, and ``store.flushes`` /
+    ``store.flush_seconds`` / ``store.records_written`` given a store.
     """
     out = _MetricsBuilder()
-    counters = counters or {}
     snapshot: List[GpuHealth] = registry.snapshot()
 
     out.metric(
@@ -103,16 +102,10 @@ def render_prometheus(
         "GPUs with at least one XID record ingested.",
         [({}, float(len(snapshot)))],
     )
-    # Prefer the service's own ingest counter (counts every record the
-    # feed consumed, even for GPUs later evicted from the registry);
-    # fall back to the registry's per-GPU line totals.
-    ingested = counters.get(
-        "fleet.records_ingested", float(sum(h.raw_lines for h in snapshot))
-    )
     out.metric(
         "repro_fleet_records_ingested_total", "counter",
         "Raw NVRM Xid lines ingested into the health registry.",
-        [({}, float(ingested))],
+        [({}, counters["fleet.records_ingested"])],
     )
     onsets = registry.onset_counts()
     out.metric(
@@ -160,47 +153,34 @@ def render_prometheus(
         ],
     )
 
-    if engine is not None:
-        by_rule = {rule.name: rule for rule in engine.rules}
-        out.metric(
-            "repro_fleet_alerts_total", "counter",
-            "Alerts fired per rule since service start.",
-            [
-                (
-                    {
-                        "rule": name,
-                        "action": by_rule[name].action.value
-                        if name in by_rule else "unknown",
-                    },
-                    float(count),
-                )
-                for name, count in sorted(engine.fired_counts.items())
-            ],
-        )
+    out.metric(
+        "repro_fleet_alerts_total", "counter",
+        "Alerts fired per rule since service start.",
+        [
+            (
+                {"rule": rule.name, "action": rule.action.value},
+                float(engine.fired_counts[rule.name]),
+            )
+            for rule in sorted(engine.rules, key=lambda rule: rule.name)
+        ],
+    )
 
-    if tailer is not None:
-        stats = tailer.stats()
-        out.metric(
-            "repro_fleet_tailer_files", "gauge",
-            "Log files currently tracked by the tailer pool.",
-            [({}, float(stats.files))],
-        )
-        out.metric(
-            "repro_fleet_tailer_lines_total", "counter",
-            "Complete log lines read by the tailer pool.",
-            [({}, float(stats.lines_seen))],
-        )
-        out.metric(
-            "repro_fleet_tailer_bytes_total", "counter",
-            "Bytes read from followed log files.",
-            [({}, float(stats.bytes_read))],
-        )
-        out.metric(
-            "repro_fleet_queue_depth", "gauge",
-            "Records waiting in the bounded ingest queue (backpressure "
-            "boundary).",
-            [({}, float(tailer.queue_depth))],
-        )
+    stats = tailer.stats()
+    out.metric(
+        "repro_fleet_tailer_files", "gauge",
+        "Log files currently tracked by the tailer.",
+        [({}, float(stats.files))],
+    )
+    out.metric(
+        "repro_fleet_tailer_lines_total", "counter",
+        "Complete log lines read by the tailer.",
+        [({}, float(stats.lines_seen))],
+    )
+    out.metric(
+        "repro_fleet_tailer_bytes_total", "counter",
+        "Bytes read from followed log files.",
+        [({}, float(stats.bytes_read))],
+    )
 
     if "store.flushes" in counters:
         out.metric(
@@ -219,7 +199,7 @@ def render_prometheus(
             [({}, float(counters.get("store.records_written", 0.0)))],
         )
 
-    for name, value in (extra_gauges or {}).items():
+    for name, value in extra_gauges.items():
         out.metric(name, "gauge", "Service-supplied gauge.", [({}, value)])
     return out.render()
 

@@ -1,18 +1,19 @@
-"""The fleet health service: tailers -> registry -> rules -> exposition.
+"""The fleet health service: log files -> registry -> rules -> exposition.
 
 :class:`FleetHealthService` owns the whole live path:
 
-* a :class:`~repro.fleet.tailer.DirectoryTailer` follows the per-node
-  log files through one bounded queue (the backpressure boundary);
-* one ingest thread drains that queue and feeds each record to the
-  :class:`~repro.fleet.registry.HealthRegistry` (one streaming coalescer
-  with ``keep_closed=False`` — live memory stays O(open runs)), passes
-  each result to the :class:`~repro.fleet.rules.RuleEngine`, and, given a
-  store, hands the record to a :class:`~repro.store.writer.StoreWriter`;
+* one ingest thread polls a :class:`~repro.fleet.tailer.DirectoryTailer`
+  over the per-node log files and feeds each record, as it is parsed, to
+  the :class:`~repro.fleet.registry.HealthRegistry` (one streaming
+  coalescer with ``keep_closed=False`` — live memory stays O(open runs)),
+  passes each result to the :class:`~repro.fleet.rules.RuleEngine`, and,
+  given a store, hands the record to a
+  :class:`~repro.store.writer.StoreWriter`;
 * an optional :class:`~repro.fleet.exposition.MetricsServer` serves
   Prometheus text format at ``/metrics``.
 
-Nothing on this path materializes or sorts the log volume.
+Nothing on this path materializes or sorts the log volume, and nothing
+queues between the files and the registry.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.fleet.exposition import MetricsServer, render_prometheus
-from repro.obs import CounterSet
 from repro.fleet.registry import HealthRegistry, RiskScorer
 from repro.fleet.rules import AlertSink, RuleEngine, default_rules
 from repro.fleet.tailer import DirectoryTailer
@@ -33,6 +33,8 @@ from repro.fleet.tailer import DirectoryTailer
 STOP_TIMEOUT_SECONDS = 30.0
 #: Ingestion this long without a record counts as idle.
 IDLE_SECONDS = 0.3
+#: Seconds the ingest thread waits after a pass that read nothing.
+POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,6 @@ class FleetHealthService:
         )
         self.engine = RuleEngine(default_rules(), sinks=sinks)
         self._sinks: Tuple[AlertSink, ...] = tuple(sinks)
-        #: Self-observability counters (``fleet.records_ingested`` plus
-        #: the store writer's ``store.*`` series), snapshotted per
-        #: ``/metrics`` scrape.
-        self.counters = CounterSet()
         self.store = None
         self.store_writer = None
         self.records_replayed = 0
@@ -91,11 +89,12 @@ class FleetHealthService:
             from repro.store import EventStore, StoreWriter
 
             self.store = EventStore.open_or_create(config.store_dir)
-            self.store_writer = StoreWriter(self.store, counters=self.counters)
+            self.store_writer = StoreWriter(self.store)
             # With history already durable, replay it into the registry at
-            # start() and tail only *new* appends — re-reading the log
-            # files from the top would double-ingest everything the store
-            # already holds.
+            # start() and tail only what the files present now gain —
+            # re-reading them from the top would double-ingest everything
+            # the store already holds.  A file created later is new, and
+            # the tailer reads it from its first byte.
             from_start = not self.store.n_records
         self.tailer = DirectoryTailer(config.logs_dir, from_start=from_start)
         self.metrics_server: Optional[MetricsServer] = None
@@ -106,6 +105,7 @@ class FleetHealthService:
                 port=config.metrics_port,
             )
         self._consumer: Optional[threading.Thread] = None
+        self._stop = threading.Event()
         #: What killed the ingest thread, re-raised by :meth:`stop`.
         self._ingest_error: Optional[Exception] = None
         self._started = False
@@ -123,7 +123,6 @@ class FleetHealthService:
         if self.metrics_server is not None:
             self.metrics_server.start()
         self._replay_store()
-        self.tailer.start()
         self._consumer = threading.Thread(
             target=self._consume, daemon=True, name="fleet-ingest"
         )
@@ -131,14 +130,14 @@ class FleetHealthService:
         return self
 
     def stop(self) -> None:
-        """Stop tailing, drain the queue, shut the endpoint down.
+        """Read the files to their current end, then shut the endpoint down.
 
         Raises whatever killed the ingest thread, after that shutdown.
         """
         if not self._started or self._stopped:
             return
         self._stopped = True
-        self.tailer.stop()
+        self._stop.set()
         if self._consumer is not None:
             self._consumer.join(STOP_TIMEOUT_SECONDS)
         if self.metrics_server is not None:
@@ -167,18 +166,32 @@ class FleetHealthService:
             self.records_replayed += 1
 
     def _consume(self) -> None:
-        """Ingest thread: each record feeds the registry, then the rules,
-        then the store."""
+        """Ingest thread: poll the files; each record feeds the registry,
+        then the rules, then the store.
+
+        After a pass that reads nothing it flushes a store buffer whose
+        time is due and waits :data:`POLL_INTERVAL`; once :meth:`stop` is
+        called it keeps polling until a whole pass reads nothing.
+        """
         registry, engine, writer = self.registry, self.engine, self.store_writer
+        tailer = self.tailer
         try:
             try:
-                for record in self.tailer.records():
-                    result = registry.ingest(record)
-                    self.records_ingested += 1
-                    self.counters.inc("fleet.records_ingested")
-                    engine.observe(result)
+                while True:
+                    stopping = self._stop.is_set()
+                    for record in tailer.poll():
+                        result = registry.ingest(record)
+                        self.records_ingested += 1
+                        engine.observe(result)
+                        if writer is not None:
+                            writer.on_record(record)
+                    if not tailer.idle:
+                        continue
+                    if stopping:
+                        break
                     if writer is not None:
-                        writer.on_record(record)
+                        writer.flush_if_due()
+                    self._stop.wait(POLL_INTERVAL)
             finally:
                 if writer is not None:
                     writer.close()
@@ -200,12 +213,13 @@ class FleetHealthService:
         ingest_age = self.registry.ingest_age_seconds()
         if ingest_age is not None:
             extra["repro_fleet_ingest_age_seconds"] = ingest_age
+        # The self-observability series: the ingest count and, given a
+        # store, the writer's ``store.*`` counters.
+        counters = {"fleet.records_ingested": float(self.records_ingested)}
+        if self.store_writer is not None:
+            counters.update(self.store_writer.counters.values())
         return render_prometheus(
-            self.registry,
-            self.engine,
-            self.tailer,
-            extra_gauges=extra,
-            counters=self.counters.values(),
+            self.registry, self.engine, self.tailer, extra, counters
         )
 
     # ------------------------------------------------------------------
@@ -215,16 +229,16 @@ class FleetHealthService:
     def wait_idle(self, *, timeout: float = 30.0) -> bool:
         """Wait until ingestion has been quiet for :data:`IDLE_SECONDS`.
 
-        "Quiet" = no new records ingested and the queue empty — the state
-        a finished emitter leaves behind.  Returns False on timeout, or at
-        once when the ingest thread has died (:meth:`stop` raises why).
+        "Quiet" = no new records ingested — the state a finished emitter
+        leaves behind.  Returns False on timeout, or at once when the
+        ingest thread has died (:meth:`stop` raises why).
         """
         deadline = self.clock() + timeout
         last_count = -1
         quiet_since: Optional[float] = None
         while self.clock() < deadline and self._ingest_error is None:
             count = self.records_ingested
-            if count != last_count or self.tailer.queue_depth > 0:
+            if count != last_count:
                 last_count = count
                 quiet_since = None
             elif quiet_since is None:

@@ -3,11 +3,13 @@
 Feed a :class:`StoreWriter` one record at a time through
 :meth:`~StoreWriter.on_record` and every record lands in the store.  It
 flushes a segment per :data:`SEGMENT_RECORDS` records, and whatever has
-accumulated every :data:`FLUSH_SECONDS` of wall time, so a long-lived
+waited :data:`FLUSH_SECONDS` of wall time, so a long-lived
 ``repro-delta serve`` leaves durable history behind even at low event
-rates.  ``close()`` (which the fleet service's ingest thread
-calls in a ``finally``) flushes the remainder — no records are lost on
-a clean stop.
+rates.  The fleet service's ingest thread calls
+:meth:`~StoreWriter.flush_if_due` after each poll that finds nothing, so
+records become durable during a silence too, and ``close()`` (which the
+same thread calls in a ``finally``) flushes the remainder — no records
+are lost on a clean stop.
 """
 
 from __future__ import annotations
@@ -28,25 +30,24 @@ FLUSH_SECONDS = 5.0
 class StoreWriter:
     """Buffer records and append them to an :class:`EventStore` in segments."""
 
-    def __init__(self, store: EventStore, *, counters=None) -> None:
+    def __init__(self, store: EventStore) -> None:
         self.store = store
-        self.records_written = 0
-        self.segments_written = 0
-        self.flushes = 0
-        self.flush_seconds_total = 0.0
-        #: Optional :class:`repro.obs.CounterSet` fed per flush
-        #: (``store.flushes`` / ``store.flush_seconds`` /
-        #: ``store.records_written``) for ``/metrics`` self-observability.
-        self.counters = counters
+        #: ``store.flushes`` / ``store.flush_seconds`` /
+        #: ``store.records_written``, for ``/metrics`` self-observability.
+        self.counters = obs.CounterSet()
         self._buffer: List[RawXidRecord] = []
         self._last_flush = time.monotonic()
 
     def on_record(self, record: RawXidRecord) -> None:
         self._buffer.append(record)
-        if (
-            len(self._buffer) >= SEGMENT_RECORDS
-            or time.monotonic() - self._last_flush >= FLUSH_SECONDS
-        ):
+        if len(self._buffer) >= SEGMENT_RECORDS:
+            self.flush()
+        else:
+            self.flush_if_due()
+
+    def flush_if_due(self) -> None:
+        """Flush if :data:`FLUSH_SECONDS` have passed since the last flush."""
+        if time.monotonic() - self._last_flush >= FLUSH_SECONDS:
             self.flush()
 
     def flush(self) -> None:
@@ -56,20 +57,11 @@ class StoreWriter:
         if not self._buffer:
             return
         info = self.store.append_segment(self._buffer)
-        n_written = 0
-        if info is not None:
-            n_written = info.n_records
-            self.records_written += info.n_records
-            self.segments_written += 1
         self._buffer = []
         elapsed = time.monotonic() - start
-        self.flushes += 1
-        self.flush_seconds_total += elapsed
-        if self.counters is not None:
-            self.counters.inc("store.flushes")
-            self.counters.inc("store.flush_seconds", elapsed)
-            if n_written:
-                self.counters.inc("store.records_written", n_written)
+        self.counters.inc("store.flushes")
+        self.counters.inc("store.flush_seconds", elapsed)
+        self.counters.inc("store.records_written", info.n_records)
         obs.add("store.flushes")
         obs.add("store.flush_seconds", elapsed)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.gpu import GpuModel, pci_bus_for_slot
-from repro.cluster.inventory import ClusterInventory, DeltaShape, build_delta_cluster
+from repro.cluster.inventory import ClusterInventory
 from repro.cluster.node import NODE_CONFIGS, NodeKind, make_node
 
 
@@ -55,15 +55,6 @@ class TestDeltaInventory:
         node = make_node(NodeKind.A40_X4, 1)
         with pytest.raises(ValueError):
             ClusterInventory([node, node])
-
-    def test_scaled_shape_keeps_every_kind(self):
-        cluster = build_delta_cluster(DeltaShape().scaled(0.05))
-        kinds = {n.kind for n in cluster.nodes}
-        assert kinds == set(NodeKind)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DeltaShape().scaled(0.0)
 
     def test_contains(self, delta_cluster):
         assert "gpua001" in delta_cluster

@@ -9,6 +9,7 @@ from repro.core.parsing import RawXidRecord
 from repro.fleet.exposition import MetricsServer, render_prometheus
 from repro.fleet.registry import HealthRegistry
 from repro.fleet.rules import Action, AlertRule, MemorySink, RuleEngine
+from repro.fleet.tailer import DirectoryTailer
 
 
 def _record(t, node="gpua001", pci="0000:07:00", xid=95, msg="m"):
@@ -25,9 +26,19 @@ def _populated_registry():
     return registry
 
 
+def _render(registry, engine=None, extra_gauges=None):
+    return render_prometheus(
+        registry,
+        engine or RuleEngine([]),
+        DirectoryTailer("unpolled"),
+        extra_gauges or {},
+        {"fleet.records_ingested": 3.0},
+    )
+
+
 class TestRenderPrometheus:
     def test_core_series_present(self):
-        text = render_prometheus(_populated_registry())
+        text = _render(_populated_registry())
         assert "# TYPE repro_fleet_tracked_gpus gauge" in text
         assert "repro_fleet_tracked_gpus 2" in text
         assert "repro_fleet_records_ingested_total 3" in text
@@ -43,21 +54,21 @@ class TestRenderPrometheus:
         )
         engine = RuleEngine([rule], sinks=[MemorySink()])
         engine.observe_onset(_record(0.0))
-        text = render_prometheus(
+        text = _render(
             _populated_registry(), engine, extra_gauges={"repro_fleet_uptime_seconds": 1.5}
         )
         assert 'repro_fleet_alerts_total{action="drain_node",rule="r"} 1' in text
         assert "repro_fleet_uptime_seconds 1.5" in text
 
     def test_risk_and_rate_series_are_labelled_per_gpu(self):
-        text = render_prometheus(_populated_registry())
+        text = _render(_populated_registry())
         assert 'repro_fleet_gpu_risk_score{node="gpua001",pci_bus="0000:07:00"}' in text
         assert 'repro_fleet_gpu_error_rate_per_hour{node="gpua001"' in text
 
     def test_label_values_are_escaped(self):
         registry = HealthRegistry()
         registry.ingest(_record(0.0, node='we"ird\\node'))
-        text = render_prometheus(registry)
+        text = _render(registry)
         assert 'node="we\\"ird\\\\node"' in text
 
 
@@ -65,7 +76,7 @@ class TestMetricsServer:
     @pytest.fixture()
     def server(self):
         registry = _populated_registry()
-        server = MetricsServer(lambda: render_prometheus(registry))
+        server = MetricsServer(lambda: _render(registry))
         server.start()
         yield server
         server.stop()

@@ -1,7 +1,10 @@
-"""FleetHealthService wiring: injectable clock, sink lifecycle, staleness,
-and a dead ingest thread."""
+"""FleetHealthService wiring: one ingest thread, injectable clock, sink
+lifecycle, staleness, warm restarts, store durability and a dead ingest
+thread."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
@@ -10,11 +13,13 @@ from repro.fleet import JsonLinesSink
 from repro.fleet.registry import HealthRegistry
 from repro.fleet.service import FleetHealthService, FleetServiceConfig
 from repro.replay import VirtualClock
+from repro.store import EventStore
+from repro.store import writer as writer_module
 
 from tests.fleet.test_rules import _record
 
 
-def _service(tmp_path, *, sinks=(), clock=None, sleep=None):
+def _service(tmp_path, *, sinks=(), clock=None, sleep=None, store_dir=None):
     logs = tmp_path / "logs"
     logs.mkdir(exist_ok=True)
     kwargs = {}
@@ -23,10 +28,46 @@ def _service(tmp_path, *, sinks=(), clock=None, sleep=None):
     if sleep is not None:
         kwargs["sleep"] = sleep
     return FleetHealthService(
-        FleetServiceConfig(logs_dir=logs, metrics_port=None),
+        FleetServiceConfig(logs_dir=logs, metrics_port=None, store_dir=store_dir),
         sinks=sinks,
         **kwargs,
     )
+
+
+def _xid_lines(node, times):
+    return "".join(
+        f"2022-03-14T02:11:{t:06.3f} {node} kernel: NVRM: Xid "
+        f"(PCI:0000:07:00): 31, pid=1234, MMU Fault\n"
+        for t in times
+    )
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+class TestOneThread:
+    def test_the_ingest_thread_is_the_only_one_started(self, tmp_path):
+        before = set(threading.enumerate())
+        service = _service(tmp_path)
+        service.start()
+        try:
+            started = [t.name for t in threading.enumerate() if t not in before]
+            assert started == ["fleet-ingest"]
+        finally:
+            service.stop()
+
+    def test_stop_reads_what_was_written_before_it(self, tmp_path):
+        service = _service(tmp_path)
+        service.start()
+        (tmp_path / "logs" / "gpua001.log").write_text(
+            _xid_lines("gpua001", [1.0, 2.0, 3.0])
+        )
+        service.stop()
+        assert service.records_ingested == 3
 
 
 class TestSinkLifecycle:
@@ -56,6 +97,41 @@ class TestSinkLifecycle:
         service = _service(tmp_path, sinks=(sink,))
         service.start()
         service.stop()
+
+
+class TestConcurrentScrapes:
+    def test_scrapes_while_the_ingest_thread_finds_files(self, tmp_path):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        service = _service(tmp_path)
+        errors, done = [], threading.Event()
+
+        def scrape():
+            while not done.is_set():
+                try:
+                    service.render_metrics()
+                except Exception as error:  # reported by the assertion below
+                    errors.append(error)
+                    return
+
+        scrapers = [threading.Thread(target=scrape) for _ in range(3)]
+        try:
+            service.start()
+            for thread in scrapers:
+                thread.start()
+            for index in range(200):
+                node = f"gpua{index:03d}"
+                (tmp_path / "logs" / f"{node}.log").write_text(_xid_lines(node, [1.0]))
+            assert _wait_for(lambda: service.records_ingested == 200, timeout=30.0)
+        finally:
+            done.set()
+            for thread in scrapers:
+                thread.join(10.0)
+            service.stop()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in scrapers)
+        assert not errors
+        assert service.tailer.stats().files == 200
 
 
 class TestClockInjection:
@@ -138,3 +214,49 @@ class TestIngestFailure:
         with pytest.raises(OSError, match="No space left on device"):
             service.stop()
         assert service.records_ingested == 1
+
+
+class TestWarmRestart:
+    def test_a_log_file_created_after_start_is_read_from_its_first_line(
+        self, tmp_path
+    ):
+        store_dir = tmp_path / "events"
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "gpua001.log").write_text(_xid_lines("gpua001", [1.0]))
+        first = _service(tmp_path, store_dir=store_dir)
+        first.start()
+        assert first.wait_idle(timeout=10.0)
+        first.stop()
+        assert EventStore.open(store_dir).n_records == 1
+
+        service = _service(tmp_path, store_dir=store_dir)
+        service.start()
+        try:
+            assert service.records_replayed == 1
+            # Once the first pass has found gpua001.log, any file is new.
+            assert _wait_for(lambda: service.tailer.stats().files == 1)
+            (logs / "gpua002.log").write_text(
+                _xid_lines("gpua002", [5.0, 6.0, 7.0])
+            )
+            assert _wait_for(lambda: service.records_ingested == 3)
+        finally:
+            service.stop()
+        assert service.records_ingested == 3
+
+
+class TestStoreDurability:
+    def test_records_become_durable_during_a_silence(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(writer_module, "FLUSH_SECONDS", 0.3)
+        store_dir = tmp_path / "events"
+        service = _service(tmp_path, store_dir=store_dir)
+        service.start()
+        try:
+            (tmp_path / "logs" / "gpua001.log").write_text(
+                _xid_lines("gpua001", [1.0, 2.0, 3.0])
+            )
+            assert _wait_for(lambda: service.records_ingested == 3)
+            # No record follows, yet the buffer is committed to the store.
+            assert _wait_for(lambda: service.store.n_records == 3)
+        finally:
+            service.stop()

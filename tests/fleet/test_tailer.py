@@ -1,10 +1,7 @@
-"""Live-log tailers: incremental polling, backpressure, merged streams."""
+"""Live-log tailers: incremental polling, byte-budgeted passes, discovery."""
 
+import gzip
 import os
-import threading
-import time
-
-import pytest
 
 from repro.fleet import tailer as tailer_module
 from repro.fleet.tailer import DirectoryTailer, LogTailer
@@ -87,68 +84,88 @@ class TestLogTailer:
         assert tailer.poll_lines() == []
 
 
-@pytest.fixture()
-def fast_poll(monkeypatch):
-    monkeypatch.setattr(tailer_module, "POLL_INTERVAL", 0.01)
-
-
 class TestDirectoryTailer:
-    def test_requires_start_before_consuming(self, tmp_path):
-        tailer = DirectoryTailer(tmp_path)
-        with pytest.raises(RuntimeError):
-            next(tailer.records())
-
-    def test_collects_existing_and_appended_lines(self, tmp_path, fast_poll):
+    def test_collects_existing_and_appended_lines(self, tmp_path):
         (tmp_path / "gpua001.log").write_text(
             "".join(_line(t, node="gpua001") + "\n" for t in (0.0, 5.0))
         )
         (tmp_path / "gpub001.log").write_text(_line(2.0, node="gpub001") + "\n")
-        tailer = DirectoryTailer(tmp_path).start()
-
-        def _append_later():
-            time.sleep(0.1)
-            with open(tmp_path / "gpua001.log", "a") as handle:
-                handle.write(_line(9.0, node="gpua001") + "\n")
-            time.sleep(0.1)
-            tailer.stop()
-
-        threading.Thread(target=_append_later, daemon=True).start()
-        records = list(tailer.records())
-        tailer.join(5.0)
-        assert len(records) == 4
-        # Per-GPU (= per-file) time order survives the merge.
-        gpua = [r.time for r in records if r.node_id == "gpua001"]
-        assert gpua == sorted(gpua) == [0.0, 5.0, 9.0]
+        tailer = DirectoryTailer(tmp_path)
+        records = list(tailer.poll())
+        # A pass walks the files in name order.
+        assert [(r.node_id, r.time) for r in records] == [
+            ("gpua001", 0.0), ("gpua001", 5.0), ("gpub001", 2.0),
+        ]
+        with open(tmp_path / "gpua001.log", "a") as handle:
+            handle.write(_line(9.0, node="gpua001") + "\n")
+        assert [r.time for r in tailer.poll()] == [9.0]
+        assert list(tailer.poll()) == [] and tailer.idle
         assert tailer.stats().records_parsed == 4
 
-    def test_new_files_are_discovered_on_the_fly(self, tmp_path, fast_poll):
-        tailer = DirectoryTailer(tmp_path).start()
-
-        def _create_later():
-            time.sleep(0.05)
-            (tmp_path / "late.log").write_text(_line(1.0, node="late") + "\n")
-            time.sleep(0.1)
-            tailer.stop()
-
-        threading.Thread(target=_create_later, daemon=True).start()
-        records = list(tailer.records())
-        assert [r.node_id for r in records] == ["late"]
-
-    def test_bounded_queue_backpressure_loses_nothing(
-        self, tmp_path, fast_poll, monkeypatch
-    ):
-        n = 500
-        (tmp_path / "gpua001.log").write_text(
-            "".join(_line(float(t)) + "\n" for t in range(n))
-        )
-        # Tiny queue: workers must block on put while the consumer drains.
-        monkeypatch.setattr(tailer_module, "QUEUE_SIZE", 8)
+    def test_new_files_are_discovered_on_the_fly(self, tmp_path):
         tailer = DirectoryTailer(tmp_path)
-        assert tailer.queue.maxsize == 8
-        tailer.start()
-        time.sleep(0.05)
-        assert tailer.queue_depth <= 8  # the memory bound, mid-flight
-        tailer.stop()
-        records = list(tailer.records())
-        assert len(records) == n
-        assert [r.time for r in records] == [float(t) for t in range(n)]
+        assert list(tailer.poll()) == []
+        (tmp_path / "late.log").write_text(_line(1.0, node="late") + "\n")
+        assert [r.node_id for r in tailer.poll()] == ["late"]
+
+    def test_a_pass_reads_within_the_byte_budget(self, tmp_path, monkeypatch):
+        lines = [_line(float(t)) for t in range(500)]
+        (tmp_path / "gpua001.log").write_text("".join(l + "\n" for l in lines))
+        budget = 1_000
+        monkeypatch.setattr(tailer_module, "POLL_BYTES", budget)
+        tailer = DirectoryTailer(tmp_path)
+        longest = max(len(l) + 1 for l in lines)
+        seen, passes, read = [], 0, 0
+        while True:
+            records = list(tailer.poll())
+            if tailer.idle:
+                break
+            passes += 1
+            assert tailer.stats().bytes_read - read <= budget
+            read = tailer.stats().bytes_read
+            # The complete lines of one budget, plus the partial line the
+            # previous pass left buffered.
+            assert sum(len(_line(r.time)) + 1 for r in records) <= budget + longest
+            seen += records
+        total = sum(len(l) + 1 for l in lines)
+        assert read == total and passes >= total // budget
+        assert [r.time for r in seen] == [float(t) for t in range(500)]
+
+    def test_a_pass_that_reads_only_noise_is_not_idle(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tailer_module, "POLL_BYTES", 1_000)
+        noise = "2022-01-01T00:00:00.000 gpua001 kernel: boring\n" * 100
+        (tmp_path / "gpua001.log").write_text(noise + _line(1.0) + "\n")
+        tailer = DirectoryTailer(tmp_path)
+        assert list(tailer.poll()) == [] and not tailer.idle
+
+    def test_warm_start_reads_files_found_later_from_byte_zero(self, tmp_path):
+        (tmp_path / "gpua001.log").write_text(_line(0.0, node="gpua001") + "\n")
+        tailer = DirectoryTailer(tmp_path, from_start=False)
+        assert list(tailer.poll()) == []
+        (tmp_path / "gpua002.log").write_text(
+            "".join(_line(t, node="gpua002") + "\n" for t in (1.0, 2.0))
+        )
+        with open(tmp_path / "gpua001.log", "a") as handle:
+            handle.write(_line(3.0, node="gpua001") + "\n")
+        assert [(r.node_id, r.time) for r in tailer.poll()] == [
+            ("gpua001", 3.0), ("gpua002", 1.0), ("gpua002", 2.0),
+        ]
+
+    def test_compressed_backlog_is_read_once(self, tmp_path):
+        with gzip.open(tmp_path / "gpua001.log.gz", "wt") as handle:
+            handle.write("".join(_line(t) + "\n" for t in (0.0, 1.0)))
+        tailer = DirectoryTailer(tmp_path)
+        assert [r.time for r in tailer.poll()] == [0.0, 1.0]
+        assert list(tailer.poll()) == []
+        # Present at a warm start: already read in an earlier life.
+        assert list(DirectoryTailer(tmp_path, from_start=False).poll()) == []
+
+    def test_a_cut_short_backlog_keeps_what_was_read(self, tmp_path):
+        path = tmp_path / "gpua001.log.gz"
+        with gzip.open(path, "wt") as handle:
+            handle.write("".join(_line(float(t)) + "\n" for t in range(2_000)))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        times = [r.time for r in DirectoryTailer(tmp_path).poll()]
+        assert 0 < len(times) < 2_000
+        assert times == [float(t) for t in range(len(times))]

@@ -1,4 +1,4 @@
-"""End-to-end fleet service: injector -> live emitter -> tailers ->
+"""End-to-end fleet service: injector -> live emitter -> log files ->
 registry -> rules -> metrics endpoint.
 
 One demo-cluster replay is shared by the whole module (the expensive
@@ -16,7 +16,6 @@ from repro.fleet import (
     LiveLogEmitter,
     MemorySink,
 )
-from repro.fleet import tailer as tailer_module
 from repro.fleet.demo import demo_counts, demo_trace
 
 SEED = 11
@@ -29,13 +28,10 @@ def live_session(tmp_path_factory):
     logs.mkdir()
     trace = demo_trace(seed=SEED)
     sink = MemorySink()
-    with pytest.MonkeyPatch.context() as patch:
-        # A small bound exercises backpressure for real.
-        patch.setattr(tailer_module, "QUEUE_SIZE", 256)
-        service = FleetHealthService(
-            FleetServiceConfig(logs_dir=logs, alarm_after_seconds=600.0),
-            sinks=[sink],
-        )
+    service = FleetHealthService(
+        FleetServiceConfig(logs_dir=logs, alarm_after_seconds=600.0),
+        sinks=[sink],
+    )
     service.start()
     emitter = LiveLogEmitter.from_trace(trace, logs, seed=SEED)
     emitter.start()
@@ -50,7 +46,6 @@ def live_session(tmp_path_factory):
         "summary": summary,
         "scrape": scrape,
         "emitter": emitter,
-        "service": service,
     }
 
 
@@ -64,15 +59,10 @@ class TestLiveIngestion:
     def test_onsets_match_the_injected_ground_truth(self, live_session):
         """Each injected fault event becomes exactly one coalesced onset —
         the live pipeline neither drops nor double-counts despite the
-        duplicate-line rendering and concurrent tailing."""
+        duplicate-line rendering and reading files while they grow."""
         assert live_session["summary"]["onsets_by_xid"] == demo_counts(
             live_session["trace"]
         )
-
-    def test_queue_stayed_bounded(self, live_session):
-        service = live_session["service"]
-        assert service.tailer.queue.maxsize == 256
-        assert service.tailer.queue_depth == 0  # fully drained
 
 
 class TestOperatorAlerts:
@@ -118,5 +108,4 @@ class TestMetricsEndpoint:
             'repro_fleet_alerts_total{action="drain_node",'
             'rule="xid79-fallen-off-bus"}' in scrape
         )
-        assert "repro_fleet_queue_depth 0" in scrape
         assert "repro_fleet_uptime_seconds" in scrape

@@ -11,10 +11,13 @@ name, or else to the module the package's ``__init__`` imports it from;
 own imports are re-exports, not uses, so they reach nothing by themselves.
 
 Names: every module-level function, class and assigned name must be
-named somewhere in ``src/repro``, ``examples/`` or ``benchmarks/ledger/``,
-as a name, an attribute or an imported name.  Its own definition and a
-package ``__init__``'s imports do not count.  ``KEPT`` lists the
-exceptions.
+used somewhere in ``src/repro``, ``examples/`` or ``benchmarks/ledger/``,
+as a name, an attribute or an imported name.  Each use resolves to the
+module that defines what it names: a bare name to the module's import of
+it or else to its own top-level name, an attribute to the module its
+chain names, so one module's constant cannot hide an unused one of the
+same name elsewhere.  Its own definition and a package ``__init__``'s
+imports do not count.  ``KEPT`` lists the exceptions.
 
 Imports: every name a module imports is used in that module, as a name or
 the root of an attribute, in a string annotation or in ``__all__``.  A
@@ -50,6 +53,10 @@ KEPT = {
         "the program renders whole traces, formatting across events",
     "repro.results.artifact.RESULT_SCHEMA":
         "the result format's version, which docs/results.md points readers to",
+    "repro.util.stats.percentile":
+        "the empty- and range-checked percentile; only tests/util/test_stats.py "
+        "calls it, and deleting it with those three tests is left to a change "
+        "of its own",
 }
 
 
@@ -82,45 +89,73 @@ def _reexports(package: str) -> dict:
     }
 
 
-def _resolve(module: str, name: str) -> str:
-    """The module that defines ``module.name``."""
+def _target(module: str, name: str) -> str:
+    """What ``module.name`` names: a submodule, or ``name`` qualified by the
+    module that defines it."""
     while module in PACKAGES:
         if f"{module}.{name}" in MODULES:
             return f"{module}.{name}"
         if name not in _reexports(module):
             break
         module, name = _reexports(module)[name]
-    return module
+    return f"{module}.{name}"
 
 
-def _uses(module: str, path: Path) -> set:
-    """The modules that ``module``'s imports and package attributes reach."""
-    tree = ast.parse(path.read_text())
-    reached, bound = set(), {}
+def _home(target: str) -> str:
+    """The module a target lies in (a module is its own)."""
+    return target if target in MODULES else target.rpartition(".")[0]
+
+
+def _resolve(module: str, name: str) -> str:
+    """The module that defines ``module.name``."""
+    return _home(_target(module, name))
+
+
+def _bindings(module: str, tree: ast.AST) -> dict:
+    """Local name -> target, for every import in ``tree``."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                reached.add(alias.name)
                 local = alias.asname or alias.name.partition(".")[0]
                 bound[local] = alias.name if alias.asname else local
         elif isinstance(node, ast.ImportFrom):
             source = _absolute(module, node)
             for alias in node.names:
-                target = _resolve(source, alias.name)
-                reached.add(target)
-                bound[alias.asname or alias.name] = target
+                bound[alias.asname or alias.name] = _target(source, alias.name)
+    return bound
+
+
+def _chain_targets(tree: ast.AST, bound: dict) -> set:
+    """The targets each ``name.attr...`` chain rooted at a bound name
+    reaches: the name's own, then one per attribute while the chain
+    still names a module."""
+    targets = set()
     for node in ast.walk(tree):
         chain = []
         while isinstance(node, ast.Attribute):
             chain.append(node.attr)
             node = node.value
-        if chain and isinstance(node, ast.Name) and node.id in bound:
+        if isinstance(node, ast.Name) and node.id in bound:
             current = bound[node.id]
+            targets.add(current)
             for attr in reversed(chain):
-                if current not in PACKAGES:
+                if current not in MODULES:
                     break
-                current = _resolve(current, attr)
-                reached.add(current)
+                current = (_target(current, attr) if current in PACKAGES
+                           else f"{current}.{attr}")
+                targets.add(current)
+    return targets
+
+
+def _uses(module: str, path: Path) -> set:
+    """The modules that ``module``'s imports and package attributes reach."""
+    tree = ast.parse(path.read_text())
+    reached = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    bound = _bindings(module, tree)
+    reached |= {_home(target) for target in bound.values()}
+    reached |= {_home(target) for target in _chain_targets(tree, bound)}
     return reached
 
 
@@ -148,19 +183,6 @@ def test_every_module_is_reached_by_a_command_or_an_example():
     assert not unreached, "modules no command or example reaches:\n  " + "\n  ".join(unreached)
 
 
-def _identifiers(node: ast.AST, *, imports: bool) -> set:
-    """The names, attributes and (with ``imports``) imported names under ``node``."""
-    found = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            found.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            found.add(child.attr)
-        elif imports and isinstance(child, ast.ImportFrom):
-            found.update(alias.name for alias in child.names)
-    return found
-
-
 def _assigned(node: ast.AST) -> list:
     """The names a module-level assignment binds (dunders aside)."""
     if isinstance(node, ast.Assign):
@@ -177,46 +199,79 @@ def _assigned(node: ast.AST) -> list:
     ]
 
 
-def _definitions() -> dict:
-    """``module.name`` -> name, for every top-level function, class and
-    assigned name."""
-    definitions = {}
+def _definitions() -> set:
+    """``module.name`` of every top-level function, class and assigned name."""
+    definitions = set()
     for module, path in MODULES.items():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions[f"{module}.{node.name}"] = node.name
-            for name in _assigned(node):
-                definitions[f"{module}.{name}"] = name
+                definitions.add(f"{module}.{node.name}")
+            definitions.update(f"{module}.{name}" for name in _assigned(node))
     return definitions
 
 
 def _used_names() -> set:
-    files = [*MODULES.values(), *(ROOT / "examples").glob("*.py"),
-             *(ROOT / "benchmarks" / "ledger").rglob("*.py")]
+    """``module.name`` of every top-level name a use outside tests reaches.
+
+    A bare name is the importing module's binding or else its own
+    top-level name; an attribute chain resolves through the modules it
+    names; an imported name counts too, apart from a package
+    ``__init__``'s re-exports.
+    """
+    files = dict(MODULES)
+    for path in (ROOT / "examples").glob("*.py"):
+        files[f"examples.{path.stem}"] = path
+    for path in (ROOT / "benchmarks" / "ledger").rglob("*.py"):
+        files[".".join(path.relative_to(ROOT).with_suffix("").parts)] = path
     used = set()
-    for path in files:
-        imports = path.name != "__init__.py" or SRC not in path.parents
-        for node in ast.parse(path.read_text()).body:
-            names = _identifiers(node, imports=imports)
+    for module, path in files.items():
+        tree = ast.parse(path.read_text())
+        bound = _bindings(module, tree)
+        reexports = module in PACKAGES
+        for node in tree.body:
+            names = {child.id for child in ast.walk(node) if isinstance(child, ast.Name)}
+            targets = {bound.get(name, f"{module}.{name}") for name in names}
+            targets |= _chain_targets(node, bound)
+            if not reexports:
+                targets |= {
+                    _target(_absolute(module, child), alias.name)
+                    for child in ast.walk(node) if isinstance(child, ast.ImportFrom)
+                    for alias in child.names
+                }
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.discard(node.name)  # a use inside its own definition
-            names.difference_update(_assigned(node))  # the binding itself
-            used |= names
+                targets.discard(f"{module}.{node.name}")  # a use inside its own definition
+            targets.difference_update(f"{module}.{name}" for name in _assigned(node))
+            used |= targets
     return used
 
 
 def test_every_top_level_name_is_used_outside_tests():
     used = _used_names()
-    unused = sorted(q for q, name in _definitions().items()
-                    if name not in used and q not in KEPT)
+    unused = sorted(q for q in _definitions() if q not in used and q not in KEPT)
     assert not unused, "top-level names only tests use:\n  " + "\n  ".join(unused)
+
+
+def test_name_scan_resolves_each_use_to_its_module(tmp_path, monkeypatch):
+    source = tmp_path / "src" / "repro"
+    source.mkdir(parents=True)
+    (source / "a.py").write_text("WINDOW = 20\n\ndef f():\n    return WINDOW\n")
+    (source / "b.py").write_text("WINDOW = 5\nSPAN = 1\n")
+    (source / "c.py").write_text(
+        "from repro.a import f\nimport repro.b as b\n\n"
+        "def g():\n    return f(), b.SPAN\n"
+    )
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    monkeypatch.setitem(globals(), "MODULES", {f"repro.{n}": source / f"{n}.py" for n in "abc"})
+    monkeypatch.setitem(globals(), "PACKAGES", set())
+    # b.WINDOW shares its name with a read constant, yet nothing reads it.
+    assert sorted(_definitions() - _used_names()) == ["repro.b.WINDOW", "repro.c.g"]
 
 
 def test_kept_names_exist_and_are_still_unused():
     definitions, used = _definitions(), _used_names()
     for qualified in KEPT:
         assert qualified in definitions, f"{qualified} is gone; drop it from KEPT"
-        assert definitions[qualified] not in used, f"{qualified} has a use; drop it from KEPT"
+        assert qualified not in used, f"{qualified} has a use; drop it from KEPT"
 
 
 def _annotation_names(annotation: ast.AST) -> set:

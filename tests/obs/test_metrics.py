@@ -7,6 +7,8 @@ import threading
 from repro.core.parsing import RawXidRecord
 from repro.fleet.exposition import render_prometheus
 from repro.fleet.registry import HealthRegistry
+from repro.fleet.rules import RuleEngine
+from repro.fleet.tailer import DirectoryTailer
 from repro.obs import CounterSet
 from repro.store import EventStore, StoreWriter
 from repro.store import writer as writer_module
@@ -51,27 +53,30 @@ class TestCounterSet:
 class TestStoreWriterCounters:
     def test_flush_feeds_the_counter_set(self, tmp_path, monkeypatch):
         monkeypatch.setattr(writer_module, "SEGMENT_RECORDS", 2)
-        counters = CounterSet()
         store = EventStore.open_or_create(tmp_path / "events")
-        writer = StoreWriter(store, counters=counters)
+        writer = StoreWriter(store)
         for i in range(5):
             writer.on_record(_record(float(i)))
         writer.close()
-        values = counters.values()
+        values = writer.counters.values()
         # 5 records at 2 per segment: two full flushes + close.
         assert values["store.flushes"] == 3
         assert values["store.records_written"] == 5
         assert values["store.flush_seconds"] >= 0
-        assert writer.flushes == 3
-        assert writer.flush_seconds_total >= 0
 
     def test_writer_works_without_counters(self, tmp_path):
         store = EventStore.open_or_create(tmp_path / "events")
         writer = StoreWriter(store)
         writer.on_record(_record(1.0))
         writer.close()
-        assert writer.flushes == 1
+        assert writer.counters.values()["store.flushes"] == 1
         assert store.n_records == 1
+
+
+def _render(registry, counters):
+    return render_prometheus(
+        registry, RuleEngine([]), DirectoryTailer("unpolled"), {}, counters
+    )
 
 
 class TestExpositionSeries:
@@ -79,24 +84,18 @@ class TestExpositionSeries:
         registry = HealthRegistry()
         registry.ingest(_record(0.0))
         counters = {"fleet.records_ingested": 42.0}
-        text = render_prometheus(registry, counters=counters)
+        text = _render(registry, counters)
         assert "repro_fleet_records_ingested_total 42" in text
-
-    def test_ingest_counter_falls_back_to_registry_lines(self):
-        registry = HealthRegistry()
-        registry.ingest(_record(0.0))
-        registry.ingest(_record(100.0))
-        text = render_prometheus(registry)
-        assert "repro_fleet_records_ingested_total 2" in text
 
     def test_store_flush_series_rendered_when_present(self):
         registry = HealthRegistry()
         counters = {
+            "fleet.records_ingested": 0.0,
             "store.flushes": 3.0,
             "store.flush_seconds": 0.25,
             "store.records_written": 120.0,
         }
-        text = render_prometheus(registry, counters=counters)
+        text = _render(registry, counters)
         assert "# TYPE repro_fleet_store_flushes_total counter" in text
         assert "repro_fleet_store_flushes_total 3" in text
         assert "repro_fleet_store_flush_seconds_total 0.25" in text
@@ -104,5 +103,5 @@ class TestExpositionSeries:
 
     def test_store_series_absent_without_counters(self):
         registry = HealthRegistry()
-        text = render_prometheus(registry)
+        text = _render(registry, {"fleet.records_ingested": 0.0})
         assert "repro_fleet_store_flushes_total" not in text

@@ -109,7 +109,7 @@ class TestStoreWriter:
         for record in iter_source_records(FileSetSource(logs_dir)):
             writer.on_record(record)
         writer.close()
-        assert writer.records_written == len(pipeline_stream)
+        assert writer.counters.values()["store.records_written"] == len(pipeline_stream)
         assert list(store.query()) == pipeline_stream
 
     def test_flush_on_close_loses_nothing(self, tmp_path, records, monkeypatch):
