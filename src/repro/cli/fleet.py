@@ -14,17 +14,19 @@ def _configure_monitor(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
+    import itertools
+
     from repro import obs
     from repro.core.streaming import StreamingCoalescer
-    from repro.pipeline import FileSetSource, iter_source_records
+    from repro.pipeline import FileSetSource, iter_source_batches
     from repro.util.timeutil import format_duration, format_timestamp
 
     require_positive("--alarm-minutes", args.alarm_minutes)
     if not args.logs.is_dir():
         raise CliError(f"{args.logs} is not a directory")
 
-    # Stage I's k-way time merge preserves each node file's per-GPU
-    # order, so the streaming coalescer can watch the stream as it flows:
+    # Stage I's batch stream preserves each node file's per-GPU order,
+    # so the streaming coalescer can watch its rows as they flow:
     # alarms print the moment an open run crosses the threshold, and
     # keep_closed=False keeps memory O(open runs).  A watched directory
     # can legitimately regress in time (clock reset, a demo/emitter re-run
@@ -42,7 +44,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         on_close=_count_error,
         time_regression="restart",
     )
-    records = iter_source_records(FileSetSource(args.logs))
+    records = itertools.chain.from_iterable(
+        iter_source_batches(FileSetSource(args.logs))
+    )
     with obs.span("pipeline.coalesce", engine="streaming") as span:
         for alarm in coalescer.feed_many(records):
             print(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
 from pathlib import Path
 
 from repro.cli.common import emit_result, parse_query_args
@@ -21,8 +21,6 @@ def _add_replay_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--speed", type=float, default=None,
                         help="simulated seconds per wall second "
                         "(1 = real time; default: unbounded)")
-    parser.add_argument("--window-hours", type=float, default=6.0,
-                        help="store replay-cursor window size")
     parser.add_argument("--since", default=None,
                         help="ISO timestamp or epoch seconds (inclusive)")
     parser.add_argument("--until", default=None,
@@ -84,26 +82,19 @@ def _record_source(args: argparse.Namespace):
     """
     import hashlib
 
-    from repro.pipeline import FileSetSource
-    from repro.pipeline.extract import iter_source_records
+    from repro.pipeline import FileSetSource, iter_source_batches
     from repro.results import config_digest
     from repro.store import EventStore, ReplayCursor
 
     if (args.store is None) == (args.logs is None):
         raise CliError("pass exactly one of --store DIR or --logs DIR")
     require_positive("--workers", args.workers)
-    require_positive("--window-hours", args.window_hours)
-    if not math.isfinite(args.window_hours):
-        raise CliError("--window-hours must be finite")
     query = parse_query_args(args)
     if args.store is not None:
         store = EventStore.open(args.store)
-        window_seconds = args.window_hours * 3_600.0
 
         def factory():
-            return ReplayCursor(
-                store, query=query, window_seconds=window_seconds
-            ).iter_records()
+            return ReplayCursor(store, query=query).iter_records()
 
         fingerprint = store.content_hash()
         if not query.unconstrained:
@@ -121,7 +112,9 @@ def _record_source(args: argparse.Namespace):
     ).hexdigest()[:12]
 
     def factory():
-        stream = iter_source_records(FileSetSource(args.logs), workers=workers)
+        stream = itertools.chain.from_iterable(
+            iter_source_batches(FileSetSource(args.logs), workers=workers)
+        )
         if query.unconstrained:
             return stream
         return (r for r in stream if query.matches_record(r))
@@ -220,12 +213,6 @@ register(Command(
                  ("replay", "backtest"), 2),
         ExitCase("backtest over the demo store",
                  ("replay", "backtest", "--store", "{demo_store}"), 0),
-        ExitCase("zero cursor window",
-                 ("replay", "backtest", "--store", "{demo_store}",
-                  "--window-hours", "0"), 2),
-        ExitCase("infinite cursor window",
-                 ("replay", "backtest", "--store", "{demo_store}",
-                  "--window-hours", "inf"), 2),
         ExitCase("negative horizon",
                  ("replay", "backtest", "--store", "{demo_store}",
                   "--horizon-minutes", "-5"), 2),

@@ -9,12 +9,13 @@ else (including near-miss lines that merely mention GPUs).
 Records leave Stage I in one of two shapes:
 
 * :class:`XidBatch`, the columnar batch that the study, Algorithm 1, the
-  ``--jobs`` transport and the event store all carry.  :func:`parse_batch`
-  builds one.  It runs the regex once per distinct line remainder after the
-  timestamp token, and decodes canonical timestamps in one numpy pass.
-* :class:`RawXidRecord`, the row view.  :func:`parse_line` returns one,
-  iterating a batch yields them, and the live paths (``monitor``,
-  ``serve``, ``replay --logs``) stream them.
+  ``--jobs`` transport, the event store and the Stage-I batch stream all
+  carry.  :func:`parse_batch` builds one.  It runs the regex once per
+  distinct line remainder after the timestamp token, and decodes canonical
+  timestamps in one numpy pass.
+* :class:`RawXidRecord`, the row view, built only where one record is
+  consumed at a time.  :func:`parse_line` returns one, the fleet tailer
+  parses its lines into them, and iterating a batch yields them.
 
 Both shapes apply one rule.  A line is a record when it matches
 :data:`XID_LINE_PATTERN`, its date is a real calendar date, its time of day
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import heapq
-import itertools
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,10 +68,6 @@ _BLOCK_ROWS = 4096
 
 #: Rows a batch turns into Python objects at a time while it is iterated.
 _ROW_CHUNK = 4096
-
-#: Lines of a log file parsed into one batch while its records stream as
-#: rows: a stream holds one chunk's records, not the file's.
-_STREAM_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -135,9 +130,8 @@ def parse_line(line: str) -> Optional[RawXidRecord]:
 def iter_parse_syslog(lines: Iterable[str]) -> Iterator[RawXidRecord]:
     """The row stream: lines in, parsed XID records out.
 
-    The live paths (the fleet tailers, and the Stage-I row merge behind
-    ``monitor`` and ``replay --logs``) reduce to this one loop over
-    :func:`parse_line`.
+    The fleet tailer, which hands each record to the registry as a line
+    arrives, reduces to this one loop over :func:`parse_line`.
     """
     for line in lines:
         record = parse_line(line)
@@ -222,31 +216,18 @@ class XidBatch:
         )
 
     @classmethod
+    def concat(cls, batches: Sequence["XidBatch"]) -> "XidBatch":
+        """The rows of ``batches`` one after another, dictionaries merged."""
+        return _gather(list(batches), slice(None))
+
+    @classmethod
     def merge(cls, batches: Sequence["XidBatch"]) -> "XidBatch":
         """The rows of ``batches`` in ``heapq.merge`` order by time (ties
-        by batch order), dictionaries merged.
-
-        Columns are merged one at a time, so the merge holds little more
-        than its input and its output.
-        """
+        by batch order), dictionaries merged."""
         batches = list(batches)
         if len(batches) <= 1:
-            return batches[0] if batches else cls.empty()
-        order = _merge_order([b.time for b in batches])
-        columns = {}
-        for name in ("time", "xid", "pid"):
-            columns[name] = np.concatenate([getattr(b, name) for b in batches])[order]
-        for codes_name, dict_name in _CODED:
-            index: Dict[str, int] = {}
-            columns[codes_name] = np.concatenate([
-                np.array(
-                    [index.setdefault(v, len(index)) for v in getattr(b, dict_name)],
-                    dtype=np.int32,
-                )[getattr(b, codes_name)]
-                for b in batches
-            ])[order]
-            columns[dict_name] = list(index)
-        return cls(**columns)
+            return _gather(batches, slice(None))
+        return _gather(batches, _merge_order([b.time for b in batches]))
 
     def take(self, rows) -> "XidBatch":
         """The rows at ``rows`` (an index array or a slice); same dictionaries."""
@@ -307,6 +288,31 @@ class XidBatch:
 
     def __repr__(self) -> str:
         return f"XidBatch({len(self)} records)"
+
+
+def _gather(batches: List[XidBatch], rows) -> XidBatch:
+    """The rows of ``batches`` concatenated, taken at ``rows`` (an index
+    array or a slice).
+
+    Columns are gathered one at a time, so this holds little more than
+    its input and its output.
+    """
+    if len(batches) <= 1:
+        return batches[0] if batches else XidBatch.empty()
+    columns = {}
+    for name in ("time", "xid", "pid"):
+        columns[name] = np.concatenate([getattr(b, name) for b in batches])[rows]
+    for codes_name, dict_name in _CODED:
+        index: Dict[str, int] = {}
+        columns[codes_name] = np.concatenate([
+            np.array(
+                [index.setdefault(v, len(index)) for v in getattr(b, dict_name)],
+                dtype=np.int32,
+            )[getattr(b, codes_name)]
+            for b in batches
+        ])[rows]
+        columns[dict_name] = list(index)
+    return XidBatch(**columns)
 
 
 def _merge_order(times: Sequence[np.ndarray]) -> np.ndarray:
@@ -531,21 +537,3 @@ def parse_batch(lines: Iterable[str]) -> XidBatch:
     parser = _Parser()
     parser.read(lines)
     return parser.batch()
-
-
-def iter_file_records(path: str | Path) -> Iterator[RawXidRecord]:
-    """Stream parsed XID records from one log file (plain or ``.gz``).
-
-    The file is parsed :data:`_STREAM_LINES` lines at a time by
-    :func:`parse_batch`, so the rows are :func:`parse_line`'s and the
-    stream holds one chunk.  File-order iteration: per-GPU time order is
-    preserved whenever the file itself is chronological (node-local
-    syslog is).
-    """
-    from repro.syslog.reader import iter_log_lines
-
-    lines = iter_log_lines(path)
-    for first in lines:
-        yield from parse_batch(
-            itertools.chain((first,), itertools.islice(lines, _STREAM_LINES - 1))
-        )

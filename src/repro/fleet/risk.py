@@ -11,7 +11,9 @@ run count.
 
 from __future__ import annotations
 
-from repro.core.parsing import iter_parse_syslog
+import numpy as np
+
+from repro.core.parsing import parse_batch
 from repro.core.prediction import PersistencePredictor, extract_runs
 from repro.fleet.registry import GpuHealth, OpenRunView, RiskScorer
 
@@ -54,8 +56,6 @@ def fit_risk_model(*, seed: int = 7) -> PersistencePredictor:
     from repro.datasets import synthesize_delta
 
     dataset = synthesize_delta(scale=RISK_MODEL_SCALE, seed=seed)
-    records = sorted(
-        iter_parse_syslog(dataset.log_lines(include_noise=False)),
-        key=lambda r: r.time,
-    )
+    batch = parse_batch(dataset.log_lines(include_noise=False))
+    records = batch.take(np.argsort(batch.time, kind="stable"))
     return PersistencePredictor().fit(extract_runs(records))

@@ -3,15 +3,15 @@
 A :class:`Source` describes *where raw records come from* and nothing
 else; Extract (:mod:`repro.pipeline.extract`) decides *how* to pull them
 out (one column batch per shard, serially or over a process pool, or a
-lazy row stream for the live paths), and the caller hands the result to
-Algorithm 1.  Two shapes cover every batch ingestion surface
-in the repository:
+stream of chunk batches for the paths that must hold little), and the
+caller hands the result to Algorithm 1.  Two shapes cover every batch
+ingestion surface in the repository:
 
 * **file sets** (:class:`FileSetSource`) — a directory of per-node
   syslog files, the batch-study shape.  Each file is an independent
   *shard*: it can be parsed by any worker process, and its records are
   time-ordered (node-local syslog is chronological), so the
-  per-shard streams k-way-merge into one globally time-ordered stream.
+  per-shard batches merge by time into one globally time-ordered batch.
 * **in-memory line streams** (:class:`LinesSource`) — an iterable of raw
   syslog text, the in-memory study and adapter shape.  One shard, no
   ordering promise.
@@ -24,18 +24,25 @@ files with :class:`~repro.fleet.tailer.DirectoryTailer` instead.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Union
 
-from repro.core.parsing import (
-    RawXidRecord,
-    XidBatch,
-    as_batch,
-    iter_file_records,
-    iter_parse_syslog,
-    parse_batch,
-)
+from repro.core.parsing import RawXidRecord, XidBatch, as_batch, parse_batch
+
+#: Lines a file or line shard parses into one chunk of the batch stream,
+#: which holds about one chunk per open shard.
+CHUNK_LINES = 8192
+
+
+def _parse_chunks(lines: Iterable[str]) -> Iterator[XidBatch]:
+    """``lines`` parsed :data:`CHUNK_LINES` at a time, a batch per chunk."""
+    lines = iter(lines)
+    for first in lines:
+        yield parse_batch(
+            itertools.chain((first,), itertools.islice(lines, CHUNK_LINES - 1))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +61,10 @@ class FileShard:
 
         return parse_batch(iter_log_lines(self.path))
 
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        return iter_file_records(self.path)
+    def chunks(self) -> Iterator[XidBatch]:
+        from repro.syslog.reader import iter_log_lines
+
+        return _parse_chunks(iter_log_lines(self.path))
 
 
 class LineShard:
@@ -67,8 +76,8 @@ class LineShard:
     def batch(self) -> XidBatch:
         return parse_batch(self._lines)
 
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        return iter_parse_syslog(self._lines)
+    def chunks(self) -> Iterator[XidBatch]:
+        return _parse_chunks(self._lines)
 
 
 class RecordShard:
@@ -81,8 +90,8 @@ class RecordShard:
     def batch(self) -> XidBatch:
         return as_batch(self._records)
 
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        return iter(self._records)
+    def chunks(self) -> Iterator[XidBatch]:
+        return iter((self.batch(),))
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +103,12 @@ class Source:
     """Base class: a description of where records come from.
 
     Each shard offers its records two ways: ``batch()``, one
-    :class:`~repro.core.parsing.XidBatch`, and ``iter_records()``, a lazy
-    row stream.  Extract fans the shards out over worker processes, and
-    merges them by time, exactly when there is more than one shard.  A
-    source with several shards must therefore make each one picklable and
-    time-ordered on its own, as file sets and stores do.
+    :class:`~repro.core.parsing.XidBatch`, and ``chunks()``, the same rows
+    as consecutive batches that each hold a bounded part of the shard.
+    Extract fans the shards out over worker processes, and merges them by
+    time, exactly when there is more than one shard.  A source with
+    several shards must therefore make each one picklable and time-ordered
+    on its own, as file sets and stores do.
 
     ``reiterable``
         :meth:`shards` may be called repeatedly and every pass yields
@@ -112,12 +122,6 @@ class Source:
 
     def shards(self) -> Sequence[object]:
         raise NotImplementedError
-
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        """Serial record stream."""
-        from repro.pipeline.extract import iter_source_records
-
-        return iter_source_records(self, workers=1)
 
 
 class FileSetSource(Source):

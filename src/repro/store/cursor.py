@@ -1,25 +1,19 @@
-"""Windowed replay cursor: stream a store's history in bounded time slices.
+"""Replay cursor: one pass over a store's history, also as time windows.
 
-:class:`ReplayCursor` walks an :class:`~repro.store.store.EventStore`
-(optionally under a residual :class:`~repro.store.query.Query`) in
-consecutive event-time windows.  Each window is answered by its own
-pushdown query — the manifest's zone maps prune segments per window, so a
-cursor positioned late in a long history never opens early segments —
-and the concatenation of the window streams is *exactly* the stream the
-one-shot full query returns, tie-breaks included: windows are half-open
-``[lo, hi)`` slices of event time, so records sharing a timestamp always
-travel in the same window and keep their manifest-order resolution.
-
-This is the shape a replay engine wants: bounded memory per window, a
-place to pace/checkpoint between windows, and :meth:`seek` to start
-mid-history, all without giving up byte-identity with the flat stream.
+:class:`ReplayCursor` reads an :class:`~repro.store.store.EventStore`
+(optionally under a residual :class:`~repro.store.query.Query`) with one
+pushdown query per pass, so each candidate segment is decoded once.
+:meth:`~ReplayCursor.iter_records` is that flat stream;
+:meth:`~ReplayCursor.windows` groups the same pass into consecutive
+half-open ``[lo, hi)`` slices of event time, for a consumer that wants a
+place to pace or checkpoint between slices.  A pass that starts
+mid-history is a query with a ``time_range``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.core.parsing import RawXidRecord
 from repro.store.query import MATCH_ALL, Query
@@ -30,7 +24,7 @@ DEFAULT_WINDOW_SECONDS = 6 * 3600.0
 
 
 class ReplayCursor:
-    """Iterate a store's (filtered) history window-by-window, in order.
+    """Iterate a store's (filtered) history in order, flat or by windows.
 
     ``window_seconds`` bounds how much event time one slice covers;
     ``query`` narrows the replayed stream exactly like
@@ -52,9 +46,7 @@ class ReplayCursor:
         self.store = store
         self.query = query
         self.window_seconds = float(window_seconds)
-        span = store.time_span
-        lo = span[0] if span else 0.0
-        hi = span[1] if span else 0.0
+        lo, hi = store.time_span or (0.0, -math.inf)
         if query.time_range is not None:
             q_lo, q_hi = query.time_range
             if q_lo is not None:
@@ -64,63 +56,28 @@ class ReplayCursor:
         #: Inclusive bounds of the replayable history.
         self.time_min = lo
         self.time_max = hi
-        self._position = lo if span is not None and lo <= hi else math.inf
-
-    # ------------------------------------------------------------------
-
-    @property
-    def position(self) -> float:
-        """Event time the next window starts at."""
-        return self._position
-
-    @property
-    def exhausted(self) -> bool:
-        return self._position > self.time_max
-
-    def seek(self, time: float) -> "ReplayCursor":
-        """Position the cursor so the next window starts at ``time``."""
-        self._position = float(time)
-        return self
-
-    # ------------------------------------------------------------------
-
-    def _window_query(self, lo: float, hi_inclusive: float) -> Query:
-        return dataclasses.replace(self.query, time_range=(lo, hi_inclusive))
-
-    def next_window(self) -> Optional[Tuple[float, float, List[RawXidRecord]]]:
-        """Advance one window; ``(lo, hi, records)`` or ``None`` at the end.
-
-        Records satisfy ``lo <= record.time < hi`` except in the final
-        window, which also includes records at exactly ``time_max`` (the
-        history's last instant must land somewhere).
-        """
-        if self.exhausted:
-            return None
-        lo = self._position
-        hi = lo + self.window_seconds
-        final = hi > self.time_max
-        # The pushdown interval is closed; trim the open edge ourselves so
-        # boundary-sharing records always travel with the later window.
-        records = [
-            record
-            for record in self.store.query(self._window_query(lo, min(hi, self.time_max)))
-            if record.time < hi or (final and record.time <= self.time_max)
-        ]
-        self._position = hi if not final else self.time_max + math.inf
-        return (lo, hi, records)
 
     def windows(self) -> Iterator[Tuple[float, float, List[RawXidRecord]]]:
-        """Yield ``(lo, hi, records)`` slices until the history runs out."""
-        while True:
-            window = self.next_window()
-            if window is None:
-                return
-            yield window
+        """Yield ``(lo, hi, records)`` slices of one pass, in order.
+
+        Windows start at :attr:`time_min` and step by ``window_seconds``
+        while they start no later than :attr:`time_max`, empty ones
+        included.  Records satisfy ``lo <= record.time < hi``; the history
+        ends at or before the last window's ``hi``.
+        """
+        lo, window = self.time_min, []
+        for record in self.iter_records():
+            while record.time >= lo + self.window_seconds:
+                yield lo, lo + self.window_seconds, window
+                lo, window = lo + self.window_seconds, []
+            window.append(record)
+        while lo <= self.time_max:
+            yield lo, lo + self.window_seconds, window
+            lo, window = lo + self.window_seconds, []
 
     def iter_records(self) -> Iterator[RawXidRecord]:
-        """The flat stream: identical to ``store.query(query)``."""
-        for _, _, records in self.windows():
-            yield from records
+        """The flat stream: ``store.query(query)``."""
+        return self.store.query(self.query)
 
     def __iter__(self) -> Iterator[RawXidRecord]:
         return self.iter_records()

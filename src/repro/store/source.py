@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
-from repro.core.parsing import RawXidRecord, XidBatch
+from repro.core.parsing import XidBatch
 from repro.pipeline.sources import Source
-from repro.store.segment import iter_segment_records, read_segment
+from repro.store.segment import read_segment
 from repro.store.store import EventStore
 
 
@@ -31,8 +31,8 @@ class SegmentShard:
     def batch(self) -> XidBatch:
         return read_segment(self.path)
 
-    def iter_records(self) -> Iterator[RawXidRecord]:
-        return iter_segment_records(self.path)
+    def chunks(self) -> Iterator[XidBatch]:
+        return iter((self.batch(),))
 
 
 class StoreSource(Source):

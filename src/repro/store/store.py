@@ -4,9 +4,9 @@
 (:mod:`repro.store.segment`) under one atomically-updated manifest
 (:mod:`repro.store.manifest`).  It supports:
 
-* **incremental append** — a record batch (or rows) lands as one or more
-  new segments (write-temp + rename, then a manifest commit), so a
-  crash never corrupts existing data;
+* **incremental append** — a record batch, or a stream of batches, lands
+  as one segment per ``segment_records`` rows (write-temp + rename, then
+  a manifest commit), so a crash never corrupts existing data;
 * **crash recovery** — :meth:`open` sweeps leftovers: half-written
   ``*.tmp`` files are deleted, complete orphan segments (renamed but not
   yet in the manifest) are adopted, files on the garbage list (a
@@ -104,11 +104,9 @@ class EventStore:
         """Sweep crash leftovers; commits the manifest only when it changed."""
         changed = False
 
-        # 1. Half-written segments never made it into the namespace.
+        # 1. Half-written segments (and manifests) never made it into the
+        #    namespace.
         for leftover in self.directory.glob("*.tmp"):
-            if leftover.name == MANIFEST_NAME + ".tmp":
-                leftover.unlink(missing_ok=True)
-                continue
             leftover.unlink(missing_ok=True)
 
         # 2. An interrupted compaction left files it meant to delete.
@@ -252,30 +250,34 @@ class EventStore:
 
     def append(
         self,
-        records: Union[XidBatch, Iterable[RawXidRecord]],
+        batches: Union[XidBatch, Iterable[XidBatch]],
         *,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
     ) -> List[SegmentInfo]:
-        """Append a batch (or rows) as one segment per ``segment_records``.
+        """Append a batch, or a stream of batches, as one segment per
+        ``segment_records`` rows.
 
-        Rows are gathered one segment at a time, so a record stream is
+        A segment joins the pieces it takes from consecutive batches in
+        stream order, and is committed once it is full, so a stream is
         never held whole.
         """
         if segment_records < 1:
             raise ValueError("segment_records must be >= 1")
-        if isinstance(records, XidBatch):
-            segments: Iterable = (
-                records.take(slice(start, start + segment_records))
-                for start in range(0, len(records), segment_records)
-            )
-        else:
-            rows = iter(records)
-            segments = iter(lambda: list(itertools.islice(rows, segment_records)), [])
         written: List[SegmentInfo] = []
-        for segment in segments:
-            info = self.append_segment(segment)
-            assert info is not None
-            written.append(info)
+        pieces: List[XidBatch] = []
+        room = segment_records
+        for batch in [batches] if isinstance(batches, XidBatch) else batches:
+            start = 0
+            while start < len(batch):
+                piece = batch.take(slice(start, start + room))
+                pieces.append(piece)
+                start += len(piece)
+                room -= len(piece)
+                if not room:
+                    written.append(self.append_segment(XidBatch.concat(pieces)))
+                    pieces, room = [], segment_records
+        if pieces:
+            written.append(self.append_segment(XidBatch.concat(pieces)))
         return written
 
     def ingest(
@@ -288,13 +290,13 @@ class EventStore:
         """Append everything a pipeline :class:`~repro.pipeline.sources.Source`
         holds, riding the shared (optionally parallel) extraction front-end.
 
-        The records stream in merge order, so a serial ingest holds one
-        segment and a chunk per shard, not the source.
+        The batches stream in merge order, so a serial ingest holds one
+        segment and about a chunk per shard, not the source.
         """
-        from repro.pipeline.extract import iter_source_records
+        from repro.pipeline.extract import iter_source_batches
 
         return self.append(
-            iter_source_records(source, workers=workers),
+            iter_source_batches(source, workers=workers),
             segment_records=segment_records,
         )
 
@@ -328,8 +330,6 @@ class EventStore:
         segment order outright — the same tie-break the pipeline's k-way
         extract merge uses.
         """
-        import itertools
-
         candidates, _ = self.plan(query)
         groups: List[List[SegmentInfo]] = []
         for entry in candidates:

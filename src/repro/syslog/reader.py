@@ -12,10 +12,14 @@ LOG_SUFFIXES = (".log", ".log.gz")
 
 
 def iter_log_lines(path: str | Path) -> Iterator[str]:
-    """Stream lines from one log file (plain or ``.gz``), newline-stripped."""
+    """Stream lines from one log file (plain or ``.gz``), newline-stripped.
+
+    Bytes that are not UTF-8 decode to U+FFFD, as in the fleet tailer, so
+    one bad byte costs its line's text, not the read.
+    """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
+    with opener(path, "rt", encoding="utf-8", errors="replace") as handle:  # type: ignore[operator]
         for line in handle:
             yield line.rstrip("\n")
 

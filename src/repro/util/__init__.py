@@ -8,7 +8,6 @@ every other subpackage can import them without cycles.  The process pool,
 from repro.util.rng import RngStreams, spawn_rng
 from repro.util.stats import (
     lognormal_from_mean_p50,
-    percentile,
     summarize_durations,
 )
 from repro.util.tables import Table, format_cell
@@ -26,7 +25,6 @@ __all__ = [
     "RngStreams",
     "spawn_rng",
     "lognormal_from_mean_p50",
-    "percentile",
     "summarize_durations",
     "Table",
     "format_cell",

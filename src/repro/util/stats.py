@@ -16,20 +16,6 @@ from typing import Sequence
 import numpy as np
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100]) of a sequence.
-
-    Thin wrapper over :func:`numpy.percentile` that rejects empty input with
-    a clear error instead of a NaN warning.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take a percentile of an empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    return float(np.percentile(arr, q))
-
-
 @dataclass(frozen=True)
 class DurationSummary:
     """Mean / median / tail summary of a duration sample, in seconds."""

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import gzip
+
 import pytest
 
 from repro.cli import main
@@ -160,6 +162,51 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 costs its line's text, not the run."""
+
+    XID = (b"2022-03-14T02:11:09.113 gpub042 kernel: NVRM: Xid "
+           b"(PCI:0000:C7:00): 79, pid=8821, GPU has fallen off the bus")
+
+    def _logs(self, tmp_path, name):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        data = b"".join([
+            b"2022-03-14T02:11:08.000 gpub042 systemd[1]: Started \xff session\n",
+            self.XID + b"\n",
+            self.XID.replace(b"fallen off", b"fallen \xff off") + b"\n",
+        ])
+        (logs / name).write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        return logs
+
+    def test_monitor(self, tmp_path, capsys):
+        logs = self._logs(tmp_path, "gpub042.log")
+        assert main(["monitor", str(logs)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "stream complete: 2 coalesced errors, 0 persistence alarms"
+        )
+
+    def test_store_build(self, tmp_path, capsys):
+        logs = self._logs(tmp_path, "gpub042.log")
+        assert main(["store", "build", str(logs), str(tmp_path / "events")]) == 0
+        assert "ingested 2 records" in capsys.readouterr().out
+
+    def test_serve_over_gzip(self, tmp_path, capsys):
+        logs = self._logs(tmp_path, "gpub042.log.gz")
+        assert main(["serve", str(logs), "--duration", "0"]) == 0
+        assert "ALERT" in capsys.readouterr().out
+
+    def test_xid_line_keeps_its_record_as_in_the_tailer(self, tmp_path):
+        from repro.fleet.tailer import LogTailer
+
+        logs = self._logs(tmp_path, "gpub042.log")
+        tailed = LogTailer(logs / "gpub042.log").poll_records()
+        assert list(extract_records(FileSetSource(logs))) == tailed
+        assert [r.message for r in tailed] == [
+            "GPU has fallen off the bus", "GPU has fallen \ufffd off the bus",
+        ]
 
 
 class TestStructuredOutput:

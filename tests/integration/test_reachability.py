@@ -53,10 +53,11 @@ KEPT = {
         "the program renders whole traces, formatting across events",
     "repro.results.artifact.RESULT_SCHEMA":
         "the result format's version, which docs/results.md points readers to",
-    "repro.util.stats.percentile":
-        "the empty- and range-checked percentile; only tests/util/test_stats.py "
-        "calls it, and deleting it with those three tests is left to a change "
-        "of its own",
+    "repro.obs.core.span_iter":
+        "the loop span docs/observability.md shows for callers' own streams; "
+        "its one caller, the Stage-I row stream, became a batch stream that "
+        "counts records, and deleting it with its three tests is left to a "
+        "change of its own",
 }
 
 

@@ -2,19 +2,34 @@
 
 import heapq
 import operator
+from dataclasses import dataclass
+from typing import Tuple
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core import parsing
 from repro.core.coalesce import coalesce_errors
-from repro.core.parsing import RawXidRecord, XidBatch, iter_file_records, parse_syslog
+from repro.core.parsing import RawXidRecord, XidBatch, parse_syslog
 from repro.core.streaming import StreamingCoalescer
-from repro.pipeline.extract import extract_records, iter_source_records
-from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
+from repro.pipeline import sources
+from repro.pipeline.extract import extract_records, iter_source_batches
+from repro.pipeline.sources import (
+    FileSetSource,
+    FileShard,
+    LinesSource,
+    RecordsSource,
+    Source,
+)
 from repro.syslog.reader import iter_log_lines, list_log_files
+
+
+def _stream_rows(source, workers=1):
+    """The rows of the batch stream, checking that no batch is empty."""
+    batches = list(iter_source_batches(source, workers=workers))
+    assert all(len(batch) for batch in batches)
+    return [record for batch in batches for record in batch]
 
 
 class TestParallelIdentity:
@@ -32,7 +47,7 @@ class TestParallelIdentity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_equals_the_row_merge(self, logs_dir, serial, workers):
-        rows = list(iter_source_records(FileSetSource(logs_dir), workers=workers))
+        rows = _stream_rows(FileSetSource(logs_dir), workers=workers)
         assert list(serial) == rows
 
     def test_stream_nonempty_and_multinode(self, serial):
@@ -45,7 +60,10 @@ class TestParallelIdentity:
 
     def test_same_multiset_as_unmerged_directory_iteration(self, logs_dir, serial):
         unmerged = sorted(
-            (r for path in list_log_files(logs_dir) for r in iter_file_records(path)),
+            (
+                r for path in list_log_files(logs_dir)
+                for r in parse_syslog(iter_log_lines(path))
+            ),
             key=lambda r: (r.time, r.node_id, r.pci_bus, r.xid, r.message),
         )
         merged = sorted(
@@ -67,7 +85,7 @@ class TestParallelIdentity:
 class TestExtractSemantics:
     def test_rejects_nonpositive_workers(self, logs_dir):
         with pytest.raises(ValueError):
-            list(iter_source_records(FileSetSource(logs_dir), workers=0))
+            list(iter_source_batches(FileSetSource(logs_dir), workers=0))
 
     def test_single_shard_source_falls_back_to_serial(self):
         source = LinesSource([
@@ -122,6 +140,93 @@ class TestMergeOrder:
         assert list(merged) == _heap_merged(shards)
 
 
+@dataclass(frozen=True)
+class _ChunkedShard:
+    """Rows served whole, or ``size`` at a time; picklable."""
+
+    rows: Tuple[RawXidRecord, ...]
+    size: int
+
+    def batch(self):
+        return XidBatch.from_records(self.rows)
+
+    def chunks(self):
+        for start in range(0, len(self.rows), self.size):
+            yield XidBatch.from_records(self.rows[start:start + self.size])
+
+
+class _Shards(Source):
+    def __init__(self, shards):
+        self._shards = shards
+
+    def shards(self):
+        return self._shards
+
+
+class TestChunkStream:
+    """The chunk stream is heapq.merge of the shards' rows, and the batch
+    extract_records returns, for any chunk sizes."""
+
+    @given(
+        st.lists(st.lists(_TIMES, max_size=12), min_size=1, max_size=5),
+        st.lists(_TIMES, max_size=8),
+        st.integers(0, 5),
+        st.lists(st.integers(1, 9), min_size=6, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_heap_merge(self, shard_times, unordered, at, sizes):
+        """Empty shards, ties across shards, and at times one unordered shard."""
+        shards = [_shard(sorted(times), f"n{k}") for k, times in enumerate(shard_times)]
+        shards.insert(min(at, len(shards)), _shard(unordered, "late"))
+        want = _heap_merged(shards)
+        source = _Shards([
+            _ChunkedShard(tuple(rows), size) for rows, size in zip(shards, sizes)
+        ])
+        assert _stream_rows(source) == want
+        for workers in (1, 2):
+            assert list(extract_records(source, workers=workers)) == want
+
+    @given(
+        st.lists(st.lists(_TIMES, max_size=20), min_size=2, max_size=5),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_holds_one_chunk_per_open_shard(self, shard_times, size):
+        """At every yield and every chunk load, the rows loaded and not yet
+        yielded are at most a chunk per open shard, plus the rows tied at
+        the horizon."""
+        loaded = [[] for _ in shard_times]
+        exhausted = [False] * len(shard_times)
+        yielded = 0
+
+        def check_bound():
+            open_shards = [k for k, done in enumerate(exhausted) if not done]
+            horizon = min((loaded[k][-1] for k in open_shards if loaded[k]), default=None)
+            tied = sum(t == horizon for times in loaded for t in times)
+            held = sum(map(len, loaded)) - yielded
+            assert held <= size * len(open_shards) + tied
+
+        class Watched:
+            def __init__(self, k):
+                self.k = k
+
+            def chunks(self):
+                times = sorted(shard_times[self.k])
+                for start in range(0, len(times), size):
+                    check_bound()
+                    loaded[self.k].extend(times[start:start + size])
+                    yield XidBatch.from_records(
+                        _shard(times[start:start + size], f"n{self.k}")
+                    )
+                exhausted[self.k] = True
+
+        shards = _Shards([Watched(k) for k in range(len(shard_times))])
+        for batch in iter_source_batches(shards):
+            yielded += len(batch)
+            check_bound()
+        assert yielded == sum(map(len, shard_times))
+
+
 class TestFileSetMerge:
     """Serial and pooled extraction of a file set equal the row merge,
     also when a file is out of time order."""
@@ -149,7 +254,7 @@ class TestFileSetMerge:
         )
         assert len(rows) == 10
         assert list(extract_records(FileSetSource(logs), workers=workers)) == rows
-        assert list(iter_source_records(FileSetSource(logs), workers=workers)) == rows
+        assert _stream_rows(FileSetSource(logs), workers=workers) == rows
 
 
 def test_file_records_stream_in_chunks_equal_to_the_line_parser(tmp_path):
@@ -167,5 +272,7 @@ def test_file_records_stream_in_chunks_equal_to_the_line_parser(tmp_path):
     want = parse_syslog(lines)
     assert len(want) == 5
     for chunk_lines in (1, 2, 3, 1024):
-        with mock.patch.object(parsing, "_STREAM_LINES", chunk_lines):
-            assert list(iter_file_records(path)) == want
+        with mock.patch.object(sources, "CHUNK_LINES", chunk_lines):
+            chunks = list(FileShard(path).chunks())
+            assert len(chunks) == -(-len(lines) // chunk_lines)
+            assert list(XidBatch.concat(chunks)) == want

@@ -1,10 +1,9 @@
-"""Sources: shard exposure and record iteration."""
+"""Sources: shard exposure and record extraction."""
 
 import gzip
 
-import pytest
-
 from repro.core.parsing import RawXidRecord
+from repro.pipeline.extract import extract_records
 from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
 
 LINE = (
@@ -28,13 +27,13 @@ class TestFileSetSource:
         path = tmp_path / "node.log.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write(LINE + "\n")
-        records = list(FileSetSource(tmp_path).iter_records())
+        records = list(extract_records(FileSetSource(tmp_path)))
         assert len(records) == 1 and records[0].xid == 79
 
 
 class TestLinesSource:
     def test_parses_lines(self):
-        records = list(LinesSource([LINE, "noise line", LINE]).iter_records())
+        records = list(extract_records(LinesSource([LINE, "noise line", LINE])))
         assert len(records) == 2
 
     def test_single_unordered_shard(self):
@@ -45,5 +44,5 @@ class TestLinesSource:
 class TestRecordsSource:
     def test_passes_records_through(self):
         records = [_record(1.0), _record(2.0)]
-        assert list(RecordsSource(records).iter_records()) == records
+        assert list(extract_records(RecordsSource(records))) == records
 

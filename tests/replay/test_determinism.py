@@ -52,9 +52,8 @@ class TestByteIdentity:
         from repro.store import ReplayCursor
 
         def cursor_factory():
-            return ReplayCursor(
-                demo_store, window_seconds=3_600.0
-            ).iter_records()
+            cursor = ReplayCursor(demo_store, window_seconds=3_600.0)
+            return (r for _, _, window in cursor.windows() for r in window)
 
         windowed = run_backtest(
             cursor_factory,

@@ -1,10 +1,10 @@
-"""ReplayCursor: windowed walks must replay the flat query stream."""
-
-import math
+"""ReplayCursor: one query per pass, and windows that group that pass."""
 
 import pytest
 
+from repro.core.parsing import XidBatch
 from repro.store import EventStore, Query, ReplayCursor
+from repro.store import segment as segment_module
 
 from tests.store.conftest import make_record
 
@@ -21,7 +21,7 @@ def _spread(tmp_path, *, hours=30, per_hour=3):
         for h in range(hours)
         for i in range(per_hour)
     ]
-    store.append(records, segment_records=17)
+    store.append(XidBatch.from_records(records), segment_records=17)
     return store, records
 
 
@@ -46,7 +46,6 @@ class TestWindows:
                     assert record.time < hi
             seen.extend(chunk)
         assert seen == records
-        assert cursor.exhausted
 
     def test_pushdown_query_respected_per_window(self, tmp_path):
         store, records = _spread(tmp_path)
@@ -63,30 +62,41 @@ class TestWindows:
         assert walked == [r for r in records if lo <= r.time <= hi]
 
     def test_seek_skips_earlier_history(self, tmp_path):
+        """A pass that starts mid-history is a query with a start time."""
         store, records = _spread(tmp_path)
-        cursor = ReplayCursor(store, window_seconds=3600.0)
-        cursor.seek(10 * 3600.0)
-        walked = list(cursor)
-        assert walked == [r for r in records if r.time >= 10 * 3600.0]
+        since = 10 * 3600.0
+        cursor = ReplayCursor(
+            store, query=Query(time_range=(since, None)), window_seconds=3600.0
+        )
+        assert list(cursor) == [r for r in records if r.time >= since]
+        assert next(cursor.windows())[0] == since
 
     def test_empty_store_yields_nothing(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
         cursor = ReplayCursor(store)
         assert list(cursor) == []
-        assert cursor.exhausted
-        assert cursor.next_window() is None
+        assert list(cursor.windows()) == []
 
     def test_position_advances_monotonically(self, tmp_path):
+        """Windows tile the history from its start, empty ones included."""
         store, _ = _spread(tmp_path, hours=5)
+        cursor = ReplayCursor(store, query=Query(xids={79}), window_seconds=3600.0)
+        bounds = [(lo, hi) for lo, hi, _ in cursor.windows()]
+        assert bounds == [(h * 3600.0, (h + 1) * 3600.0) for h in range(5)]
+
+    def test_a_pass_decodes_each_segment_once(self, tmp_path, monkeypatch):
+        store, records = _spread(tmp_path)
+        decoded = []
+        read_segment = segment_module.read_segment
+
+        def counting(path, query):
+            decoded.append(path.name)
+            return read_segment(path, query)
+
+        monkeypatch.setattr(segment_module, "read_segment", counting)
         cursor = ReplayCursor(store, window_seconds=3600.0)
-        positions = [cursor.position]
-        while True:
-            window = cursor.next_window()
-            if window is None:
-                break
-            positions.append(cursor.position)
-        assert positions == sorted(positions)
-        assert math.isinf(cursor.position)
+        assert [r for _, _, chunk in cursor.windows() for r in chunk] == records
+        assert sorted(decoded) == sorted(s.name for s in store.manifest.segments)
 
     def test_rejects_bad_window(self, tmp_path):
         store = EventStore.create(tmp_path / "store")

@@ -6,8 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.core import DeltaStudy
-from repro.pipeline.extract import iter_source_records
-from repro.pipeline.sources import FileSetSource
+from repro.pipeline import sources
+from repro.pipeline.extract import extract_records, iter_source_batches
+from repro.pipeline.sources import FileSetSource, LinesSource
 from repro.store import EventStore, StoreSource, StoreWriter
 from repro.store import writer as writer_module
 
@@ -15,8 +16,6 @@ from repro.store import writer as writer_module
 @pytest.fixture(scope="module")
 def pipeline_stream(logs_dir):
     """The reference: the pipeline's merged records over the logs, as rows."""
-    from repro.pipeline.extract import extract_records
-
     return list(extract_records(FileSetSource(logs_dir), workers=1))
 
 
@@ -51,22 +50,49 @@ class TestPipelineIdentity:
         assert list(store.query()) == pipeline_stream
 
     def test_identity_survives_compaction_and_reopen(
-        self, tmp_path, pipeline_stream
+        self, logs_dir, tmp_path, pipeline_stream
     ):
         # A private store: compaction mutates it, the shared one stays put.
         store = EventStore.create(tmp_path / "events")
-        store.append(pipeline_stream, segment_records=500)
+        store.append(extract_records(FileSetSource(logs_dir)), segment_records=500)
         store.compact(threshold=1000)
         reopened = EventStore.open(tmp_path / "events")
         assert list(reopened.query()) == pipeline_stream
+
+
+class TestStreamedIngest:
+    """Ingest reads the batch stream: segments hold exactly
+    ``segment_records`` rows across chunk boundaries, byte for byte the
+    segments of the whole batch appended at once."""
+
+    @pytest.mark.parametrize("chunk_lines", [97, 4096])
+    def test_file_set(self, logs_dir, tmp_path, monkeypatch, chunk_lines):
+        monkeypatch.setattr(sources, "CHUNK_LINES", chunk_lines)
+        self._check(tmp_path, lambda: FileSetSource(logs_dir))
+
+    def test_one_unordered_line_shard(self, dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(sources, "CHUNK_LINES", 97)
+        self._check(tmp_path, lambda: LinesSource(dataset.log_lines()))
+
+    def _check(self, tmp_path, make_source):
+        streamed = EventStore.create(tmp_path / "streamed")
+        streamed.ingest(make_source(), segment_records=333)
+        whole = EventStore.create(tmp_path / "whole")
+        whole.append(extract_records(make_source()), segment_records=333)
+        sizes = [entry.n_records for entry in streamed.manifest.segments]
+        assert len(sizes) > 2
+        assert sizes[:-1] == [333] * (len(sizes) - 1) and 0 < sizes[-1] <= 333
+        assert [entry.sha256 for entry in streamed.manifest.segments] == [
+            entry.sha256 for entry in whole.manifest.segments
+        ]
 
 
 class TestStoreSource:
     def test_source_is_reiterable(self, built_store):
         source = StoreSource(built_store)
         assert source.reiterable
-        first = [r for shard in source.shards() for r in shard.iter_records()]
-        second = [r for shard in source.shards() for r in shard.iter_records()]
+        first = [r for shard in source.shards() for r in shard.batch()]
+        second = [r for shard in source.shards() for r in shard.batch()]
         assert first == second
 
 
@@ -106,8 +132,9 @@ class TestStoreWriter:
         monkeypatch.setattr(writer_module, "SEGMENT_RECORDS", 600)
         store = EventStore.create(tmp_path / "events")
         writer = StoreWriter(store)
-        for record in iter_source_records(FileSetSource(logs_dir)):
-            writer.on_record(record)
+        for batch in iter_source_batches(FileSetSource(logs_dir)):
+            for record in batch:
+                writer.on_record(record)
         writer.close()
         assert writer.counters.values()["store.records_written"] == len(pipeline_stream)
         assert list(store.query()) == pipeline_stream

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.parsing import XidBatch
 from repro.store import (
     MANIFEST_NAME,
     EventStore,
@@ -17,6 +18,10 @@ from tests.store.conftest import make_record
 
 def _burst(start, n, **kwargs):
     return [make_record(start + i, **kwargs) for i in range(n)]
+
+
+def _batch(start, n, **kwargs):
+    return XidBatch.from_records(_burst(start, n, **kwargs))
 
 
 class TestLifecycle:
@@ -51,7 +56,7 @@ class TestLifecycle:
 class TestAppendAndQuery:
     def test_append_splits_into_segments(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        written = store.append(_burst(0.0, 25), segment_records=10)
+        written = store.append(_batch(0.0, 25), segment_records=10)
         assert [info.n_records for info in written] == [10, 10, 5]
         assert store.n_segments == 3 and store.n_records == 25
 
@@ -59,12 +64,14 @@ class TestAppendAndQuery:
         store = EventStore.create(tmp_path / "store")
 
         def failing_stream():
-            yield from _burst(0.0, 20)
+            yield _batch(0.0, 7)
+            yield _batch(7.0, 16)
             raise RuntimeError("source failed")
 
         with pytest.raises(RuntimeError):
             store.append(failing_stream(), segment_records=10)
         assert store.n_segments == 2 and store.n_records == 20
+        assert [r.time for r in store.query()] == [float(t) for t in range(20)]
 
     def test_query_merges_interleaved_segments_in_time_order(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
@@ -93,7 +100,7 @@ class TestAppendAndQuery:
 
     def test_count_agrees_with_materialized_query(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append(_burst(0.0, 30), segment_records=7)
+        store.append(_batch(0.0, 30), segment_records=7)
         query = Query(time_range=(5.0, 20.0))
         assert store.count(query) == len(list(store.query(query))) == 16
 
@@ -116,7 +123,7 @@ class TestAppendAndQuery:
 class TestCompaction:
     def test_small_adjacent_segments_merge(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append(_burst(0.0, 40), segment_records=10)
+        store.append(_batch(0.0, 40), segment_records=10)
         assert store.n_segments == 4
         before = list(store.query())
         assert store.compact(threshold=100) == 4
@@ -126,7 +133,7 @@ class TestCompaction:
 
     def test_large_segments_left_alone(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append(_burst(0.0, 40), segment_records=10)
+        store.append(_batch(0.0, 40), segment_records=10)
         assert store.compact(threshold=5) == 0
         assert store.n_segments == 4
 
@@ -178,7 +185,7 @@ class TestRecovery:
 
     def test_interrupted_compaction_garbage_is_removed(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append(_burst(0.0, 20), segment_records=10)
+        store.append(_batch(0.0, 20), segment_records=10)
         # Simulate a crash after the compaction commit but before cleanup:
         # the manifest's garbage list still names the replaced files.
         victim = store.manifest.segments[0].name
@@ -193,7 +200,7 @@ class TestRecovery:
 
     def test_recovery_is_idempotent(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append(_burst(0.0, 20), segment_records=5)
+        store.append(_batch(0.0, 20), segment_records=5)
         before = list(store.query())
         for _ in range(3):
             store = EventStore.open(tmp_path / "store")

@@ -6,22 +6,8 @@ import pytest
 from repro.util.stats import (
     DurationSummary,
     lognormal_from_mean_p50,
-    percentile,
     summarize_durations,
 )
-
-
-class TestPercentile:
-    def test_median_of_odd_sample(self):
-        assert percentile([1, 2, 3], 50) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_out_of_range_q_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 120)
 
 
 class TestSummarizeDurations:
