@@ -13,7 +13,7 @@ Usage::
 
 from repro.core.coalesce import coalesce_errors
 from repro.core.jobimpact import JobImpactAnalyzer
-from repro.core.parsing import parse_syslog
+from repro.core.parsing import parse_batch
 from repro.core.propagation import PropagationAnalyzer
 from repro.datasets import gsp_incident, nvlink_multinode_incident, pmu_mmu_incident
 from repro.faults.xid import XID_CATALOG, Xid
@@ -33,7 +33,7 @@ def investigate(name: str, incident) -> None:
         print(f"  {line}")
     print()
 
-    errors = coalesce_errors(parse_syslog(lines))
+    errors = coalesce_errors(parse_batch(lines))
     print("Coalesced errors:")
     for error in errors:
         info = XID_CATALOG[Xid(error.xid)]

@@ -43,7 +43,8 @@ workers included — without changing a single output byte.  Inspect with
 ``repro-delta trace summary|tree|export DIR``.
 
 Exit codes: 0 = success, 1 = a tolerance/gate failure (``verify``),
-2 = bad input, a store error or a dead worker process.
+2 = bad input (a truncated or damaged ``.log.gz`` included), a store
+error or a dead worker process.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro import obs
     from repro.session import SessionError
     from repro.store import StoreError
+    from repro.syslog.reader import CorruptLogError
     from repro.util.fanout import FanoutError
 
     parser = build_parser(__doc__)
@@ -80,7 +82,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             with obs.span(f"cli.{args.command}"):
                 return command.run(args)
         return command.run(args)
-    except (CliError, SessionError, StoreError, FanoutError) as error:
+    except (CliError, SessionError, StoreError, FanoutError, CorruptLogError) as error:
         print(f"error: {error}")
         return 2
     finally:

@@ -227,6 +227,7 @@ register(Command(
                  ("monitor", "{logs}", "--alarm-minutes", "0"), 2),
         ExitCase("NaN alarm threshold",
                  ("monitor", "{logs}", "--alarm-minutes", "nan"), 2),
+        ExitCase("cut .log.gz", ("monitor", "{cut}/logs"), 2),
     ),
 ))
 

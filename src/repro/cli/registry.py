@@ -39,9 +39,10 @@ class ExitCase:
     """One executable example of the exit-code contract.
 
     ``argv`` may reference fixture placeholders (``{dataset}``,
-    ``{logs}``, ``{no_logs}``, ``{built_store}``, ``{demo_store}``,
-    ``{traced}``, ``{tmp}``, ``{absent}``) that the contract tests
-    resolve against a small shared dataset.
+    ``{logs}``, ``{no_logs}``, ``{cut}`` — a dataset whose one ``.log.gz``
+    is cut short — ``{built_store}``, ``{demo_store}``, ``{traced}``,
+    ``{tmp}``, ``{absent}``) that the contract tests resolve against a
+    small shared dataset.
     """
 
     label: str

@@ -221,5 +221,7 @@ register(Command(
                   "--speed", "nan"), 2),
         ExitCase("non-integer xids",
                  ("replay", "run", "--store", "{demo_store}", "--xids", "x"), 2),
+        ExitCase("cut .log.gz",
+                 ("replay", "run", "--logs", "{cut}/logs"), 2),
     ),
 ))

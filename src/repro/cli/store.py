@@ -205,6 +205,8 @@ register(Command(
         ExitCase("zero workers",
                  ("store", "build", "{dataset}", "{tmp}/events",
                   "--workers", "0"), 2),
+        ExitCase("cut .log.gz",
+                 ("store", "build", "{cut}", "{tmp}/events"), 2),
         ExitCase("negative segment size",
                  ("store", "build", "{dataset}", "{tmp}/events",
                   "--segment-records", "-5"), 2),

@@ -158,6 +158,12 @@ register(Command(
         ExitCase("--dataset without logs/, fanned out",
                  ("study", "--dataset", "{no_logs}", "--scale", "0.004",
                   "--jobs", "2"), 2),
+        ExitCase("cut .log.gz",
+                 ("study", "--dataset", "{cut}", "--scale", "0.004",
+                  "--workers", "1"), 2),
+        ExitCase("cut .log.gz, parsed in a pool",
+                 ("study", "--dataset", "{cut}", "--scale", "0.004",
+                  "--workers", "2"), 2),
     ),
 ))
 

@@ -11,11 +11,11 @@ any single error's persistence, as in the paper (Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.parsing import RawXidRecord, XidBatch, as_batch
+from repro.core.parsing import XidBatch
 
 #: Paper defaults: 5-second window (results insensitive in 5-20 s) and a
 #: one-day persistence cut-off.
@@ -57,10 +57,9 @@ class CoalescedError:
 
 
 def coalesce_errors(
-    records: Union[XidBatch, Iterable[RawXidRecord]],
-    config: CoalesceConfig | None = None,
+    batch: XidBatch, config: CoalesceConfig | None = None
 ) -> List[CoalescedError]:
-    """Apply Algorithm 1 to raw records (a batch, or rows gathered into one).
+    """Apply Algorithm 1 to a batch of raw records.
 
     Records are grouped by (node, PCI bus, XID, message) — "identical error
     logs from the same GPU" — sorted by time, and merged greedily: a record
@@ -72,7 +71,6 @@ def coalesce_errors(
     input.
     """
     config = config or CoalesceConfig()
-    batch = as_batch(records)
     if len(batch) == 0:
         return []
     group_columns = (batch.node, batch.pci, batch.xid, batch.msg)

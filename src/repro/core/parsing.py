@@ -6,22 +6,20 @@ extraction stage: it recognizes ``NVRM: Xid`` lines, pulls out the timestamp,
 host, PCI bus address, XID code, pid, and message, and ignores everything
 else (including near-miss lines that merely mention GPUs).
 
-Records leave Stage I in one of two shapes:
+:func:`parse_batch` is Stage I, for the study, the event store, the
+batch stream and the fleet tailer alike.  It returns an :class:`XidBatch`,
+the columnar batch that Algorithm 1, the ``--jobs`` transport and the
+store carry.  It runs the regex once per distinct line remainder after the
+timestamp token, and decodes canonical timestamps in one numpy pass.
+:class:`RawXidRecord` is the row view, built only where one record is
+consumed at a time: iterating a batch yields them.  :func:`parse_line`
+parses one line into one; it is :func:`parse_batch`'s fallback for lines
+whose timestamp only the full regex can judge.
 
-* :class:`XidBatch`, the columnar batch that the study, Algorithm 1, the
-  ``--jobs`` transport, the event store and the Stage-I batch stream all
-  carry.  :func:`parse_batch` builds one.  It runs the regex once per
-  distinct line remainder after the timestamp token, and decodes canonical
-  timestamps in one numpy pass.
-* :class:`RawXidRecord`, the row view, built only where one record is
-  consumed at a time.  :func:`parse_line` returns one, the fleet tailer
-  parses its lines into them, and iterating a batch yields them.
-
-Both shapes apply one rule.  A line is a record when it matches
-:data:`XID_LINE_PATTERN`, its date is a real calendar date, its time of day
-lies within 00:00:00-23:59:60, and its XID code is below 2**63.  The pid is
-an int only when its text is decimal and below 2**63; otherwise it is
-``None``.
+A line is a record when it matches :data:`XID_LINE_PATTERN`, its date is a
+real calendar date, its time of day lies within 00:00:00-23:59:60, and its
+XID code is below 2**63.  The pid is an int only when its text is decimal
+and below 2**63; otherwise it is ``None``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import datetime as _dt
 import heapq
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,26 +123,6 @@ def parse_line(line: str) -> Optional[RawXidRecord]:
         time=time, node_id=node_id, pci_bus=pci_bus, xid=xid,
         message=message, pid=pid,
     )
-
-
-def iter_parse_syslog(lines: Iterable[str]) -> Iterator[RawXidRecord]:
-    """The row stream: lines in, parsed XID records out.
-
-    The fleet tailer, which hands each record to the registry as a line
-    arrives, reduces to this one loop over :func:`parse_line`.
-    """
-    for line in lines:
-        record = parse_line(line)
-        if record is not None:
-            yield record
-
-
-def parse_syslog(lines: Iterable[str]) -> List[RawXidRecord]:
-    """Extract every XID record from an iterable of syslog lines, as rows.
-
-    Input ordering is irrelevant; downstream coalescing sorts.
-    """
-    return list(iter_parse_syslog(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +313,6 @@ def _merge_order(times: Sequence[np.ndarray]) -> np.ndarray:
     )
 
 
-def as_batch(records: Union[XidBatch, Iterable[RawXidRecord]]) -> XidBatch:
-    """``records`` itself when it is a batch, else its rows gathered into one."""
-    if isinstance(records, XidBatch):
-        return records
-    return XidBatch.from_records(records)
-
-
 # ---------------------------------------------------------------------------
 # The columnar parser
 # ---------------------------------------------------------------------------
@@ -530,9 +501,10 @@ class _Parser:
 def parse_batch(lines: Iterable[str]) -> XidBatch:
     """Parse syslog lines into one :class:`XidBatch`.
 
-    Equal to :func:`parse_syslog` record for record, in line order.  The
-    regex runs once per distinct remainder after a line's first space, and
-    each block of timestamps decodes in one numpy pass.
+    Equal, record for record and in line order, to :func:`parse_line` run
+    on each line.  The regex runs once per distinct remainder after a
+    line's first space, and each block of timestamps decodes in one numpy
+    pass.
     """
     parser = _Parser()
     parser.read(lines)

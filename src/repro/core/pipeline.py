@@ -9,15 +9,14 @@ ground truth, so paper-vs-measured comparisons are genuine inferences.
 from __future__ import annotations
 
 from functools import wraps
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, TypeVar
 
 from repro.core.availability import AvailabilityAnalyzer
 from repro.core.coalesce import CoalesceConfig, CoalescedError, coalesce_errors
 from repro.core.counterfactual import CounterfactualAnalyzer
 from repro.core.jobimpact import JobImpactAnalyzer
 from repro.core.mtbe import ErrorStatistics
-from repro.core.parsing import RawXidRecord, XidBatch, as_batch
+from repro.core.parsing import XidBatch
 from repro.core.persistence import PersistenceAnalyzer
 from repro.core.propagation import PropagationAnalyzer
 from repro.slurm.accounting import SlurmDatabase
@@ -47,11 +46,10 @@ class DeltaStudy:
 
     Stage I rides :mod:`repro.pipeline` — the extraction front-end
     shared with ``monitor``, ``store build`` and ``replay --logs``.  The
-    first argument accepts either an iterable of raw syslog lines (the
-    historical in-memory shape) or any
-    :class:`~repro.pipeline.sources.Source`; ``workers`` shards
-    extraction across processes when the source has several shards (file
-    sets and stores do, in-memory line streams do not).  Stage I yields
+    first argument is a :class:`~repro.pipeline.sources.Source`;
+    ``workers`` shards extraction across processes when the source has
+    several shards (file sets and stores do, in-memory line streams do
+    not).  Stage I yields
     one :class:`~repro.core.parsing.XidBatch`, which Stage II hands
     straight to batch Algorithm 1
     (:func:`~repro.core.coalesce.coalesce_errors`); the
@@ -62,7 +60,7 @@ class DeltaStudy:
 
     def __init__(
         self,
-        log_lines: Union[Iterable[str], "Source"],
+        source: "Source",
         *,
         window_hours: float,
         n_nodes: int,
@@ -71,8 +69,6 @@ class DeltaStudy:
         coalesce_config: CoalesceConfig | None = None,
         workers: int = 1,
     ) -> None:
-        from repro.pipeline.sources import LinesSource, Source
-
         self.window_hours = window_hours
         self.n_nodes = n_nodes
         #: GPU population of the monitored partition (spatial analyses);
@@ -81,10 +77,7 @@ class DeltaStudy:
         self.slurm_db = slurm_db
         self.coalesce_config = coalesce_config or CoalesceConfig()
         self.workers = workers
-        if isinstance(log_lines, Source):
-            self.source: Source = log_lines
-        else:
-            self.source = LinesSource(log_lines)
+        self.source = source
         #: Provenance of a store-backed study (recorded in run manifests).
         self.store_hash: Optional[str] = None
         self.dataset_label: Optional[str] = None
@@ -95,8 +88,10 @@ class DeltaStudy:
     @classmethod
     def from_dataset(cls, dataset, **kwargs) -> "DeltaStudy":
         """Build from a :class:`repro.datasets.DeltaDataset`."""
+        from repro.pipeline.sources import LinesSource
+
         return cls(
-            dataset.log_lines(),
+            LinesSource(dataset.log_lines()),
             window_hours=dataset.window_hours,
             n_nodes=dataset.reference_node_count,
             n_gpus=dataset.reference_gpu_count,
@@ -106,24 +101,18 @@ class DeltaStudy:
 
     @classmethod
     def from_records(
-        cls,
-        records: Union[XidBatch, Iterable[RawXidRecord]],
-        *,
-        window_hours: float,
-        n_nodes: int,
-        **kwargs,
+        cls, records: XidBatch, *, window_hours: float, n_nodes: int, **kwargs
     ) -> "DeltaStudy":
         """Build over already-extracted records (Stage I pre-paid).
 
-        The batch (rows are gathered into one) seeds the Stage-I cache
-        directly, so the study coalesces and analyzes exactly these
-        records.  ``Session.run_many`` sends its ``--jobs`` workers a study
-        rebuilt this way, with the parent's provenance, unless the study is
-        store-backed: such workers read the store instead.
+        The batch seeds the Stage-I cache directly, so the study coalesces
+        and analyzes exactly these records.  ``Session.run_many`` sends its
+        ``--jobs`` workers a study rebuilt this way, with the parent's
+        provenance, unless the study is store-backed: such workers read the
+        store instead.
         """
         from repro.pipeline.sources import RecordsSource
 
-        records = as_batch(records)
         study = cls(
             RecordsSource(records),
             window_hours=window_hours,
@@ -132,33 +121,6 @@ class DeltaStudy:
         )
         study._records = records
         return study
-
-    @classmethod
-    def from_log_directory(
-        cls,
-        directory: str | Path,
-        *,
-        window_hours: float,
-        n_nodes: int,
-        slurm_db: SlurmDatabase | None = None,
-        workers: int = 1,
-        **kwargs,
-    ) -> "DeltaStudy":
-        """Build over an on-disk dataset (one log file per node).
-
-        This is the shape where ``workers > 1`` can pay off: the files
-        shard across a process pool and merge back into one ordered batch.
-        """
-        from repro.pipeline.sources import FileSetSource
-
-        return cls(
-            FileSetSource(directory),
-            window_hours=window_hours,
-            n_nodes=n_nodes,
-            slurm_db=slurm_db,
-            workers=workers,
-            **kwargs,
-        )
 
     @classmethod
     def from_store(

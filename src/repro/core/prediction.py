@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.coalesce import DEFAULT_WINDOW_SECONDS
+from repro.core.coalesce import CoalesceConfig, _split_at_cutoff
 from repro.core.parsing import RawXidRecord
 
 GroupKey = Tuple[str, str, int, str]
@@ -67,21 +67,31 @@ def extract_runs(
     *,
     observe_seconds: float = OBSERVE_SECONDS,
 ) -> List[RunExample]:
-    """Group raw records into runs and compute online features per run."""
+    """Group raw records into runs and compute online features per run.
+
+    Runs are Algorithm 1's: a group's times split at every gap over the
+    coalescing window, and a run longer than the one-day cut-off splits
+    by the same greedy rule :func:`~repro.core.coalesce.coalesce_errors`
+    applies.
+    """
     per_group: Dict[GroupKey, List[float]] = {}
     for record in records:
         key = (record.node_id, record.pci_bus, record.xid, record.message)
         per_group.setdefault(key, []).append(record.time)
 
-    # Split each group into runs with the coalescing gap rule.
+    config = CoalesceConfig()
     raw_runs: List[Tuple[GroupKey, np.ndarray]] = []
     for key, times in per_group.items():
         arr = np.sort(np.asarray(times))
-        breaks = np.nonzero(np.diff(arr) > DEFAULT_WINDOW_SECONDS)[0]
-        start = 0
-        for b in list(breaks) + [arr.size - 1]:
-            raw_runs.append((key, arr[start : b + 1]))
-            start = b + 1
+        breaks = np.flatnonzero(np.diff(arr) > config.window_seconds)
+        starts = np.concatenate(([0], breaks + 1))
+        ends = np.concatenate((breaks, [arr.size - 1]))
+        over = ~(arr[ends] - arr[starts] <= config.max_persistence)
+        if over.any():
+            starts, ends = _split_at_cutoff(arr, starts, ends, over, config)
+        raw_runs.extend(
+            (key, arr[start:end + 1]) for start, end in zip(starts.tolist(), ends.tolist())
+        )
 
     raw_runs.sort(key=lambda pair: pair[1][0])
     gpu_seen: Dict[Tuple[str, str], int] = {}

@@ -3,12 +3,12 @@
 :class:`FleetHealthService` owns the whole live path:
 
 * one ingest thread polls a :class:`~repro.fleet.tailer.DirectoryTailer`
-  over the per-node log files and feeds each record, as it is parsed, to
-  the :class:`~repro.fleet.registry.HealthRegistry` (one streaming
-  coalescer with ``keep_closed=False`` — live memory stays O(open runs)),
-  passes each result to the :class:`~repro.fleet.rules.RuleEngine`, and,
-  given a store, hands the record to a
-  :class:`~repro.store.writer.StoreWriter`;
+  over the per-node log files; it feeds the rows of each batch the tailer
+  parses to the :class:`~repro.fleet.registry.HealthRegistry` (one
+  streaming coalescer with ``keep_closed=False`` — live memory stays
+  O(open runs)), passes each result to the
+  :class:`~repro.fleet.rules.RuleEngine`, and, given a store, hands the
+  batch to a :class:`~repro.store.writer.StoreWriter`;
 * an optional :class:`~repro.fleet.exposition.MetricsServer` serves
   Prometheus text format at ``/metrics``.
 
@@ -166,8 +166,8 @@ class FleetHealthService:
             self.records_replayed += 1
 
     def _consume(self) -> None:
-        """Ingest thread: poll the files; each record feeds the registry,
-        then the rules, then the store.
+        """Ingest thread: poll the files; each batch's rows feed the
+        registry, then the rules, and the rows they took go to the store.
 
         After a pass that reads nothing it flushes a store buffer whose
         time is due and waits :data:`POLL_INTERVAL`; once :meth:`stop` is
@@ -179,12 +179,18 @@ class FleetHealthService:
             try:
                 while True:
                     stopping = self._stop.is_set()
-                    for record in tailer.poll():
-                        result = registry.ingest(record)
-                        self.records_ingested += 1
-                        engine.observe(result)
-                        if writer is not None:
-                            writer.on_record(record)
+                    for batch in tailer.poll():
+                        taken = 0
+                        try:
+                            for record in batch:
+                                result = registry.ingest(record)
+                                self.records_ingested += 1
+                                engine.observe(result)
+                                taken += 1
+                        finally:
+                            # A failing row and those after it stay out.
+                            if writer is not None:
+                                writer.write(batch.take(slice(taken)))
                     if not tailer.idle:
                         continue
                     if stopping:

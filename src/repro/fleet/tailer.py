@@ -3,7 +3,8 @@
 The collection side of the fleet health service: follow many per-node
 syslog files as the Slurm/fault simulators (or a real syslog daemon)
 append to them, and parse ``NVRM: Xid`` lines into
-:class:`~repro.core.parsing.RawXidRecord`.  The service's ingest thread
+:class:`~repro.core.parsing.XidBatch`es with Stage I's one parser,
+:func:`~repro.core.parsing.parse_batch`.  The service's ingest thread
 calls :meth:`DirectoryTailer.poll` in a loop; no other thread reads the
 files, and nothing queues between the reader and the consumer.
 
@@ -16,7 +17,10 @@ same order.
 
 Memory: a pass reads at most :data:`POLL_BYTES` from each plain file, so
 the reader holds one budget's lines at a time plus one partial line per
-file, whatever the backlog; a ``.log.gz`` backlog streams line by line.
+file, whatever the backlog; a ``.log.gz`` backlog is read through
+:func:`~repro.syslog.reader.iter_log_lines` and parsed
+:data:`~repro.pipeline.sources.CHUNK_LINES` lines at a time, as a file
+shard of the batch study is.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List
 
-from repro.core.parsing import RawXidRecord, iter_parse_syslog, parse_line
-from repro.syslog.reader import iter_log_lines, list_log_files
+from repro.core.parsing import XidBatch, parse_batch
+from repro.pipeline.sources import parse_chunks
+from repro.syslog.reader import CorruptLogError, iter_log_lines, list_log_files
 
 __all__ = ["DirectoryTailer", "LogTailer", "TailStats"]
 
@@ -63,7 +68,7 @@ class LogTailer:
     offset would stream garbage from the middle of the replacement.
 
     ``.log.gz`` files cannot be followed incrementally; :meth:`backlog`
-    streams one once instead.
+    reads one once instead.
     """
 
     def __init__(self, path: str | Path, *, from_start: bool = True) -> None:
@@ -102,26 +107,29 @@ class LogTailer:
         self.stats.lines_seen += len(lines)
         return lines
 
-    def poll_records(self) -> List[RawXidRecord]:
-        """Parsed XID records in the next :data:`POLL_BYTES` appended."""
-        records = list(iter_parse_syslog(self.poll_lines()))
-        self.stats.records_parsed += len(records)
-        return records
+    def poll_records(self) -> XidBatch:
+        """The XID records in the next :data:`POLL_BYTES` appended."""
+        batch = parse_batch(self.poll_lines())
+        self.stats.records_parsed += len(batch)
+        return batch
 
-    def backlog(self) -> Iterator[RawXidRecord]:
-        """Stream every record of a compressed file, once.
+    def backlog(self) -> Iterator[XidBatch]:
+        """Every record of a compressed file, once, a chunk at a time.
 
         A file that vanishes, cannot be read or ends mid-stream yields
         the records read up to that point.
         """
+        for batch in parse_chunks(self._backlog_lines()):
+            self.stats.records_parsed += len(batch)
+            if len(batch):
+                yield batch
+
+    def _backlog_lines(self) -> Iterator[str]:
         try:
             for line in iter_log_lines(self.path):
                 self.stats.lines_seen += 1
-                record = parse_line(line)
-                if record is not None:
-                    self.stats.records_parsed += 1
-                    yield record
-        except (OSError, EOFError):
+                yield line
+        except (OSError, CorruptLogError):
             return
 
 
@@ -140,11 +148,12 @@ class DirectoryTailer:
         #: Whether the last pass read no byte of a plain file.
         self.idle = True
 
-    def poll(self) -> Iterator[RawXidRecord]:
+    def poll(self) -> Iterator[XidBatch]:
         """One pass over the directory's files in name order.
 
-        Yields what each plain file gained, up to :data:`POLL_BYTES` of
-        it, and the whole backlog of a ``.log.gz`` file when first found.
+        Yields, per plain file that gained XID records, one batch of them
+        (up to :data:`POLL_BYTES` of the file), and the backlog of a
+        ``.log.gz`` file when first found, a chunk per batch.
         """
         try:
             paths = list_log_files(self.directory)
@@ -160,8 +169,10 @@ class DirectoryTailer:
                 )
             if not path.name.endswith(".log.gz"):
                 read = tailer.stats.bytes_read
-                yield from tailer.poll_records()
+                batch = tailer.poll_records()
                 self.idle = self.idle and tailer.stats.bytes_read == read
+                if len(batch):
+                    yield batch
             elif found and self._from_start:
                 yield from tailer.backlog()
         self._from_start = True

@@ -6,7 +6,7 @@ fan-outs, trace-directory aggregation (summary / tree / Chrome
 trace-event export), manifest stamping that stays out of every identity
 gate, and :class:`CounterSet` for long-running services' ``/metrics``.
 
-Instrumenting code imports the module and calls the three hot-path
+Instrumenting code imports the module and calls the two hot-path
 functions — nothing else::
 
     from repro import obs
@@ -32,7 +32,6 @@ from repro.obs.core import (
     current_context,
     deactivate,
     span,
-    span_iter,
 )
 from repro.obs.export import to_chrome_events, write_chrome_trace
 from repro.obs.metrics import CounterSet
@@ -61,7 +60,6 @@ __all__ = [
     "current_context",
     "deactivate",
     "span",
-    "span_iter",
     "to_chrome_events",
     "write_chrome_trace",
     "CounterSet",

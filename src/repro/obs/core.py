@@ -39,7 +39,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Optional
 
 #: Version tag stamped into every trace file's ``meta`` record.
 SCHEMA_VERSION = "repro.obs/1"
@@ -209,8 +209,9 @@ class Tracer:
     def _finish(self, span: Span) -> None:
         duration = time.perf_counter() - span._start_perf
         stack = self._stack()
-        # Identity scan instead of a blind pop: a suspended generator's
-        # span (span_iter) can close out of LIFO order.
+        # Identity scan instead of a blind pop: a span a generator holds
+        # open across its yields (Stage I's pass span) can close out of
+        # LIFO order.
         for i in range(len(stack) - 1, -1, -1):
             if stack[i] is span:
                 del stack[i]
@@ -333,39 +334,6 @@ def add(name: str, value: float = 1) -> None:
     tracer = _ACTIVE
     if tracer is not None:
         tracer.add(name, value)
-
-
-def span_iter(name: str, iterable: Iterable, *, counter: Optional[str] = None,
-              **attrs) -> Iterator:
-    """Wrap an iterable in a span, optionally counting items.
-
-    When tracing is off the iterable is returned untouched — zero
-    per-item overhead.  When on, the span covers first ``next()`` to
-    exhaustion (or abandonment: ``GeneratorExit`` closes it too).
-    """
-    tracer = _ACTIVE
-    if tracer is None:
-        return iter(iterable)
-    return _traced_iter(tracer, name, iterable, counter, attrs)
-
-
-def _traced_iter(tracer, name, iterable, counter, attrs):
-    active_span = tracer.span(name, **attrs)
-    active_span.__enter__()
-    n = 0
-    try:
-        for item in iterable:
-            n += 1
-            yield item
-    except BaseException as exc:  # noqa: BLE001 — GeneratorExit included
-        if counter:
-            active_span.add(counter, n)
-        active_span.__exit__(type(exc), exc, exc.__traceback__)
-        raise
-    else:
-        if counter:
-            active_span.add(counter, n)
-        active_span.__exit__(None, None, None)
 
 
 def current_context(label: str = "worker") -> Optional[TraceContext]:

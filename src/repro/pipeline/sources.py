@@ -4,8 +4,10 @@ A :class:`Source` describes *where raw records come from* and nothing
 else; Extract (:mod:`repro.pipeline.extract`) decides *how* to pull them
 out (one column batch per shard, serially or over a process pool, or a
 stream of chunk batches for the paths that must hold little), and the
-caller hands the result to Algorithm 1.  Two shapes cover every batch
-ingestion surface in the repository:
+caller hands the result to Algorithm 1.  Every shard parses its lines
+with :func:`~repro.core.parsing.parse_batch`, and a file shard reads them
+through :func:`~repro.syslog.reader.iter_log_lines`.  Two shapes cover
+every batch ingestion surface in the repository:
 
 * **file sets** (:class:`FileSetSource`) — a directory of per-node
   syslog files, the batch-study shape.  Each file is an independent
@@ -16,10 +18,11 @@ ingestion surface in the repository:
   syslog text, the in-memory study and adapter shape.  One shard, no
   ordering promise.
 
-:class:`RecordsSource` closes the loop for simulated streams: already-
-parsed (or synthetically generated) records enter the very same
+:class:`RecordsSource` closes the loop for simulated streams: an
+already-parsed :class:`~repro.core.parsing.XidBatch` enters the very same
 front-end the file-set path uses.  The live fleet path follows growing
-files with :class:`~repro.fleet.tailer.DirectoryTailer` instead.
+files with :class:`~repro.fleet.tailer.DirectoryTailer` instead, parsing
+a ``.log.gz`` backlog with :func:`parse_chunks` as a file shard does.
 """
 
 from __future__ import annotations
@@ -27,16 +30,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence
 
-from repro.core.parsing import RawXidRecord, XidBatch, as_batch, parse_batch
+from repro.core.parsing import XidBatch, parse_batch
+from repro.syslog.reader import iter_log_lines, list_log_files
 
 #: Lines a file or line shard parses into one chunk of the batch stream,
 #: which holds about one chunk per open shard.
 CHUNK_LINES = 8192
 
 
-def _parse_chunks(lines: Iterable[str]) -> Iterator[XidBatch]:
+def parse_chunks(lines: Iterable[str]) -> Iterator[XidBatch]:
     """``lines`` parsed :data:`CHUNK_LINES` at a time, a batch per chunk."""
     lines = iter(lines)
     for first in lines:
@@ -57,14 +61,10 @@ class FileShard:
     path: Path
 
     def batch(self) -> XidBatch:
-        from repro.syslog.reader import iter_log_lines
-
         return parse_batch(iter_log_lines(self.path))
 
     def chunks(self) -> Iterator[XidBatch]:
-        from repro.syslog.reader import iter_log_lines
-
-        return _parse_chunks(iter_log_lines(self.path))
+        return parse_chunks(iter_log_lines(self.path))
 
 
 class LineShard:
@@ -77,21 +77,20 @@ class LineShard:
         return parse_batch(self._lines)
 
     def chunks(self) -> Iterator[XidBatch]:
-        return _parse_chunks(self._lines)
+        return parse_chunks(self._lines)
 
 
 class RecordShard:
-    """Already-parsed records (synthetic streams, replayed traces): a
-    batch, or rows."""
+    """An already-parsed batch (synthetic streams, replayed traces)."""
 
-    def __init__(self, records: Union[XidBatch, Iterable[RawXidRecord]]) -> None:
-        self._records = records
+    def __init__(self, batch: XidBatch) -> None:
+        self._batch = batch
 
     def batch(self) -> XidBatch:
-        return as_batch(self._records)
+        return self._batch
 
     def chunks(self) -> Iterator[XidBatch]:
-        return iter((self.batch(),))
+        return iter((self._batch,))
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +129,6 @@ class FileSetSource(Source):
     reiterable = True
 
     def __init__(self, directory: str | Path) -> None:
-        from repro.syslog.reader import list_log_files
-
         self.paths: List[Path] = list_log_files(directory)
 
     def shards(self) -> Sequence[FileShard]:
@@ -149,10 +146,10 @@ class LinesSource(Source):
 
 
 class RecordsSource(Source):
-    """Already-parsed records entering the front-end directly (one shard)."""
+    """An already-parsed batch entering the front-end directly (one shard)."""
 
-    def __init__(self, records: Union[XidBatch, Iterable[RawXidRecord]]) -> None:
-        self._shard = RecordShard(records)
+    def __init__(self, batch: XidBatch) -> None:
+        self._shard = RecordShard(batch)
 
     def shards(self) -> Sequence[RecordShard]:
         return [self._shard]

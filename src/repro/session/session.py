@@ -127,6 +127,7 @@ class Session:
     def _study_from_directory(self, dataset_dir: Path) -> "DeltaStudy":
         from repro.core import DeltaStudy
         from repro.faults import AMPERE_CALIBRATION
+        from repro.pipeline import FileSetSource
         from repro.slurm import SlurmDatabase
 
         for path in (dataset_dir, dataset_dir / "slurm.jsonl", dataset_dir / "logs"):
@@ -140,8 +141,6 @@ class Session:
         window_hours = AMPERE_CALIBRATION.window_hours(config.scale)
         n_nodes = AMPERE_CALIBRATION.reference_node_count
         if config.store is not None:
-            from repro.pipeline import FileSetSource
-
             store = self._open_store(
                 lambda: FileSetSource(dataset_dir / "logs"),
                 meta={
@@ -156,8 +155,8 @@ class Session:
             return DeltaStudy.from_store(
                 store, slurm_db=slurm_db, workers=config.workers
             )
-        return DeltaStudy.from_log_directory(
-            dataset_dir / "logs",
+        return DeltaStudy(
+            FileSetSource(dataset_dir / "logs"),
             window_hours=window_hours,
             n_nodes=n_nodes,
             slurm_db=slurm_db,

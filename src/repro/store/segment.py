@@ -34,11 +34,11 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.parsing import RawXidRecord, XidBatch, as_batch
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.store.query import MATCH_ALL, Query, gpu_serial
 
 #: Leading and trailing file marker ("repro xid segment, layout 1").
@@ -135,15 +135,14 @@ def _first_seen_coding(codes, dictionary):
     return new_code[inverse.reshape(-1)], [dictionary[c] for c in used[by_first].tolist()]
 
 
-def encode_segment(records: Union[XidBatch, Iterable[RawXidRecord]]) -> bytes:
-    """Serialize one batch of records (or rows) into segment-file bytes.
+def encode_segment(batch: XidBatch) -> bytes:
+    """Serialize one batch of records into segment-file bytes.
 
     Rows are stable-sorted by timestamp, so equal-timestamp records keep
     their input order — the property that makes a store built from the
     pipeline's merged batch replay it identically.  Dictionary codes are
     assigned in first-seen order over the sorted rows.
     """
-    batch = as_batch(records)
     if not len(batch):
         raise ValueError("a segment must hold at least one record")
     rows = batch.take(np.argsort(batch.time, kind="stable"))
@@ -191,9 +190,7 @@ def encode_segment(records: Union[XidBatch, Iterable[RawXidRecord]]) -> bytes:
     return body.getvalue()
 
 
-def write_segment(
-    path: str | Path, records: Union[XidBatch, Iterable[RawXidRecord]]
-) -> SegmentInfo:
+def write_segment(path: str | Path, batch: XidBatch) -> SegmentInfo:
     """Write one segment file (flushed to disk) and describe it.
 
     The caller owns the naming protocol (write under a temporary name,
@@ -202,7 +199,7 @@ def write_segment(
     import os
 
     path = Path(path)
-    payload = encode_segment(records)
+    payload = encode_segment(batch)
     with open(path, "wb") as handle:
         handle.write(payload)
         handle.flush()

@@ -31,7 +31,8 @@ import operator
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.core.parsing import RawXidRecord, XidBatch, as_batch
+from repro import obs
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.store.manifest import MANIFEST_NAME, StoreManifest
 from repro.store.query import MATCH_ALL, Query
 from repro.store.segment import (
@@ -231,21 +232,20 @@ class EventStore:
         self.manifest.next_seq = sequence + 1
         return self.directory / f"seg-{sequence:06d}.seg"
 
-    def append_segment(
-        self, records: Union[XidBatch, Iterable[RawXidRecord]]
-    ) -> Optional[SegmentInfo]:
-        """Write one batch (or rows) as a segment and commit it; no-op
-        when empty."""
-        batch = as_batch(records)
+    def append_segment(self, batch: XidBatch) -> Optional[SegmentInfo]:
+        """Write one batch as a segment and commit it; no-op when empty."""
         if not len(batch):
             return None
-        final = self._next_segment_path()
-        temporary = final.with_suffix(".seg.tmp")
-        info = write_segment(temporary, batch)
-        temporary.rename(final)
-        info = dataclasses.replace(info, name=final.name)
-        self.manifest.segments.append(info)
-        self.manifest.commit(self.directory)
+        with obs.span("store.segment") as span:
+            final = self._next_segment_path()
+            temporary = final.with_suffix(".seg.tmp")
+            info = write_segment(temporary, batch)
+            temporary.rename(final)
+            info = dataclasses.replace(info, name=final.name)
+            self.manifest.segments.append(info)
+            self.manifest.commit(self.directory)
+            span.add("store.records_written", info.n_records)
+            span.add("store.bytes_written", info.n_bytes)
         return info
 
     def append(
@@ -291,14 +291,26 @@ class EventStore:
         holds, riding the shared (optionally parallel) extraction front-end.
 
         The batches stream in merge order, so a serial ingest holds one
-        segment and about a chunk per shard, not the source.
+        segment and about a chunk per shard, not the source.  All or
+        nothing: when reading the source fails, the segments this call
+        appended are dropped again (manifest first, then files) and the
+        error propagates, so a failed build never passes for a whole one.
         """
         from repro.pipeline.extract import iter_source_batches
 
-        return self.append(
-            iter_source_batches(source, workers=workers),
-            segment_records=segment_records,
-        )
+        kept = len(self.manifest.segments)
+        try:
+            return self.append(
+                iter_source_batches(source, workers=workers),
+                segment_records=segment_records,
+            )
+        except BaseException:
+            appended = self.manifest.segments[kept:]
+            del self.manifest.segments[kept:]
+            self.manifest.commit(self.directory)
+            for entry in appended:
+                (self.directory / entry.name).unlink(missing_ok=True)
+            raise
 
     # ------------------------------------------------------------------
     # Query
@@ -306,8 +318,6 @@ class EventStore:
 
     def plan(self, query: Query = MATCH_ALL) -> Tuple[List[SegmentInfo], int]:
         """(segments that may match, number pruned by zone maps)."""
-        from repro import obs
-
         candidates = [
             entry
             for entry in self.manifest.segments

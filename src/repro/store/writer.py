@@ -1,9 +1,10 @@
-"""Persist a record stream into an event store, segment by segment.
+"""Persist a stream of record batches into an event store, segment by segment.
 
-Feed a :class:`StoreWriter` one record at a time through
-:meth:`~StoreWriter.on_record` and every record lands in the store.  It
-flushes a segment per :data:`SEGMENT_RECORDS` records, and whatever has
-waited :data:`FLUSH_SECONDS` of wall time, so a long-lived
+Hand a :class:`StoreWriter` each :class:`~repro.core.parsing.XidBatch`
+through :meth:`~StoreWriter.write` and every record lands in the store.
+Each time :data:`SEGMENT_RECORDS` records have accumulated it writes a
+segment of exactly that many, and whatever has waited
+:data:`FLUSH_SECONDS` of wall time goes out too, so a long-lived
 ``repro-delta serve`` leaves durable history behind even at low event
 rates.  The fleet service's ingest thread calls
 :meth:`~StoreWriter.flush_if_due` after each poll that finds nothing, so
@@ -18,7 +19,7 @@ import time
 from typing import List
 
 from repro import obs
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import XidBatch
 from repro.store.store import EventStore
 
 #: Records per segment, and the wall seconds after which a partial
@@ -28,22 +29,29 @@ FLUSH_SECONDS = 5.0
 
 
 class StoreWriter:
-    """Buffer records and append them to an :class:`EventStore` in segments."""
+    """Buffer batches and append them to an :class:`EventStore` in segments."""
 
     def __init__(self, store: EventStore) -> None:
         self.store = store
         #: ``store.flushes`` / ``store.flush_seconds`` /
         #: ``store.records_written``, for ``/metrics`` self-observability.
         self.counters = obs.CounterSet()
-        self._buffer: List[RawXidRecord] = []
+        self._buffer: List[XidBatch] = []
+        self._buffered = 0
         self._last_flush = time.monotonic()
 
-    def on_record(self, record: RawXidRecord) -> None:
-        self._buffer.append(record)
-        if len(self._buffer) >= SEGMENT_RECORDS:
-            self.flush()
-        else:
+    def write(self, batch: XidBatch) -> None:
+        """Buffer ``batch``; every full :data:`SEGMENT_RECORDS` records
+        buffered go out as a segment each."""
+        self._buffer.append(batch)
+        self._buffered += len(batch)
+        if self._buffered < SEGMENT_RECORDS:
             self.flush_if_due()
+            return
+        rows = XidBatch.concat(self._buffer)
+        full = len(rows) - len(rows) % SEGMENT_RECORDS
+        self._buffer, self._buffered = [rows.take(slice(full, None))], len(rows) - full
+        self._append(rows.take(slice(full)))
 
     def flush_if_due(self) -> None:
         """Flush if :data:`FLUSH_SECONDS` have passed since the last flush."""
@@ -52,17 +60,21 @@ class StoreWriter:
 
     def flush(self) -> None:
         """Write the buffered records out as one segment (if any)."""
+        rows = XidBatch.concat(self._buffer)
+        self._buffer, self._buffered = [], 0
+        self._append(rows)
+
+    def _append(self, rows: XidBatch) -> None:
         start = time.monotonic()
         self._last_flush = start
-        if not self._buffer:
+        if not len(rows):
             return
-        info = self.store.append_segment(self._buffer)
-        self._buffer = []
+        segments = self.store.append(rows, segment_records=SEGMENT_RECORDS)
         elapsed = time.monotonic() - start
-        self.counters.inc("store.flushes")
+        self.counters.inc("store.flushes", len(segments))
         self.counters.inc("store.flush_seconds", elapsed)
-        self.counters.inc("store.records_written", info.n_records)
-        obs.add("store.flushes")
+        self.counters.inc("store.records_written", len(rows))
+        obs.add("store.flushes", len(segments))
         obs.add("store.flush_seconds", elapsed)
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """Fixtures resolving the registry's ExitCase placeholders.
 
 Each :class:`~repro.cli.registry.ExitCase` argv may reference
-``{dataset}``, ``{logs}``, ``{no_logs}``, ``{built_store}``,
+``{dataset}``, ``{logs}``, ``{no_logs}``, ``{cut}``, ``{built_store}``,
 ``{demo_store}``, ``{traced}``, ``{tmp}`` and ``{absent}``; the
 session-scoped fixtures here build the small shared artifacts once so
 the contract suite stays fast.
@@ -9,6 +9,7 @@ the contract suite stays fast.
 
 from __future__ import annotations
 
+import gzip
 import shutil
 
 import pytest
@@ -33,6 +34,21 @@ def contract_dataset_without_logs(contract_dataset, tmp_path_factory):
     """A dataset directory holding slurm.jsonl but no logs/."""
     directory = tmp_path_factory.mktemp("cli-contract-no-logs")
     shutil.copy(contract_dataset / "slurm.jsonl", directory)
+    return directory
+
+
+@pytest.fixture(scope="session")
+def contract_cut_dataset(contract_dataset, tmp_path_factory):
+    """A dataset whose logs/ holds three of the contract dataset's node
+    logs and a fourth gzipped and cut in half."""
+    directory = tmp_path_factory.mktemp("cli-contract-cut")
+    shutil.copy(contract_dataset / "slurm.jsonl", directory)
+    (directory / "logs").mkdir()
+    paths = sorted((contract_dataset / "logs").iterdir(), key=lambda p: p.stat().st_size)
+    for path in paths[-4:-1]:
+        shutil.copy(path, directory / "logs")
+    data = gzip.compress(paths[-1].read_bytes())
+    (directory / "logs" / f"{paths[-1].name}.gz").write_bytes(data[: len(data) // 2])
     return directory
 
 
@@ -67,12 +83,13 @@ def contract_trace(contract_dataset, tmp_path_factory):
 
 @pytest.fixture
 def placeholders(contract_dataset, contract_dataset_without_logs,
-                 contract_store, contract_demo_store, contract_trace,
-                 tmp_path):
+                 contract_cut_dataset, contract_store, contract_demo_store,
+                 contract_trace, tmp_path):
     return {
         "dataset": contract_dataset,
         "logs": contract_dataset / "logs",
         "no_logs": contract_dataset_without_logs,
+        "cut": contract_cut_dataset,
         "built_store": contract_store,
         "demo_store": contract_demo_store,
         "traced": contract_trace,

@@ -48,6 +48,21 @@ def test_bad_store_build_flag_writes_nothing(flag, contract_dataset, tmp_path):
     assert not target.exists()
 
 
+def test_a_failed_store_build_is_not_reused(contract_cut_dataset, tmp_path, capsys):
+    """A build cut short by a damaged log leaves an empty store, so a rerun
+    fails the same way instead of reporting on a partial history."""
+    from repro.store import EventStore
+
+    study = ["study", "--dataset", str(contract_cut_dataset), "--scale", "0.004",
+             "--seed", "3", "--workers", "1", "--store", str(tmp_path / "s")]
+    build = ["store", "build", str(contract_cut_dataset), str(tmp_path / "b")]
+    for argv in (study, study, build, build):
+        assert run_cli(argv) == 2
+        assert "compressed log is truncated" in capsys.readouterr().out
+    for name in ("s", "b"):
+        assert EventStore.open(tmp_path / name).n_records == 0
+
+
 def test_every_command_declares_the_contract():
     """Each command pins at least a success and a bad-input example."""
     for name, command in COMMANDS.items():

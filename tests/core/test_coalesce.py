@@ -16,7 +16,7 @@ def _record(t, msg="same", node="n1", pci="0000:07:00", xid=95):
 class TestAlgorithm1:
     def test_burst_merges_into_one_error(self):
         records = [_record(t) for t in (0.0, 3.0, 6.0, 10.0)]
-        errors = coalesce_errors(records)
+        errors = coalesce_errors(XidBatch.from_records(records))
         assert len(errors) == 1
         error = errors[0]
         assert error.time == 0.0
@@ -25,7 +25,7 @@ class TestAlgorithm1:
 
     def test_gap_beyond_window_splits(self):
         records = [_record(t) for t in (0.0, 3.0, 10.0, 12.0)]
-        errors = coalesce_errors(records)
+        errors = coalesce_errors(XidBatch.from_records(records))
         assert len(errors) == 2
         assert errors[0].persistence == pytest.approx(3.0)
         assert errors[1].time == 10.0
@@ -33,31 +33,31 @@ class TestAlgorithm1:
     def test_boundary_gap_exactly_window_merges(self):
         # Algorithm 1 uses <= dt.
         records = [_record(0.0), _record(5.0)]
-        assert len(coalesce_errors(records)) == 1
+        assert len(coalesce_errors(XidBatch.from_records(records))) == 1
 
     def test_different_messages_never_merge(self):
         records = [_record(0.0, msg="a"), _record(1.0, msg="b")]
-        assert len(coalesce_errors(records)) == 2
+        assert len(coalesce_errors(XidBatch.from_records(records))) == 2
 
     def test_different_gpus_never_merge(self):
         records = [_record(0.0), _record(1.0, pci="0000:46:00")]
-        assert len(coalesce_errors(records)) == 2
+        assert len(coalesce_errors(XidBatch.from_records(records))) == 2
 
     def test_different_nodes_never_merge(self):
         records = [_record(0.0), _record(1.0, node="n2")]
-        assert len(coalesce_errors(records)) == 2
+        assert len(coalesce_errors(XidBatch.from_records(records))) == 2
 
     def test_different_xids_never_merge(self):
         records = [_record(0.0, xid=119), _record(1.0, xid=122)]
-        assert len(coalesce_errors(records)) == 2
+        assert len(coalesce_errors(XidBatch.from_records(records))) == 2
 
     def test_input_order_irrelevant(self):
         records = [_record(t) for t in (6.0, 0.0, 10.0, 3.0)]
-        errors = coalesce_errors(records)
+        errors = coalesce_errors(XidBatch.from_records(records))
         assert len(errors) == 1 and errors[0].persistence == pytest.approx(10.0)
 
     def test_single_record_zero_persistence(self):
-        errors = coalesce_errors([_record(42.0)])
+        errors = coalesce_errors(XidBatch.from_records([_record(42.0)]))
         assert errors[0].persistence == 0.0 and errors[0].n_raw == 1
 
     def test_output_sorted_by_time(self):
@@ -66,7 +66,7 @@ class TestAlgorithm1:
             _record(0.0),
             _record(50.0, node="n3"),
         ]
-        errors = coalesce_errors(records)
+        errors = coalesce_errors(XidBatch.from_records(records))
         assert [e.time for e in errors] == [0.0, 50.0, 100.0]
 
 
@@ -75,7 +75,7 @@ class TestOneDayCutoff:
         # A 2-day continuous burst (the paper's 17-day saga, scaled): splits
         # into runs of at most one day each.
         records = [_record(float(t)) for t in range(0, 2 * 86_400 + 8_000, 4)]
-        errors = coalesce_errors(records)
+        errors = coalesce_errors(XidBatch.from_records(records))
         assert len(errors) >= 2
         assert all(e.persistence <= 86_400.0 for e in errors)
         total = sum(e.n_raw for e in errors)
@@ -83,7 +83,7 @@ class TestOneDayCutoff:
 
     def test_custom_cutoff(self):
         records = [_record(float(t)) for t in range(0, 100, 4)]
-        errors = coalesce_errors(records, CoalesceConfig(max_persistence=30.0))
+        errors = coalesce_errors(XidBatch.from_records(records), CoalesceConfig(max_persistence=30.0))
         assert all(e.persistence <= 30.0 for e in errors)
         assert len(errors) == 4  # 96s span split into <=30s runs
 
@@ -94,7 +94,7 @@ class TestDeltaTAblation:
 
     @staticmethod
     def _count(records, dt):
-        return len(coalesce_errors(records, CoalesceConfig(window_seconds=dt)))
+        return len(coalesce_errors(XidBatch.from_records(records), CoalesceConfig(window_seconds=dt)))
 
     def test_10s_between(self, study):
         counts = {dt: self._count(study.records, dt) for dt in (5.0, 10.0, 20.0)}
@@ -107,8 +107,8 @@ class TestDeltaTAblation:
 class TestConfig:
     def test_window_sensitivity(self):
         records = [_record(t) for t in (0.0, 8.0, 16.0)]
-        narrow = coalesce_errors(records, CoalesceConfig(window_seconds=5.0))
-        wide = coalesce_errors(records, CoalesceConfig(window_seconds=10.0))
+        narrow = coalesce_errors(XidBatch.from_records(records), CoalesceConfig(window_seconds=5.0))
+        wide = coalesce_errors(XidBatch.from_records(records), CoalesceConfig(window_seconds=10.0))
         assert len(narrow) == 3 and len(wide) == 1
 
     def test_invalid_config_rejected(self):
@@ -176,7 +176,6 @@ _rows = st.lists(
 def test_columnar_engine_equals_the_row_engine(rows, window, cutoff):
     config = CoalesceConfig(window_seconds=window, max_persistence=cutoff)
     want = _reference_coalesce(rows, config)
-    assert coalesce_errors(rows, config) == want
     assert coalesce_errors(XidBatch.from_records(rows), config) == want
 
 
@@ -193,4 +192,4 @@ def test_groups_stay_apart_when_xid_codes_lie_far_apart():
     config = CoalesceConfig()
     want = _reference_coalesce(rows, config)
     assert len(want) == 15
-    assert coalesce_errors(rows, config) == want
+    assert coalesce_errors(XidBatch.from_records(rows), config) == want

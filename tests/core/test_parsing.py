@@ -9,13 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import parsing
-from repro.core.parsing import XidBatch, parse_batch, parse_line, parse_syslog
+from repro.core.parsing import XidBatch, parse_batch, parse_line
 
 GOOD = (
     "2022-03-14T02:11:09.113 gpub042 kernel: "
     "NVRM: Xid (PCI:0000:C7:00): 119, pid=8821, Timeout after 6s of waiting "
     "for RPC response from GSP! Expected function 76 (GSP_RM_CONTROL)"
 )
+
+
+def parse_syslog(lines):
+    """The row reference parse_batch must equal: parse_line on each line."""
+    return [record for record in map(parse_line, lines) if record is not None]
 
 
 class TestParseLine:
@@ -61,20 +66,20 @@ class TestParseLine:
 
 
 class TestParseSyslog:
+    """Stage I over syslog text, as :func:`parse_batch` runs it."""
+
     def test_filters_and_orders_preserved(self):
         lines = ["noise", GOOD, "more noise", GOOD.replace("119", "31")]
-        records = parse_syslog(lines)
+        records = parse_batch(lines)
         assert [r.xid for r in records] == [119, 31]
 
     def test_empty_input(self):
-        assert parse_syslog([]) == []
+        assert list(parse_batch([])) == []
 
     def test_round_trip_with_renderer(self, dataset):
         # Every rendered XID line in the shared dataset must parse; noise
         # must not.
-        from repro.core.parsing import iter_parse_syslog
-
-        n_records = sum(1 for _ in iter_parse_syslog(dataset.log_lines()))
+        n_records = len(parse_batch(dataset.log_lines()))
         n_xid_lines = sum(
             1 for line in dataset.log_lines(include_noise=False)
         )

@@ -5,6 +5,7 @@ import pytest
 from repro.core import DeltaStudy
 from repro.core.coalesce import CoalesceConfig
 from repro.faults import AMPERE_CALIBRATION
+from repro.pipeline import LinesSource
 
 from tests.conftest import SCALE
 
@@ -23,14 +24,14 @@ class TestDeltaStudy:
         assert build() is build()
 
     def test_job_impact_requires_database(self):
-        study = DeltaStudy([], window_hours=10.0, n_nodes=1)
+        study = DeltaStudy(LinesSource([]), window_hours=10.0, n_nodes=1)
         with pytest.raises(ValueError):
             study.job_impact()
         with pytest.raises(ValueError):
             study.availability()
 
     def test_counterfactual_without_db_uses_default_mttr(self):
-        study = DeltaStudy([], window_hours=10.0, n_nodes=1)
+        study = DeltaStudy(LinesSource([]), window_hours=10.0, n_nodes=1)
         analyzer = study.counterfactual()
         assert analyzer.mttr_hours == pytest.approx(0.3)
 

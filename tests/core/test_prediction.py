@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.parsing import RawXidRecord
+from repro.core.coalesce import coalesce_errors
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.core.prediction import PersistencePredictor, RunExample, extract_runs, pr_curve
 
 
@@ -30,6 +31,16 @@ class TestExtractRuns:
         records = [_record(0.0), _record(500.0), _record(1_000.0)]
         runs = extract_runs(records)
         assert [r.gpu_prior_runs for r in runs] == [0, 1, 2]
+
+    def test_runs_split_at_the_one_day_cutoff_as_algorithm_1_does(self):
+        # A 30-hour burst at 4 s gaps: Algorithm 1 cuts it at one day.
+        records = [_record(t) for t in range(0, 30 * 3_600, 4)]
+        runs = extract_runs(records)
+        errors = coalesce_errors(XidBatch.from_records(records))
+        assert [(r.start_time, r.final_persistence) for r in runs] == [
+            (e.time, e.persistence) for e in errors
+        ] == [(0.0, 86_400.0), (86_404.0, 21_592.0)]
+        assert [r.gpu_prior_runs for r in runs] == [0, 1]
 
     def test_single_line_run_defaults(self):
         (run,) = extract_runs([_record(5.0)], observe_seconds=60.0)
@@ -66,9 +77,9 @@ def _synthetic_examples(n=400, seed=0):
 def dataset_split(dataset):
     """A predictor trained on the first half of the window, and the second
     half it is evaluated on: the deployment setting an SRE team would face."""
-    from repro.core.parsing import iter_parse_syslog
+    from repro.core.parsing import parse_batch
 
-    records = list(iter_parse_syslog(dataset.log_lines(include_noise=False)))
+    records = list(parse_batch(dataset.log_lines(include_noise=False)))
     runs = extract_runs(records)
     runs.sort(key=lambda r: r.start_time)
     half = len(runs) // 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.coalesce import coalesce_errors
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.core.streaming import StreamingCoalescer
 
 
@@ -15,7 +15,7 @@ class TestStreamingMatchesBatch:
     def test_same_output_as_batch_algorithm(self):
         times = [0.0, 3.0, 6.0, 30.0, 33.0, 100.0]
         records = [_record(t) for t in times]
-        batch = coalesce_errors(records)
+        batch = coalesce_errors(XidBatch.from_records(records))
         streaming = StreamingCoalescer()
         for record in records:
             streaming.feed(record)
@@ -25,13 +25,13 @@ class TestStreamingMatchesBatch:
         ]
 
     def test_matches_batch_on_dataset_sample(self, dataset):
-        from repro.core.parsing import iter_parse_syslog
+        from repro.core.parsing import parse_batch
 
         records = sorted(
-            iter_parse_syslog(dataset.log_lines(include_noise=False)),
+            parse_batch(dataset.log_lines(include_noise=False)),
             key=lambda r: r.time,
         )[:5_000]
-        batch = coalesce_errors(records)
+        batch = coalesce_errors(XidBatch.from_records(records))
         streaming = StreamingCoalescer()
         for record in records:
             streaming.feed(record)
@@ -205,10 +205,10 @@ class TestCallbacksAndMemory:
     def test_catches_the_uncontained_saga_early(self, dataset):
         """The 17-day-class burst should alarm within minutes of starting,
         not 17 days later — the monitoring gap the paper calls out."""
-        from repro.core.parsing import iter_parse_syslog
+        from repro.core.parsing import parse_batch
 
         records = sorted(
-            iter_parse_syslog(dataset.log_lines(include_noise=False)),
+            parse_batch(dataset.log_lines(include_noise=False)),
             key=lambda r: r.time,
         )
         streaming = StreamingCoalescer(alarm_after_seconds=1_800.0)
@@ -229,10 +229,10 @@ class TestLiveVersusPostMortem:
         """Live alarms fire within ~threshold seconds of burst onset; the batch
         pipeline learns about a burst only after it ends, which for the paper's
         17-day saga is the whole incident."""
-        from repro.core.parsing import iter_parse_syslog
+        from repro.core.parsing import parse_batch
 
         records = sorted(
-            iter_parse_syslog(dataset.log_lines(include_noise=False)),
+            parse_batch(dataset.log_lines(include_noise=False)),
             key=lambda r: r.time,
         )
         threshold = 1_800.0

@@ -4,17 +4,18 @@ import pytest
 
 from repro.core import DeltaStudy
 from repro.core.jobimpact import JobImpactAnalyzer
-from repro.core.parsing import parse_syslog
+from repro.core.parsing import parse_batch
 from repro.core.coalesce import coalesce_errors
 from repro.datasets import gsp_incident, nvlink_multinode_incident, pmu_mmu_incident
 from repro.faults.xid import Xid
+from repro.pipeline import LinesSource
 from repro.slurm.job import ExitCode, JobState
 
 
 class TestGspIncident:
     def test_figure1_story(self):
         incident = gsp_incident()
-        errors = coalesce_errors(parse_syslog(incident.log_lines()))
+        errors = coalesce_errors(parse_batch(incident.log_lines()))
         assert [e.xid for e in errors] == [int(Xid.GSP)]
 
         analyzer = JobImpactAnalyzer(incident.slurm_db, errors)
@@ -35,13 +36,13 @@ class TestNVLinkIncident:
         assert len(job.nodes) == 4  # four GPUs across four nodes
         assert job.exit_code == int(ExitCode.SEGFAULT)
 
-        errors = coalesce_errors(parse_syslog(incident.log_lines()))
+        errors = coalesce_errors(parse_batch(incident.log_lines()))
         analyzer = JobImpactAnalyzer(incident.slurm_db, errors)
         assert analyzer.classify_jobs()[2] == (True, (int(Xid.NVLINK),))
 
     def test_one_faulty_gpu_fails_whole_job(self):
         incident = nvlink_multinode_incident()
-        errors = coalesce_errors(parse_syslog(incident.log_lines()))
+        errors = coalesce_errors(parse_batch(incident.log_lines()))
         # The error touches a single GPU yet the job lost all four.
         assert len({e.gpu_key for e in errors}) == 1
         assert incident.slurm_db.jobs[0].n_gpus == 4
@@ -50,7 +51,7 @@ class TestNVLinkIncident:
 class TestPmuMmuIncident:
     def test_figure8_incident2_propagation(self):
         incident = pmu_mmu_incident()
-        errors = coalesce_errors(parse_syslog(incident.log_lines()))
+        errors = coalesce_errors(parse_batch(incident.log_lines()))
         from repro.core.propagation import PropagationAnalyzer
 
         graph = PropagationAnalyzer(errors).analyze()
@@ -69,7 +70,7 @@ class TestEndToEndOnIncidents:
     def test_pipeline_runs_on_every_incident(self, builder):
         incident = builder()
         study = DeltaStudy(
-            incident.log_lines(),
+            LinesSource(incident.log_lines()),
             window_hours=incident.trace.window_seconds / 3600.0,
             n_nodes=1,
             slurm_db=incident.slurm_db,

@@ -215,6 +215,21 @@ class TestIngestFailure:
             service.stop()
         assert service.records_ingested == 1
 
+    def test_the_store_keeps_the_rows_before_the_failing_one(self, tmp_path):
+        store_dir = tmp_path / "events"
+        service = _service(tmp_path, sinks=(_FullDiskSink(),), store_dir=store_dir)
+        # Two MMU faults fire nothing; the XID 79 after them kills the thread.
+        (tmp_path / "logs" / "gpub042.log").write_text(
+            _xid_lines("gpub042", [1.0, 2.0]).replace("0000:07:00", "0000:C7:00")
+            + self.LINE + "\n"
+        )
+        service.start()
+        assert _wait_for(lambda: service._ingest_error is not None)
+        with pytest.raises(OSError, match="No space left on device"):
+            service.stop()
+        assert service.records_ingested == 3
+        assert [r.xid for r in EventStore.open(store_dir).query()] == [31, 31]
+
 
 class TestWarmRestart:
     def test_a_log_file_created_after_start_is_read_from_its_first_line(

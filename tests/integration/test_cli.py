@@ -203,7 +203,7 @@ class TestUndecodableBytes:
 
         logs = self._logs(tmp_path, "gpub042.log")
         tailed = LogTailer(logs / "gpub042.log").poll_records()
-        assert list(extract_records(FileSetSource(logs))) == tailed
+        assert extract_records(FileSetSource(logs)) == tailed
         assert [r.message for r in tailed] == [
             "GPU has fallen off the bus", "GPU has fallen \ufffd off the bus",
         ]

@@ -9,6 +9,7 @@ from repro.experiments import (
     verified_experiments,
 )
 from repro.faults.calibration import PAPER_EXPECTATIONS
+from repro.pipeline import LinesSource
 from repro.results import ExperimentResult, validate_result_dict
 
 
@@ -74,7 +75,7 @@ class TestRunners:
     def test_jobless_study_rejects_job_experiments(self):
         from repro.core import DeltaStudy
 
-        bare = DeltaStudy([], window_hours=10.0, n_nodes=1)
+        bare = DeltaStudy(LinesSource([]), window_hours=10.0, n_nodes=1)
         with pytest.raises(ValueError):
             run_experiment("table2", bare)
 
@@ -82,7 +83,7 @@ class TestRunners:
         from repro.core import DeltaStudy
 
         bare = DeltaStudy(
-            dataset.log_lines(include_noise=False),
+            LinesSource(dataset.log_lines(include_noise=False)),
             window_hours=dataset.window_seconds / 3600.0,
             n_nodes=dataset.reference_node_count,
         )

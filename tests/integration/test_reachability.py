@@ -53,11 +53,6 @@ KEPT = {
         "the program renders whole traces, formatting across events",
     "repro.results.artifact.RESULT_SCHEMA":
         "the result format's version, which docs/results.md points readers to",
-    "repro.obs.core.span_iter":
-        "the loop span docs/observability.md shows for callers' own streams; "
-        "its one caller, the Stage-I row stream, became a batch stream that "
-        "counts records, and deleting it with its three tests is left to a "
-        "change of its own",
 }
 
 

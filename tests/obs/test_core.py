@@ -31,11 +31,6 @@ class TestDisabledDefault:
     def test_add_is_a_no_op(self):
         obs.add("some.counter", 7)  # must not raise
 
-    def test_span_iter_returns_the_iterable_untouched(self):
-        items = [1, 2, 3]
-        wrapped = obs.span_iter("loop", items, counter="n")
-        assert list(wrapped) == items
-
     def test_current_context_is_none(self):
         assert obs.current_context() is None
 
@@ -127,32 +122,6 @@ class TestSpanLifecycle:
         obs.deactivate()
         # The other thread's span must NOT be parented under main-root.
         assert seen["other-thread"] is None
-
-
-class TestSpanIter:
-    def test_counts_items_and_times_the_whole_iteration(self, tmp_path):
-        obs.activate(tmp_path)
-        result = list(obs.span_iter("loop", range(5), counter="n", k="v"))
-        obs.deactivate()
-        assert result == [0, 1, 2, 3, 4]
-        (span_record,) = [
-            r for r in read_records(tmp_path) if r["kind"] == "span"
-        ]
-        assert span_record["name"] == "loop"
-        assert span_record["counters"] == {"n": 5}
-        assert span_record["attrs"] == {"k": "v"}
-
-    def test_abandoned_iteration_still_closes_the_span(self, tmp_path):
-        obs.activate(tmp_path)
-        iterator = obs.span_iter("partial", range(100), counter="n")
-        next(iterator)
-        next(iterator)
-        iterator.close()  # GeneratorExit path
-        obs.deactivate()
-        (span_record,) = [
-            r for r in read_records(tmp_path) if r["kind"] == "span"
-        ]
-        assert span_record["counters"] == {"n": 2}
 
 
 class TestCountersAndSnapshots:

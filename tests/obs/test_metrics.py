@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.fleet.exposition import render_prometheus
 from repro.fleet.registry import HealthRegistry
 from repro.fleet.rules import RuleEngine
@@ -56,7 +56,7 @@ class TestStoreWriterCounters:
         store = EventStore.open_or_create(tmp_path / "events")
         writer = StoreWriter(store)
         for i in range(5):
-            writer.on_record(_record(float(i)))
+            writer.write(XidBatch.from_records([_record(float(i))]))
         writer.close()
         values = writer.counters.values()
         # 5 records at 2 per segment: two full flushes + close.
@@ -67,7 +67,7 @@ class TestStoreWriterCounters:
     def test_writer_works_without_counters(self, tmp_path):
         store = EventStore.open_or_create(tmp_path / "events")
         writer = StoreWriter(store)
-        writer.on_record(_record(1.0))
+        writer.write(XidBatch.from_records([_record(1.0)]))
         writer.close()
         assert writer.counters.values()["store.flushes"] == 1
         assert store.n_records == 1

@@ -66,7 +66,6 @@ class TestEmittedRecordsValidate:
         with obs.span("outer", mode="test"):
             with obs.span("inner") as inner:
                 inner.add("items", 3)
-            list(obs.span_iter("loop", range(4), counter="n"))
         obs.add("orphan", 1)
         try:
             with obs.span("fails"):
@@ -80,5 +79,5 @@ class TestEmittedRecordsValidate:
                 record = json.loads(line)
                 assert validate_record(record) == [], record
                 n_checked += 1
-        # meta + 4 spans + 1 orphan-counters record
-        assert n_checked == 6
+        # meta + 3 spans + 1 orphan-counters record
+        assert n_checked == 5

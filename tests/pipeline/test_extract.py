@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.coalesce import coalesce_errors
-from repro.core.parsing import RawXidRecord, XidBatch, parse_syslog
+from repro.core.parsing import RawXidRecord, XidBatch, parse_line
 from repro.core.streaming import StreamingCoalescer
 from repro.pipeline import sources
 from repro.pipeline.extract import extract_records, iter_source_batches
@@ -23,6 +23,11 @@ from repro.pipeline.sources import (
     Source,
 )
 from repro.syslog.reader import iter_log_lines, list_log_files
+
+
+def parse_syslog(lines):
+    """The row reference: :func:`parse_line` on each line."""
+    return [record for record in map(parse_line, lines) if record is not None]
 
 
 def _stream_rows(source, workers=1):
@@ -99,7 +104,8 @@ class TestExtractSemantics:
             RawXidRecord(time=t, node_id="n1", pci_bus="p", xid=31, message="m")
             for t in (5.0, 1.0, 3.0)
         ]
-        assert list(extract_records(RecordsSource(records))) == records
+        batch = XidBatch.from_records(records)
+        assert list(extract_records(RecordsSource(batch))) == records
 
 
 _TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.5, 3.0, 7.0])

@@ -2,7 +2,7 @@
 
 import gzip
 
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.pipeline.extract import extract_records
 from repro.pipeline.sources import FileSetSource, LinesSource, RecordsSource
 
@@ -44,5 +44,6 @@ class TestLinesSource:
 class TestRecordsSource:
     def test_passes_records_through(self):
         records = [_record(1.0), _record(2.0)]
-        assert list(extract_records(RecordsSource(records))) == records
+        batch = XidBatch.from_records(records)
+        assert list(extract_records(RecordsSource(batch))) == records
 

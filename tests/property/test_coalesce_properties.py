@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coalesce import CoalesceConfig, coalesce_errors
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch
 
 
 def _records(times, msg="m", node="n1", pci="p", xid=95):
@@ -25,14 +25,14 @@ times_strategy = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_raw_lines_conserved(times):
     """Every raw record lands in exactly one coalesced error."""
-    errors = coalesce_errors(_records(times))
+    errors = coalesce_errors(XidBatch.from_records(_records(times)))
     assert sum(e.n_raw for e in errors) == len(times)
 
 
 @given(times=times_strategy)
 @settings(max_examples=150, deadline=None)
 def test_output_bounded_by_input(times):
-    errors = coalesce_errors(_records(times))
+    errors = coalesce_errors(XidBatch.from_records(_records(times)))
     assert 1 <= len(errors) <= len(times)
 
 
@@ -40,7 +40,7 @@ def test_output_bounded_by_input(times):
 @settings(max_examples=150, deadline=None)
 def test_persistence_nonnegative_and_bounded(times):
     config = CoalesceConfig()
-    for error in coalesce_errors(_records(times), config):
+    for error in coalesce_errors(XidBatch.from_records(_records(times)), config):
         assert 0.0 <= error.persistence <= config.max_persistence + 1e-6
 
 
@@ -50,7 +50,7 @@ def test_runs_separated_by_more_than_window(times):
     """Consecutive coalesced errors of one group are > window apart —
     otherwise they would have been merged."""
     config = CoalesceConfig()
-    errors = sorted(coalesce_errors(_records(times), config), key=lambda e: e.time)
+    errors = sorted(coalesce_errors(XidBatch.from_records(_records(times)), config), key=lambda e: e.time)
     for a, b in zip(errors, errors[1:]):
         gap = b.time - (a.time + a.persistence)
         # Gap rule may be violated only when the cut-off forced a split.
@@ -66,8 +66,8 @@ def test_runs_separated_by_more_than_window(times):
 @settings(max_examples=80, deadline=None)
 def test_time_shift_equivariance(times, shift):
     """Shifting all timestamps shifts errors without changing structure."""
-    base = coalesce_errors(_records(times))
-    shifted = coalesce_errors(_records([t + shift for t in times]))
+    base = coalesce_errors(XidBatch.from_records(_records(times)))
+    shifted = coalesce_errors(XidBatch.from_records(_records([t + shift for t in times])))
     assert len(base) == len(shifted)
     for a, b in zip(base, shifted):
         assert abs((b.time - a.time) - shift) < 1e-6
@@ -78,8 +78,8 @@ def test_time_shift_equivariance(times, shift):
 @given(times=times_strategy)
 @settings(max_examples=80, deadline=None)
 def test_permutation_invariance(times):
-    forward = coalesce_errors(_records(times))
-    backward = coalesce_errors(_records(list(reversed(times))))
+    forward = coalesce_errors(XidBatch.from_records(_records(times)))
+    backward = coalesce_errors(XidBatch.from_records(_records(list(reversed(times)))))
     assert [(e.time, e.n_raw) for e in forward] == [
         (e.time, e.n_raw) for e in backward
     ]
@@ -91,9 +91,9 @@ def test_permutation_invariance(times):
 )
 @settings(max_examples=80, deadline=None)
 def test_wider_window_never_increases_count(times, window):
-    narrow = coalesce_errors(_records(times), CoalesceConfig(window_seconds=window))
+    narrow = coalesce_errors(XidBatch.from_records(_records(times)), CoalesceConfig(window_seconds=window))
     wide = coalesce_errors(
-        _records(times), CoalesceConfig(window_seconds=window * 2)
+        XidBatch.from_records(_records(times)), CoalesceConfig(window_seconds=window * 2)
     )
     assert len(wide) <= len(narrow)
 
@@ -106,9 +106,9 @@ def test_wider_window_never_increases_count(times, window):
 def test_groups_independent(times_a, times_b):
     """Records of different GPUs coalesce independently."""
     merged = coalesce_errors(
-        _records(times_a, pci="p1") + _records(times_b, pci="p2")
+        XidBatch.from_records(_records(times_a, pci="p1") + _records(times_b, pci="p2"))
     )
-    separate = coalesce_errors(_records(times_a, pci="p1")) + coalesce_errors(
-        _records(times_b, pci="p2")
+    separate = coalesce_errors(XidBatch.from_records(_records(times_a, pci="p1"))) + coalesce_errors(
+        XidBatch.from_records(_records(times_b, pci="p2"))
     )
     assert len(merged) == len(separate)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coalesce import coalesce_errors
-from repro.core.parsing import RawXidRecord
+from repro.core.parsing import RawXidRecord, XidBatch
 from repro.core.streaming import StreamingCoalescer
 
 
@@ -40,7 +40,7 @@ def test_streaming_equals_batch(records):
     for record in records:
         streaming.feed(record)
     online = streaming.flush()
-    batch = coalesce_errors(records)
+    batch = coalesce_errors(XidBatch.from_records(records))
     assert [
         (e.time, e.node_id, e.pci_bus, e.xid, round(e.persistence, 9), e.n_raw)
         for e in online

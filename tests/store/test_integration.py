@@ -1,16 +1,20 @@
 """Store against the real pipeline: identity, workers, studies, CLI."""
 
+import gzip
 import json
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core import DeltaStudy
+from repro.core.parsing import XidBatch
 from repro.pipeline import sources
 from repro.pipeline.extract import extract_records, iter_source_batches
 from repro.pipeline.sources import FileSetSource, LinesSource
 from repro.store import EventStore, StoreSource, StoreWriter
 from repro.store import writer as writer_module
+from repro.syslog.reader import CorruptLogError
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,82 @@ class TestStreamedIngest:
         ]
 
 
+class TestFailedIngest:
+    """An ingest that fails part-way leaves the store as it found it."""
+
+    LINE = ("2022-03-14T{h:02d}:{m:02d}:{s:02d}.000 {node} kernel: NVRM: Xid "
+            "(PCI:0000:07:00): 31, pid=1, MMU Fault")
+
+    def _write(self, directory, nodes):
+        directory.mkdir()
+        for node in nodes:
+            (directory / f"{node}.log").write_text("".join(
+                self.LINE.format(h=t // 3600, m=t // 60 % 60, s=t % 60, node=node) + "\n"
+                for t in range(0, 3_000, 7)
+            ))
+        return directory
+
+    @pytest.fixture
+    def cut_logs(self, tmp_path):
+        """Three node logs, and a fourth gzipped and cut at 80%."""
+        directory = self._write(tmp_path / "logs", ["gpua001", "gpua002", "gpua003", "gpua004"])
+        plain = directory / "gpua004.log"
+        data = gzip.compress(plain.read_bytes())
+        (directory / "gpua004.log.gz").write_bytes(data[: len(data) * 4 // 5])
+        plain.unlink()
+        return directory
+
+    def test_a_cut_log_gz_leaves_the_store_empty(self, cut_logs, tmp_path, monkeypatch):
+        monkeypatch.setattr(sources, "CHUNK_LINES", 16)
+        store = EventStore.create(tmp_path / "events")
+        appended = []
+        append_segment = store.append_segment
+        monkeypatch.setattr(
+            store, "append_segment", lambda batch: appended.append(append_segment(batch))
+        )
+        with pytest.raises(CorruptLogError, match=r"gpua004\.log\.gz"):
+            store.ingest(FileSetSource(cut_logs), segment_records=50)
+        assert len(appended) > 1  # segments were committed before the cut
+        assert (store.n_segments, store.n_records) == (0, 0)
+        assert not list((tmp_path / "events").glob("seg-*"))
+        reopened = EventStore.open(tmp_path / "events")
+        assert (reopened.n_segments, reopened.n_records) == (0, 0)
+
+    def test_an_ingest_keeps_the_segments_it_did_not_append(self, cut_logs, tmp_path):
+        store = EventStore.create(tmp_path / "events")
+        store.ingest(FileSetSource(self._write(tmp_path / "good", ["gpub001"])))
+        before = [entry.sha256 for entry in store.manifest.segments]
+        with pytest.raises(CorruptLogError):
+            store.ingest(FileSetSource(cut_logs), segment_records=50)
+        assert [entry.sha256 for entry in store.manifest.segments] == before
+        reopened = EventStore.open(tmp_path / "events")
+        assert [entry.sha256 for entry in reopened.manifest.segments] == before
+
+
+class TestTracedIngest:
+    def test_segment_writes_nest_under_the_one_pass_span(self, logs_dir, tmp_path):
+        obs.activate(tmp_path / "trace")
+        try:
+            store = EventStore.create(tmp_path / "events")
+            segments = store.ingest(FileSetSource(logs_dir), segment_records=5_000)
+        finally:
+            obs.deactivate()
+        spans = obs.read_trace_dir(tmp_path / "trace").spans
+        (scan,) = [s for s in spans if s["name"] in ("pipeline.merge", "pipeline.concat")]
+        writes = sorted(
+            (s for s in spans if s["name"] == "store.segment"), key=lambda s: s["start"]
+        )
+        assert len(writes) == len(segments) > 2
+        # Full segments are written while the pass is open; the remainder
+        # only once the stream has ended, under the caller's span.
+        assert {s["parent"] for s in writes[:-1]} == {scan["id"]}
+        assert writes[-1]["parent"] is None
+        assert sum(s["counters"]["store.records_written"] for s in writes) == store.n_records
+        assert sum(s["counters"]["store.bytes_written"] for s in writes) == sum(
+            entry.n_bytes for entry in store.manifest.segments
+        )
+
+
 class TestStoreSource:
     def test_source_is_reiterable(self, built_store):
         source = StoreSource(built_store)
@@ -133,18 +213,19 @@ class TestStoreWriter:
         store = EventStore.create(tmp_path / "events")
         writer = StoreWriter(store)
         for batch in iter_source_batches(FileSetSource(logs_dir)):
-            for record in batch:
-                writer.on_record(record)
+            writer.write(batch)
         writer.close()
         assert writer.counters.values()["store.records_written"] == len(pipeline_stream)
         assert list(store.query()) == pipeline_stream
+        # Every segment but the remainder holds exactly SEGMENT_RECORDS.
+        sizes = [entry.n_records for entry in store.manifest.segments]
+        assert len(sizes) > 2 and set(sizes[:-1]) == {600} and 0 < sizes[-1] <= 600
 
     def test_flush_on_close_loses_nothing(self, tmp_path, records, monkeypatch):
         monkeypatch.setattr(writer_module, "FLUSH_SECONDS", float("inf"))
         store = EventStore.create(tmp_path / "events")
         writer = StoreWriter(store)  # never auto-flushes
-        for record in records:
-            writer.on_record(record)
+        writer.write(XidBatch.from_records(records))
         assert store.n_records == 0
         writer.close()
         assert store.n_records == len(records)

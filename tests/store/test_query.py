@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.parsing import XidBatch
 from repro.store import MATCH_ALL, Query, gpu_serial
 from repro.store.segment import read_columns, write_segment
 
@@ -65,7 +66,7 @@ class TestMask:
     @pytest.fixture
     def columns(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, records)
+        write_segment(path, XidBatch.from_records(records))
         return read_columns(path)
 
     def test_mask_matches_row_predicate(self, columns, records):

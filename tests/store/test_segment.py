@@ -22,14 +22,14 @@ from tests.store.conftest import make_record
 class TestRoundTrip:
     def test_records_survive_encode_decode_exactly(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        info = write_segment(path, records)
+        info = write_segment(path, XidBatch.from_records(records))
         assert info.n_records == 4
         assert list(iter_segment_records(path)) == records
 
     def test_rows_are_stable_sorted_by_time(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
         shuffled = [records[3], records[0], records[1], records[2]]
-        write_segment(path, shuffled)
+        write_segment(path, XidBatch.from_records(shuffled))
         replayed = list(iter_segment_records(path))
         assert [r.time for r in replayed] == [0.0, 1.0, 1.0, 5.0]
         # The 1.0 tie keeps *input* order (sorted() is stable): the
@@ -38,20 +38,20 @@ class TestRoundTrip:
 
     def test_none_pid_round_trips(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, records)
+        write_segment(path, XidBatch.from_records(records))
         replayed = list(iter_segment_records(path))
         assert replayed[1].pid is None
         assert replayed[0].pid == 1234
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            encode_segment([])
+            encode_segment(XidBatch.empty())
 
 
 class TestFooter:
     def test_zone_map_describes_the_batch(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        info = write_segment(path, records)
+        info = write_segment(path, XidBatch.from_records(records))
         footer = read_footer(path)
         zone = footer["zone"]
         assert zone["time_min"] == 0.0 and zone["time_max"] == 5.0
@@ -65,7 +65,7 @@ class TestFooter:
         # dictionary holds the string once.
         batch = [make_record(float(t)) for t in range(500)]
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, batch)
+        write_segment(path, XidBatch.from_records(batch))
         footer = read_footer(path)
         assert footer["dicts"]["msg"] == ["Row remap"]
         columns = read_columns(path, footer)
@@ -74,7 +74,7 @@ class TestFooter:
     def test_footer_read_does_not_require_columns(self, tmp_path, records):
         # Corrupt a column byte; the footer (tail) must still read fine.
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, records)
+        write_segment(path, XidBatch.from_records(records))
         payload = bytearray(path.read_bytes())
         payload[len(MAGIC) + 4] ^= 0xFF  # inside the first column array
         path.write_bytes(bytes(payload))
@@ -84,14 +84,14 @@ class TestFooter:
 class TestValidation:
     def test_truncated_file_is_corrupt(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, records)
+        write_segment(path, XidBatch.from_records(records))
         path.write_bytes(path.read_bytes()[:-9])  # clip the trailing magic
         with pytest.raises(SegmentCorruptError):
             read_footer(path)
 
     def test_bad_leading_magic_is_corrupt(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, records)
+        write_segment(path, XidBatch.from_records(records))
         payload = bytearray(path.read_bytes())
         payload[0] ^= 0xFF
         path.write_bytes(bytes(payload))
@@ -106,7 +106,7 @@ class TestValidation:
 
     def test_future_schema_version_rejected(self, tmp_path, records):
         path = tmp_path / "seg-000001.seg"
-        write_segment(path, records)
+        write_segment(path, XidBatch.from_records(records))
         old = f'"schema":"{SCHEMA_VERSION}"'.encode()
         new = old.replace(b"/1", b"/9")  # same length: framing stays valid
         payload = path.read_bytes()
@@ -189,7 +189,7 @@ def _row_encoded(records):
 @settings(max_examples=200, deadline=None)
 def test_batch_encoder_matches_the_row_encoder_byte_for_byte(rows):
     want = _row_encoded(rows)
-    assert encode_segment(rows) == want
+    assert encode_segment(XidBatch.from_records(rows)) == want
     # A batch whose dictionaries hold extra, out-of-order strings recodes
     # to the same bytes.
     extra = make_record(3.0, node="gpuz999", pci="0000:CB:00", msg="unused")

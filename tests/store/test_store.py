@@ -75,23 +75,23 @@ class TestAppendAndQuery:
 
     def test_query_merges_interleaved_segments_in_time_order(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 5, node="gpua001"))
-        store.append_segment(_burst(2.5, 5, node="gpub002", pci="0000:46:00"))
+        store.append_segment(_batch(0.0, 5, node="gpua001"))
+        store.append_segment(_batch(2.5, 5, node="gpub002", pci="0000:46:00"))
         times = [r.time for r in store.query()]
         assert times == sorted(times)
         assert len(times) == 10
 
     def test_equal_timestamps_resolve_by_segment_order(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment([make_record(1.0, node="first")])
-        store.append_segment([make_record(1.0, node="second")])
+        store.append_segment(XidBatch.from_records([make_record(1.0, node="first")]))
+        store.append_segment(XidBatch.from_records([make_record(1.0, node="second")]))
         assert [r.node_id for r in store.query()] == ["first", "second"]
 
     def test_plan_prunes_on_zone_maps(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 5, xid=63))
-        store.append_segment(_burst(100.0, 5, xid=79))
-        store.append_segment(_burst(200.0, 5, xid=63))
+        store.append_segment(_batch(0.0, 5, xid=63))
+        store.append_segment(_batch(100.0, 5, xid=79))
+        store.append_segment(_batch(200.0, 5, xid=63))
         candidates, pruned = store.plan(Query(xids={79}))
         assert pruned == 2 and len(candidates) == 1
         candidates, pruned = store.plan(Query(time_range=(150.0, None)))
@@ -106,15 +106,15 @@ class TestAppendAndQuery:
 
     def test_content_hash_tracks_physical_state(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 5))
+        store.append_segment(_batch(0.0, 5))
         first = store.content_hash()
-        store.append_segment(_burst(10.0, 5))
+        store.append_segment(_batch(10.0, 5))
         assert store.content_hash() != first
         assert EventStore.open(tmp_path / "store").content_hash() == store.content_hash()
 
     def test_stats_counts_by_xid(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 4, xid=63) + _burst(50.0, 2, xid=79))
+        store.append_segment(XidBatch.concat([_batch(0.0, 4, xid=63), _batch(50.0, 2, xid=79)]))
         stats = store.stats()
         assert stats["counts_by_xid"] == {63: 4, 79: 2}
         assert stats["n_records"] == 6
@@ -139,9 +139,9 @@ class TestCompaction:
 
     def test_big_segment_splits_candidate_runs(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 2))
-        store.append_segment(_burst(10.0, 50))  # above threshold: a wall
-        store.append_segment(_burst(100.0, 2))
+        store.append_segment(_batch(0.0, 2))
+        store.append_segment(_batch(10.0, 50))  # above threshold: a wall
+        store.append_segment(_batch(100.0, 2))
         before = list(store.query())
         # Neither small segment has a small *adjacent* partner.
         assert store.compact(threshold=10) == 0
@@ -151,7 +151,7 @@ class TestCompaction:
 class TestRecovery:
     def test_leftover_tmp_files_are_deleted(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 3))
+        store.append_segment(_batch(0.0, 3))
         (tmp_path / "store" / "seg-000099.seg.tmp").write_bytes(b"partial")
         (tmp_path / "store" / (MANIFEST_NAME + ".tmp")).write_text("{}")
         reopened = EventStore.open(tmp_path / "store")
@@ -162,21 +162,21 @@ class TestRecovery:
         from repro.store.segment import write_segment
 
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 3))
+        store.append_segment(_batch(0.0, 3))
         # Simulate a crash between rename and manifest commit: a whole
         # segment file exists that no manifest entry references.
         orphan = tmp_path / "store" / "seg-000002.seg"
-        write_segment(orphan, _burst(100.0, 2))
+        write_segment(orphan, _batch(100.0, 2))
         reopened = EventStore.open(tmp_path / "store")
         assert reopened.n_segments == 2
         assert reopened.n_records == 5
         # next_seq advanced past the adopted segment: new appends don't collide.
-        reopened.append_segment(_burst(200.0, 1))
+        reopened.append_segment(_batch(200.0, 1))
         assert reopened.n_records == 6
 
     def test_corrupt_orphan_is_quarantined_not_read(self, tmp_path):
         store = EventStore.create(tmp_path / "store")
-        store.append_segment(_burst(0.0, 3))
+        store.append_segment(_batch(0.0, 3))
         (tmp_path / "store" / "seg-000042.seg").write_bytes(b"garbage bytes")
         reopened = EventStore.open(tmp_path / "store")
         assert reopened.n_records == 3

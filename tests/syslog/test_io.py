@@ -1,12 +1,15 @@
 """Noise generation and log file writing/reading."""
 
+import gzip
+import pickle
+
 import pytest
 
 from repro.core.parsing import parse_line
 from repro.faults.events import ErrorEvent
 from repro.faults.xid import Xid
 from repro.syslog.noise import generate_noise_lines
-from repro.syslog.reader import iter_log_lines, list_log_files
+from repro.syslog.reader import CorruptLogError, iter_log_lines, list_log_files
 from repro.syslog.format import render_trace
 from repro.syslog.writer import write_node_logs
 
@@ -97,3 +100,28 @@ class TestWriterReader:
         (tmp_path / "a.log").write_text("line\n")
         (tmp_path / "notes.txt").write_text("ignored\n")
         assert _read_back(tmp_path) == ["line"]
+
+
+class TestCutCompressedLog:
+    @pytest.fixture
+    def cut(self, tmp_path):
+        path = tmp_path / "gpua001.log.gz"
+        with gzip.open(path, "wt") as handle:
+            handle.write("".join(f"line {i}\n" for i in range(5_000)))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        return path
+
+    def test_raises_one_typed_error_naming_the_file(self, cut):
+        read = []
+        with pytest.raises(CorruptLogError, match="gpua001.log.gz") as caught:
+            for line in iter_log_lines(cut):
+                read.append(line)
+        assert 0 < len(read) < 5_000
+        assert read == [f"line {i}" for i in range(len(read))]
+        assert caught.value.path == str(cut)
+
+    def test_the_error_pickles_whole(self, cut):
+        with pytest.raises(CorruptLogError) as caught:
+            list(iter_log_lines(cut))
+        copy = pickle.loads(pickle.dumps(caught.value))
+        assert (type(copy), str(copy)) == (CorruptLogError, str(caught.value))
