@@ -66,6 +66,7 @@ from repro.cli.registry import COMMANDS, CliError, build_parser
 def main(argv: Optional[List[str]] = None) -> int:
     from repro import obs
     from repro.session import SessionError
+    from repro.slurm.accounting import SlurmFileError
     from repro.store import StoreError
     from repro.syslog.reader import CorruptLogError
     from repro.util.fanout import FanoutError
@@ -82,7 +83,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             with obs.span(f"cli.{args.command}"):
                 return command.run(args)
         return command.run(args)
-    except (CliError, SessionError, StoreError, FanoutError, CorruptLogError) as error:
+    except (CliError, SessionError, StoreError, FanoutError, CorruptLogError,
+            SlurmFileError) as error:
         print(f"error: {error}")
         return 2
     finally:

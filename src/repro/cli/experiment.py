@@ -151,6 +151,9 @@ register(Command(
         ExitCase("--dataset without slurm.jsonl",
                  ("experiment", "fig5", "--dataset", "{logs}",
                   "--scale", "0.004"), 2),
+        ExitCase("slurm.jsonl cut mid-line",
+                 ("experiment", "table2", "--dataset", "{bad_slurm}/cut",
+                  "--scale", "0.004"), 2),
     ),
 ))
 
@@ -176,6 +179,9 @@ register(Command(
                   "--tolerance-scale", "-1"), 2),
         ExitCase("--dataset without logs/",
                  ("verify", "table1", "--dataset", "{no_logs}",
+                  "--scale", "0.004"), 2),
+        ExitCase("slurm.jsonl cut mid-line",
+                 ("verify", "table2", "--dataset", "{bad_slurm}/cut",
                   "--scale", "0.004"), 2),
     ),
 ))

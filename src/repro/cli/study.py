@@ -164,6 +164,15 @@ register(Command(
         ExitCase("cut .log.gz, parsed in a pool",
                  ("study", "--dataset", "{cut}", "--scale", "0.004",
                   "--workers", "2"), 2),
+        ExitCase("slurm.jsonl cut mid-line",
+                 ("study", "--dataset", "{bad_slurm}/cut", "--scale", "0.004"), 2),
+        ExitCase("slurm.jsonl cut mid-line, fanned out",
+                 ("study", "--dataset", "{bad_slurm}/cut", "--scale", "0.004",
+                  "--jobs", "2"), 2),
+        ExitCase("slurm row of an unknown kind",
+                 ("study", "--dataset", "{bad_slurm}/kind", "--scale", "0.004"), 2),
+        ExitCase("slurm job row without a name",
+                 ("study", "--dataset", "{bad_slurm}/name", "--scale", "0.004"), 2),
     ),
 ))
 

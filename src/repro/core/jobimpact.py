@@ -22,10 +22,11 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.coalesce import CoalescedError
 from repro.faults.xid import is_studied
 from repro.slurm.accounting import SlurmDatabase
-from repro.slurm.job import GpuKey
+from repro.slurm.job import JobTable
 from repro.slurm.workload import SIZE_BUCKETS, classify_ml
 
 #: The paper's attribution window: an error within this many seconds before
@@ -70,49 +71,56 @@ class ElapsedHistogram:
 class JobImpactAnalyzer:
     """Correlate GPU errors with user jobs.
 
-    The (job, GPU) join runs once, at construction: for each GPU with
-    studied errors, ``searchsorted`` finds the errors in all its jobs'
-    runtimes ``[start, end]`` and attribution windows
-    ``[end - ATTRIBUTION_WINDOW, end]`` at once (both ends inclusive; a
-    window may reach back before its job's start).  Every table and
-    figure reads that one result.
+    The (job, GPU) join runs once, at construction, over the job table's
+    allocation column: for each GPU with studied errors, ``searchsorted``
+    finds the errors in all its jobs' runtimes ``[start, end]`` and
+    attribution windows ``[end - ATTRIBUTION_WINDOW, end]`` at once (both
+    ends inclusive; a window may reach back before its job's start).
+    Every table and figure reads that one result.  Float sums add the
+    same values in the same order as a per-job loop, with Python's ``sum``.
     """
 
     def __init__(self, database: SlurmDatabase, errors: Sequence[CoalescedError]) -> None:
         self.database = database
         jobs = database.jobs
-        per_gpu: Dict[GpuKey, List[Tuple[float, int]]] = {}
+        with obs.span("jobimpact.join") as span:
+            self._join(jobs, errors)
+            span.add("jobimpact.pairs", self._n_pairs)
+            span.add("jobimpact.gpu_failed", len(self._responsible))
+
+    def _join(self, jobs: JobTable, errors: Sequence[CoalescedError]) -> None:
+        code_of = {gpu: code for code, gpu in enumerate(jobs.gpu_dict)}
+        per_gpu: Dict[int, List[Tuple[float, int]]] = {}
         for error in errors:
-            if is_studied(error.xid):
-                per_gpu.setdefault(error.gpu_key, []).append((error.time, error.xid))
+            code = code_of.get(error.gpu_key)
+            if code is not None and is_studied(error.xid):
+                per_gpu.setdefault(code, []).append((error.time, error.xid))
+        has_errors = np.zeros(len(jobs.gpu_dict), dtype=bool)
+        has_errors[list(per_gpu)] = True
         # (job, GPU) pairs on GPUs with errors, numbered in job order and,
         # within a job, in allocation order.
-        pair_job: List[int] = []
-        pairs_on: Dict[GpuKey, List[int]] = {gpu: [] for gpu in per_gpu}
-        for index, job in enumerate(jobs):
-            for gpu in job.gpus:
-                pairs = pairs_on.get(gpu)
-                if pairs is not None:
-                    pairs.append(len(pair_job))
-                    pair_job.append(index)
-        starts = np.array([j.start_time for j in jobs], dtype=float)
-        ends = np.array([j.end_time for j in jobs], dtype=float)
-        self._elapsed = np.array([j.elapsed_minutes for j in jobs], dtype=float)
-        self._succeeded = np.array([j.succeeded for j in jobs], dtype=bool)
+        on = np.flatnonzero(has_errors[jobs.gpu])
+        owner = jobs.alloc_job[on]
+        pair_gpu = jobs.gpu[on]
+        self._n_pairs = len(on)
+        starts, ends = jobs.start, jobs.end
+        self._elapsed = jobs.elapsed / 60.0
+        self._succeeded = jobs.succeeded
 
-        owner = np.array(pair_job, dtype=np.int64)
         lo = np.zeros(owner.size, dtype=np.int64)
         hi = np.zeros(owner.size, dtype=np.int64)
         window_lo = np.zeros(owner.size, dtype=np.int64)
         xid_parts: List[np.ndarray] = []
         offset = 0
-        for gpu, pairs in pairs_on.items():
-            if not pairs:
+        by_gpu = np.argsort(pair_gpu, kind="stable")
+        bounds = np.searchsorted(pair_gpu[by_gpu], sorted(per_gpu)).tolist() + [owner.size]
+        for i, code in enumerate(sorted(per_gpu)):
+            at = by_gpu[bounds[i]:bounds[i + 1]]
+            if not at.size:
                 continue
-            events = sorted(per_gpu[gpu])
+            events = sorted(per_gpu[code])
             times = np.array([t for t, _ in events])
             xid_parts.append(np.array([x for _, x in events], dtype=np.int64))
-            at = np.array(pairs, dtype=np.int64)
             job_index = owner[at]
             lo[at] = offset + np.searchsorted(times, starts[job_index], side="left")
             hi[at] = offset + np.searchsorted(times, ends[job_index], side="right")
@@ -120,20 +128,21 @@ class JobImpactAnalyzer:
                 times, ends[job_index] - ATTRIBUTION_WINDOW, side="left"
             )
             offset += len(events)
-        xids = np.concatenate(xid_parts) if xid_parts else np.zeros(0, dtype=np.int64)
+        self._xids = np.concatenate(xid_parts) if xid_parts else np.zeros(0, dtype=np.int64)
 
         runtime = np.maximum(hi - lo, 0)
         self._n_errors = np.bincount(owner, weights=runtime, minlength=len(jobs))
-        #: Per job with runtime errors: their XIDs, allocation order then time.
-        self._seen: Dict[int, List[int]] = {}
-        for p in np.flatnonzero(runtime).tolist():
-            self._seen.setdefault(pair_job[p], []).extend(xids[lo[p]:hi[p]].tolist())
-        blamed: Dict[int, List[int]] = {}
+        #: Per pair with runtime errors: its job and error range.
+        hit = np.flatnonzero(runtime)
+        self._hits = (owner[hit], lo[hit], hi[hit])
+        blamed: Dict[int, Set[int]] = {}
         in_window = (hi > window_lo) & ~self._succeeded[owner]
         for p in np.flatnonzero(in_window).tolist():
-            blamed.setdefault(pair_job[p], []).extend(xids[window_lo[p]:hi[p]].tolist())
+            blamed.setdefault(int(owner[p]), set()).update(
+                self._xids[window_lo[p]:hi[p]].tolist()
+            )
         #: Per GPU-failed job, in job order: its responsible XIDs, sorted.
-        self._responsible = {i: tuple(sorted(set(x))) for i, x in blamed.items()}
+        self._responsible = {i: tuple(sorted(x)) for i, x in blamed.items()}
         self._failed = np.zeros(len(jobs), dtype=bool)
         self._failed[owner[in_window]] = True
 
@@ -149,31 +158,58 @@ class JobImpactAnalyzer:
         end; the responsible set is every code in that window.
         """
         return {
-            job.job_id: (index in self._responsible, self._responsible.get(index, ()))
-            for index, job in enumerate(self.database.jobs)
+            job_id: (index in self._responsible, self._responsible.get(index, ()))
+            for index, job_id in enumerate(self.database.jobs.job_id.tolist())
         }
 
+    def _seen(self, index: int) -> List[int]:
+        """The studied XIDs job ``index`` met while running: allocation
+        order, then time order on each GPU."""
+        jobs_hit, lo, hi = self._hits
+        seen: List[int] = []
+        for p in np.flatnonzero(jobs_hit == index).tolist():
+            seen.extend(self._xids[lo[p]:hi[p]].tolist())
+        return seen
+
     def table2(self) -> List[Table2Row]:
-        jobs = self.database.jobs
-        encountering: Dict[int, Set[int]] = {}
-        failed: Dict[int, Set[int]] = {}
-        for index in sorted(self._seen.keys() | self._responsible.keys()):
-            job_id = jobs[index].job_id
-            for xid in set(self._seen.get(index, ())):
-                encountering.setdefault(xid, set()).add(job_id)
-            for xid in self._responsible.get(index, ()):
-                failed.setdefault(xid, set()).add(job_id)
-                # A job can fail on an error arriving in the window before
-                # its start, which the runtime join above misses; make sure
-                # the denominator includes every failing job.
-                encountering.setdefault(xid, set()).add(job_id)
+        # (job, XID) encounters: runtime errors, plus the codes blamed for a
+        # failure, since a job can fail on an error arriving in the window
+        # before its start, which the runtime join misses.
+        jobs_hit, lo, hi = self._hits
+        counts = hi - lo
+        runtime_job = np.repeat(jobs_hit, counts)
+        runtime_xid = self._xids[
+            np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        ]
+        failed = [(i, x) for i, codes in self._responsible.items() for x in codes]
+        failed_job = np.array([i for i, _ in failed], dtype=np.int64)
+        failed_xid = np.array([x for _, x in failed], dtype=np.int64)
+        # Distinct (XID, job) pairs, sorted by XID and then job.
+        n_jobs = len(self.database.jobs)
+        pair_xid, pair_job = np.divmod(np.unique(np.concatenate([
+            runtime_xid * n_jobs + runtime_job, failed_xid * n_jobs + failed_job,
+        ])), max(n_jobs, 1))
+        xids, first, n_encountering = np.unique(
+            pair_xid, return_index=True, return_counts=True
+        )
+        n_failed = dict(zip(*(a.tolist() for a in np.unique(failed_xid, return_counts=True))))
+        # Rows in the order a walk over the jobs first meets each code: per
+        # job, its runtime codes in set order, then its responsible codes.
+        first_job = pair_job[first]
+        rank: Dict[int, Tuple[int, int]] = {}
+        for index in sorted(set(first_job.tolist())):
+            walk = list(set(self._seen(index))) + list(self._responsible.get(index, ()))
+            for position, xid in enumerate(walk):
+                rank.setdefault(xid, (index, position))
         rows = [
             Table2Row(
                 xid=xid,
-                gpu_failed_jobs=len(failed.get(xid, set())),
-                jobs_encountering=len(job_ids),
+                gpu_failed_jobs=n_failed.get(xid, 0),
+                jobs_encountering=count,
             )
-            for xid, job_ids in encountering.items()
+            for xid, count in sorted(
+                zip(xids.tolist(), n_encountering.tolist()), key=lambda row: rank[row[0]]
+            )
         ]
         rows.sort(key=lambda r: r.gpu_failed_jobs, reverse=True)
         return rows
@@ -188,8 +224,9 @@ class JobImpactAnalyzer:
     def table3(self) -> List[Table3Row]:
         jobs = self.database.jobs
         total = len(jobs) or 1
-        is_ml = [classify_ml(j.name) for j in jobs]
-        n_gpus = np.array([j.n_gpus for j in jobs], dtype=np.int64)
+        is_ml = np.array([classify_ml(name) for name in jobs.name_dict], dtype=bool)[jobs.name]
+        gpu_hours = jobs.elapsed / 3600.0 * jobs.n_gpus
+        n_gpus = jobs.n_gpus
         rows: List[Table3Row] = []
         for bucket in SIZE_BUCKETS:
             members = np.flatnonzero(
@@ -199,9 +236,7 @@ class JobImpactAnalyzer:
                 rows.append(Table3Row(bucket.label, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
             elapsed = self._elapsed[members]
-            in_bucket = members.tolist()
-            ml_hours = sum(jobs[i].gpu_hours for i in in_bucket if is_ml[i])
-            non_ml_hours = sum(jobs[i].gpu_hours for i in in_bucket if not is_ml[i])
+            ml = is_ml[members]
             rows.append(
                 Table3Row(
                     label=bucket.label,
@@ -210,8 +245,8 @@ class JobImpactAnalyzer:
                     mean_minutes=float(elapsed.mean()),
                     p50_minutes=float(np.percentile(elapsed, 50)),
                     p99_minutes=float(np.percentile(elapsed, 99)),
-                    ml_gpu_hours=ml_hours,
-                    non_ml_gpu_hours=non_ml_hours,
+                    ml_gpu_hours=sum(gpu_hours[members[ml]].tolist()),
+                    non_ml_gpu_hours=sum(gpu_hours[members[~ml]].tolist()),
                 )
             )
         return rows
@@ -237,8 +272,8 @@ class JobImpactAnalyzer:
 
     def lost_node_hours(self) -> float:
         """Node-hours of work wasted in GPU-failed jobs (paper: ~7,500)."""
-        jobs = self.database.jobs
-        return sum(jobs[i].node_hours for i in self._responsible)
+        failed = self.database.jobs.take(np.array(list(self._responsible), dtype=np.int64))
+        return sum((failed.elapsed / 3600.0 * failed.n_nodes).tolist())
 
     def errors_vs_duration(
         self, edges_minutes: Sequence[float] = (0, 60, 500, 1000, 2000, 4000, 90000)

@@ -33,6 +33,7 @@ from repro.faults.events import FaultTrace
 from repro.faults.injector import FaultInjector, InjectorConfig
 from repro.slurm.accounting import SlurmDatabase
 from repro.slurm.failures import CouplingResult, FailureCoupler
+from repro.slurm.job import JobTable
 from repro.slurm.scheduler import GpuScheduler, Interval, Schedule
 from repro.slurm.workload import WorkloadConfig, WorkloadModel
 from repro.syslog.format import render_node_lines
@@ -154,7 +155,7 @@ def synthesize_delta(
             profile=profile,
             config=config,
             trace=trace,
-            slurm_db=SlurmDatabase([], [], window_seconds=window),
+            slurm_db=SlurmDatabase(JobTable.from_records(()), [], window_seconds=window),
             pids={},
         )
 

@@ -23,7 +23,7 @@ from repro.cluster.node import NodeKind
 from repro.faults.events import ErrorEvent, FaultTrace
 from repro.faults.xid import Xid
 from repro.slurm.accounting import NodeEvent, SlurmDatabase
-from repro.slurm.job import ExitCode, JobRecord, JobState
+from repro.slurm.job import ExitCode, JobRecord, JobState, JobTable
 
 #: All incident scenarios play out inside a two-day window.
 _WINDOW = 2 * 86400.0
@@ -92,7 +92,7 @@ def gsp_incident() -> IncidentDataset:
     return IncidentDataset(
         cluster=cluster,
         trace=trace,
-        slurm_db=SlurmDatabase([job], [drain], window_seconds=_WINDOW),
+        slurm_db=SlurmDatabase(JobTable.from_records([job]), [drain], window_seconds=_WINDOW),
         narrative=(
             "A GSP RPC timeout stalled GPU control functions and rendered the "
             "GPU inoperable; the job scheduled on it failed, and recovering "
@@ -143,7 +143,7 @@ def nvlink_multinode_incident() -> IncidentDataset:
     return IncidentDataset(
         cluster=cluster,
         trace=trace,
-        slurm_db=SlurmDatabase([job], [reset], window_seconds=_WINDOW),
+        slurm_db=SlurmDatabase(JobTable.from_records([job]), [reset], window_seconds=_WINDOW),
         narrative=(
             "An NVLink error on one GPU raised an MPI communication failure; "
             "the job needed all four GPUs (on four nodes), so the whole job "
@@ -200,7 +200,7 @@ def pmu_mmu_incident() -> IncidentDataset:
     return IncidentDataset(
         cluster=cluster,
         trace=trace,
-        slurm_db=SlurmDatabase([job], [], window_seconds=_WINDOW),
+        slurm_db=SlurmDatabase(JobTable.from_records([job]), [], window_seconds=_WINDOW),
         narrative=(
             "A failed SPI communication with the power management unit "
             "cascaded into an MMU error (power/frequency scaling fault), "

@@ -8,10 +8,10 @@ the failure-coupling stage applies per-XID job-failure models so Table 2 is
 reproducible from the resulting records.
 """
 
-from repro.slurm.job import ExitCode, JobRecord, JobSpec, JobState
+from repro.slurm.job import ExitCode, JobRecord, JobSpec, JobState, JobTable
 from repro.slurm.workload import WorkloadConfig, WorkloadModel, SIZE_BUCKETS
 from repro.slurm.scheduler import GpuScheduler, Schedule, OccupancyIndex
-from repro.slurm.accounting import NodeEvent, SlurmDatabase
+from repro.slurm.accounting import NodeEvent, SlurmDatabase, SlurmFileError
 from repro.slurm.checkpointing import (
     CheckpointConfig,
     expected_overhead,
@@ -24,6 +24,7 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobState",
+    "JobTable",
     "WorkloadConfig",
     "WorkloadModel",
     "SIZE_BUCKETS",
@@ -32,6 +33,7 @@ __all__ = [
     "OccupancyIndex",
     "NodeEvent",
     "SlurmDatabase",
+    "SlurmFileError",
     "FailureCoupler",
     "CouplingResult",
     "CheckpointConfig",

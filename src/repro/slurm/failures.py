@@ -28,7 +28,7 @@ from repro.faults.events import ErrorEvent, FaultTrace
 from repro.faults.injector import COALESCE_GUARD_SECONDS
 from repro.faults.xid import Xid, is_studied
 from repro.slurm.accounting import NodeEvent
-from repro.slurm.job import ExitCode, JobRecord, JobSpec, JobState
+from repro.slurm.job import ExitCode, GpuKey, JobSpec, JobState, JobTable
 from repro.slurm.scheduler import Schedule
 from repro.util.rng import RngStreams
 
@@ -47,7 +47,7 @@ LONG_JOB_MMU_FAILURE_SCALE = 0.15
 class CouplingResult:
     """Observable dataset pieces plus generation-side ground truth."""
 
-    jobs: List[JobRecord]
+    jobs: JobTable
     trace: FaultTrace
     node_events: List[NodeEvent]
     #: Event index (into ``trace.events``) -> owning pid, for the renderer.
@@ -78,7 +78,10 @@ class FailureCoupler:
         mmu_budget: float | None = None,
     ) -> CouplingResult:
         spec_by_id = {spec.job_id: spec for spec in specs}
-        jobs_by_id = {job.job_id: job for job in schedule.jobs}
+        jobs = schedule.jobs
+        job_ids = jobs.job_id.tolist()
+        row_of = {job_id: row for row, job_id in enumerate(job_ids)}
+        elapsed = jobs.elapsed.tolist()
 
         workload_events, owners = self._emit_workload_events(
             schedule, spec_by_id, mmu_budget
@@ -90,7 +93,7 @@ class FailureCoupler:
 
         occupancy = schedule.occupancy
         rng = self._streams.get("failures")
-        current_end: Dict[int, float] = {j: job.end_time for j, job in jobs_by_id.items()}
+        current_end: Dict[int, float] = dict(zip(job_ids, jobs.end.tolist()))
         decided: Set[Tuple[int, Xid]] = set()
         failure_info: Dict[int, Tuple[float, Xid]] = {}
         truth_encounters: Dict[Xid, Set[int]] = {}
@@ -120,8 +123,8 @@ class FailureCoupler:
             decided.add(key)
             prob = self.profile.xids[xid].job_failure_prob if xid in self.profile.xids else 1.0
             if xid is Xid.MMU:
-                job = jobs_by_id.get(job_id)
-                if job is not None and job.elapsed >= LONG_JOB_MINUTES * 60.0:
+                row = row_of.get(job_id)
+                if row is not None and elapsed[row] >= LONG_JOB_MINUTES * 60.0:
                     prob *= LONG_JOB_MMU_FAILURE_SCALE
             if rng.random() < prob:
                 delay = rng.uniform(*FAILURE_DELAY_RANGE)
@@ -133,7 +136,7 @@ class FailureCoupler:
                 failure_info[job_id] = (end, xid)
                 truth_failures.setdefault(xid, set()).add(job_id)
 
-        final_jobs = self._apply_failures(schedule.jobs, failure_info)
+        final_jobs = self._apply_failures(jobs, row_of, failure_info)
         final_trace = FaultTrace(
             events=kept_events,
             window_seconds=trace.window_seconds,
@@ -174,15 +177,19 @@ class FailureCoupler:
             else 0.5
         )
 
-        def p_of(job: JobRecord) -> float:
-            if job.elapsed >= LONG_JOB_MINUTES * 60.0:
+        jobs = schedule.jobs
+        job_ids = jobs.job_id.tolist()
+        elapsed = jobs.elapsed.tolist()
+
+        def p_of(row: int) -> float:
+            if elapsed[row] >= LONG_JOB_MINUTES * 60.0:
                 return base_p * LONG_JOB_MMU_FAILURE_SCALE
             return base_p
 
         buggy = [
-            (job, spec_by_id[job.job_id].mmu_emissions)
-            for job in schedule.jobs
-            if spec_by_id.get(job.job_id) and spec_by_id[job.job_id].mmu_emissions > 0
+            (row, spec_by_id[job_id].mmu_emissions)
+            for row, job_id in enumerate(job_ids)
+            if spec_by_id.get(job_id) and spec_by_id[job_id].mmu_emissions > 0
         ]
         planned = mmu_budget if mmu_budget is not None else sum(k for _, k in buggy)
         # A failing buggy job dies at its *first* emission (the coupling
@@ -195,8 +202,8 @@ class FailureCoupler:
 
             def realized(factor: float) -> float:
                 return sum(
-                    p_of(job) + (1.0 - p_of(job)) * max(1, round(k * factor))
-                    for job, k in buggy
+                    p_of(row) + (1.0 - p_of(row)) * max(1, round(k * factor))
+                    for row, k in buggy
                 )
 
             lo, hi = 0.2, 5.0
@@ -213,11 +220,18 @@ class FailureCoupler:
         persistence_model = (
             self.profile.xids[Xid.MMU].persistence if Xid.MMU in self.profile.xids else None
         )
-        for job, k in buggy:
+        starts, ends = jobs.start.tolist(), jobs.end.tolist()
+        offsets, gpu_dict = jobs.offsets.tolist(), jobs.gpu_dict
+
+        def pick_gpu(row: int) -> GpuKey:
+            lo, hi = offsets[row], offsets[row + 1]
+            return gpu_dict[jobs.gpu[lo + int(rng.integers(0, hi - lo))]]
+
+        for row, k in buggy:
             k = max(1, int(round(k * inflation)))
-            span = max(job.elapsed, 1.0)
-            times = np.sort(rng.uniform(job.start_time, job.start_time + span, size=k))
-            gpu = job.gpus[int(rng.integers(0, len(job.gpus)))]
+            span = max(elapsed[row], 1.0)
+            times = np.sort(rng.uniform(starts[row], starts[row] + span, size=k))
+            gpu = pick_gpu(row)
             durations = (
                 persistence_model.sample(rng, k) if persistence_model is not None
                 else np.zeros(k)
@@ -236,41 +250,41 @@ class FailureCoupler:
                         persistence=float(d),
                     )
                 )
-                owners.append(job.job_id)
+                owners.append(job_ids[row])
 
-        for job in schedule.jobs:
-            spec = spec_by_id.get(job.job_id)
+        for row, job_id in enumerate(job_ids):
+            spec = spec_by_id.get(job_id)
             if spec is None:
                 continue
             for xid, count in ((Xid.GENERAL_SW, spec.xid13_emissions),
                                (Xid.RESET_CHANNEL, spec.xid43_emissions)):
                 for _ in range(count):
-                    t = float(rng.uniform(job.start_time, job.end_time))
-                    gpu = job.gpus[int(rng.integers(0, len(job.gpus)))]
+                    t = float(rng.uniform(starts[row], ends[row]))
+                    gpu = pick_gpu(row)
                     events.append(
                         ErrorEvent(time=t, node_id=gpu[0], pci_bus=gpu[1], xid=xid)
                     )
-                    owners.append(job.job_id)
+                    owners.append(job_id)
         return events, owners
 
     # ------------------------------------------------------------------
 
     def _apply_failures(
-        self, jobs: Sequence[JobRecord], failure_info: Dict[int, Tuple[float, Xid]]
-    ) -> List[JobRecord]:
-        out: List[JobRecord] = []
-        for job in jobs:
-            info = failure_info.get(job.job_id)
-            if info is None:
-                out.append(job)
-                continue
-            end, xid = info
+        self, jobs: JobTable, row_of: Dict[int, int],
+        failure_info: Dict[int, Tuple[float, Xid]],
+    ) -> JobTable:
+        rows, times, xids, states, codes = [], [], [], [], []
+        for job_id, (end, xid) in failure_info.items():
+            rows.append(row_of[job_id])
+            times.append(end)
+            xids.append(int(xid))
             if xid in _NODE_FAIL_XIDS:
-                state, code = JobState.NODE_FAIL, int(ExitCode.GENERIC)
+                states.append(JobState.NODE_FAIL)
+                codes.append(int(ExitCode.GENERIC))
             else:
-                state, code = JobState.FAILED, int(ExitCode.SEGFAULT)
-            out.append(job.failed_at(end, int(xid), code, state))
-        return out
+                states.append(JobState.FAILED)
+                codes.append(int(ExitCode.SEGFAULT))
+        return jobs.failed(rows, times, xids, states, codes)
 
     def _pid_map(
         self,

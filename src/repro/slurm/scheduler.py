@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cluster.inventory import ClusterInventory
 from repro.cluster.node import NodeKind
-from repro.slurm.job import GpuKey, JobRecord, JobSpec
+from repro.slurm.job import NO_XID, GpuKey, JobSpec, JobTable, JobTableBuilder
 
 Interval = Tuple[float, float]
 
@@ -38,25 +38,30 @@ PARTITIONS: Dict[str, Tuple[NodeKind, ...]] = {
 class OccupancyIndex:
     """Per-GPU interval index over a schedule (busy lookup + sampling)."""
 
-    def __init__(self, jobs: Sequence[JobRecord], window_seconds: float) -> None:
+    def __init__(self, jobs: JobTable, window_seconds: float) -> None:
         self.window_seconds = window_seconds
-        per_gpu: Dict[GpuKey, List[Tuple[float, float, int]]] = {}
-        for job in jobs:
-            for gpu in job.gpus:
-                per_gpu.setdefault(gpu, []).append((job.start_time, job.end_time, job.job_id))
-        self._gpus: List[GpuKey] = sorted(per_gpu)
+        # One interval per (job, GPU), grouped by GPU and sorted within it
+        # by (start, end, job ID).
+        rows, gpu = jobs.alloc_job, jobs.gpu
+        order = np.lexsort((jobs.job_id[rows], jobs.end[rows], jobs.start[rows], gpu))
+        all_starts, all_ends = jobs.start[rows[order]], jobs.end[rows[order]]
+        all_ids = jobs.job_id[rows[order]]
+        codes, first = np.unique(gpu, return_index=True)
+        bounds = np.searchsorted(gpu[order], codes, side="left").tolist() + [len(order)]
+        segment = {code: (bounds[i], bounds[i + 1]) for i, code in enumerate(codes.tolist())}
+        self._gpus: List[GpuKey] = sorted(jobs.gpu_dict[code] for code in segment)
         self._starts: Dict[GpuKey, np.ndarray] = {}
         self._ends: Dict[GpuKey, np.ndarray] = {}
         self._job_ids: Dict[GpuKey, np.ndarray] = {}
         busy_lengths = []
-        for gpu, intervals in per_gpu.items():
-            intervals.sort()
-            starts = np.array([s for s, _, _ in intervals])
-            ends = np.array([e for _, e, _ in intervals])
-            ids = np.array([j for _, _, j in intervals], dtype=np.int64)
-            self._starts[gpu] = starts
-            self._ends[gpu] = ends
-            self._job_ids[gpu] = ids
+        # Busy weights in the order each GPU first appears in the table.
+        for code in codes[np.argsort(first, kind="stable")].tolist():
+            lo, hi = segment[code]
+            gpu_key = jobs.gpu_dict[code]
+            starts, ends = all_starts[lo:hi], all_ends[lo:hi]
+            self._starts[gpu_key] = starts
+            self._ends[gpu_key] = ends
+            self._job_ids[gpu_key] = all_ids[lo:hi]
             # Busy time is clipped to the observation window so utilization
             # stays a fraction even when queued jobs run past the window.
             clipped = np.clip(ends, None, window_seconds) - np.clip(
@@ -144,7 +149,7 @@ class OccupancyIndex:
 class Schedule:
     """The placed workload plus its GPU population."""
 
-    jobs: List[JobRecord]
+    jobs: JobTable
     window_seconds: float
     gpu_population: Tuple[GpuKey, ...]
     dropped_jobs: int = 0
@@ -191,7 +196,7 @@ class GpuScheduler:
             partition: sorted((0.0, gpu) for gpu in gpus)
             for partition, gpus in self._pools.items()
         }
-        records: List[JobRecord] = []
+        placed = JobTableBuilder()
         dropped = 0
         for spec in sorted(jobs, key=lambda j: j.submit_time):
             pool = pools.get(spec.partition)
@@ -211,25 +216,14 @@ class GpuScheduler:
             end = start + spec.duration
             for _, gpu in taken:
                 insort(pool, (end, gpu))
-            records.append(
-                JobRecord(
-                    job_id=spec.job_id,
-                    name=spec.name,
-                    user=spec.user,
-                    submit_time=spec.submit_time,
-                    start_time=start,
-                    end_time=end,
-                    n_gpus=k,
-                    gpus=tuple(gpu for _, gpu in taken),
-                    partition=spec.partition,
-                    is_ml=spec.is_ml,
-                    state=spec.natural_state,
-                    exit_code=spec.natural_exit_code,
-                )
+            placed.append(
+                spec.job_id, spec.name, spec.user, spec.submit_time, start, end, k,
+                spec.partition, spec.is_ml, spec.natural_state,
+                spec.natural_exit_code, NO_XID, [gpu for _, gpu in taken],
             )
         all_gpus = tuple(g for pool in self._pools.values() for g in pool)
         return Schedule(
-            jobs=records,
+            jobs=placed.build(),
             window_seconds=window_seconds,
             gpu_population=all_gpus,
             dropped_jobs=dropped,

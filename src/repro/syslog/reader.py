@@ -47,11 +47,14 @@ def iter_log_lines(path: str | Path) -> Iterator[str]:
 
 
 def list_log_files(directory: str | Path) -> List[Path]:
-    """Every ``*.log`` / ``*.log.gz`` file in a directory, in sorted order.
+    """Every ``*.log`` / ``*.log.gz`` regular file in a directory, in
+    sorted order (a subdirectory with such a name is not a log).
 
     The single definition of "which files are node logs" — the pipeline's
     file-set source and the fleet tailers partition the same list.
     """
     directory = Path(directory)
-    return sorted(p for p in directory.iterdir() if p.name.endswith(LOG_SUFFIXES))
+    return sorted(
+        p for p in directory.iterdir() if p.name.endswith(LOG_SUFFIXES) and p.is_file()
+    )
 

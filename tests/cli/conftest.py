@@ -1,8 +1,9 @@
 """Fixtures resolving the registry's ExitCase placeholders.
 
 Each :class:`~repro.cli.registry.ExitCase` argv may reference
-``{dataset}``, ``{logs}``, ``{no_logs}``, ``{cut}``, ``{built_store}``,
-``{demo_store}``, ``{traced}``, ``{tmp}`` and ``{absent}``; the
+``{dataset}``, ``{logs}``, ``{no_logs}``, ``{cut}``, ``{bad_slurm}``,
+``{built_store}``, ``{demo_store}``, ``{traced}``, ``{tmp}`` and
+``{absent}``; the
 session-scoped fixtures here build the small shared artifacts once so
 the contract suite stays fast.
 """
@@ -10,6 +11,7 @@ the contract suite stays fast.
 from __future__ import annotations
 
 import gzip
+import json
 import shutil
 
 import pytest
@@ -53,6 +55,27 @@ def contract_cut_dataset(contract_dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def contract_bad_slurm(contract_dataset, tmp_path_factory):
+    """Dataset directories sharing the contract dataset's logs, each with
+    one defect in slurm.jsonl: ``cut`` ends mid-line, ``kind`` holds a row
+    of an unknown kind, ``name`` a job row without a name."""
+    base = tmp_path_factory.mktemp("cli-contract-bad-slurm")
+    lines = (contract_dataset / "slurm.jsonl").read_text().splitlines(keepends=True)
+    job = json.loads(lines[1])
+    del job["name"]
+    defects = {
+        "cut": lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
+        "kind": lines[:2] + ['{"kind": "???"}\n'] + lines[2:],
+        "name": lines[:1] + [json.dumps(job) + "\n"] + lines[2:],
+    }
+    for name, text in defects.items():
+        (base / name).mkdir()
+        (base / name / "logs").symlink_to(contract_dataset / "logs")
+        (base / name / "slurm.jsonl").write_text("".join(text))
+    return base
+
+
+@pytest.fixture(scope="session")
 def contract_store(contract_dataset, tmp_path_factory):
     """A store built from the contract dataset."""
     directory = tmp_path_factory.mktemp("cli-contract-store") / "events"
@@ -83,13 +106,14 @@ def contract_trace(contract_dataset, tmp_path_factory):
 
 @pytest.fixture
 def placeholders(contract_dataset, contract_dataset_without_logs,
-                 contract_cut_dataset, contract_store, contract_demo_store,
-                 contract_trace, tmp_path):
+                 contract_cut_dataset, contract_bad_slurm, contract_store,
+                 contract_demo_store, contract_trace, tmp_path):
     return {
         "dataset": contract_dataset,
         "logs": contract_dataset / "logs",
         "no_logs": contract_dataset_without_logs,
         "cut": contract_cut_dataset,
+        "bad_slurm": contract_bad_slurm,
         "built_store": contract_store,
         "demo_store": contract_demo_store,
         "traced": contract_trace,

@@ -10,6 +10,8 @@ it ships without cases.
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.cli import main
@@ -83,3 +85,38 @@ def test_registry_is_complete():
 
 def test_unknown_command_exits_2():
     assert run_cli(["frobnicate"]) == 2
+
+
+@pytest.fixture(scope="session")
+def nested_dataset(contract_dataset, tmp_path_factory):
+    """The contract dataset with an empty directory named like a node log,
+    ``sub.log/``, among its logs."""
+    directory = tmp_path_factory.mktemp("cli-contract-nested")
+    shutil.copy(contract_dataset / "slurm.jsonl", directory)
+    shutil.copytree(contract_dataset / "logs", directory / "logs")
+    (directory / "logs" / "sub.log").mkdir()
+    return directory
+
+
+@pytest.mark.parametrize("argv", [
+    ("monitor", "{}/logs"),
+    ("study", "--dataset", "{}", "--scale", "0.004", "--seed", "3"),
+    ("serve", "{}/logs", "--duration", "0", "--alerts-jsonl", "{}/../alerts.jsonl"),
+], ids=["monitor", "study", "serve"])
+def test_a_directory_named_like_a_log_is_skipped(argv, contract_dataset, nested_dataset,
+                                                 tmp_path, capsys):
+    """Each command reads the directory's log files and nothing else: its
+    report (apart from serve's endpoint port) and serve's alert file match
+    the run without ``sub.log/``."""
+    outputs = []
+    for index, base in enumerate((contract_dataset, nested_dataset)):
+        work = tmp_path / str(index) / "d"
+        work.mkdir(parents=True)
+        for entry in base.iterdir():
+            (work / entry.name).symlink_to(entry)
+        assert run_cli([arg.format(work) for arg in argv]) == 0
+        alerts = work.parent / "alerts.jsonl"
+        report = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("metrics: http")]
+        outputs.append((report, alerts.read_bytes() if alerts.exists() else None))
+    assert outputs[0] == outputs[1]

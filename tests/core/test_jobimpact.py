@@ -18,7 +18,7 @@ from repro.core.jobimpact import (
 from repro.core.mtbe import ErrorStatistics
 from repro.faults.xid import Xid, is_studied
 from repro.slurm.accounting import SlurmDatabase
-from repro.slurm.job import JobRecord, JobState
+from repro.slurm.job import JobRecord, JobState, JobTable
 from repro.slurm.workload import SIZE_BUCKETS, classify_ml
 
 
@@ -40,6 +40,10 @@ def _job(job_id, start, end, state=JobState.COMPLETED, exit_code=0, gpus=None,
     )
 
 
+def _database(jobs):
+    return SlurmDatabase(JobTable.from_records(jobs))
+
+
 def _error(t, xid=Xid.GSP, node="n1", pci="0000:07:00"):
     return CoalescedError(
         time=t, node_id=node, pci_bus=pci, xid=int(xid), persistence=0.0, n_raw=1
@@ -50,46 +54,46 @@ class TestClassification:
     def test_failure_right_after_error_is_gpu_failed(self):
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.NODE_FAIL, exit_code=1)]
         errors = [_error(990.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         classified = analyzer.classify_jobs()
         assert classified[1] == (True, (int(Xid.GSP),))
 
     def test_error_outside_attribution_window_not_blamed(self):
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.FAILED, exit_code=1)]
         errors = [_error(1_000.0 - ATTRIBUTION_WINDOW - 5.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.classify_jobs()[1][0] is False
 
     def test_successful_job_never_gpu_failed(self):
         jobs = [_job(1, 0.0, 1_000.0)]
         errors = [_error(995.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.classify_jobs()[1][0] is False
 
     def test_error_on_foreign_gpu_not_blamed(self):
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.FAILED, exit_code=1)]
         errors = [_error(995.0, pci="0000:46:00")]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.classify_jobs()[1][0] is False
 
     def test_all_window_codes_held_responsible(self):
         # PMU -> MMU chain: both codes within the window share the blame.
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.FAILED, exit_code=139)]
         errors = [_error(985.0, Xid.PMU_SPI), _error(988.0, Xid.MMU)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.classify_jobs()[1][1] == (int(Xid.MMU), int(Xid.PMU_SPI))
 
     def test_user_codes_ignored(self):
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.FAILED, exit_code=1)]
         errors = [_error(995.0, Xid.GENERAL_SW)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.classify_jobs()[1][0] is False
 
     def test_code_outside_the_catalog_counts_in_tables_1_and_2(self):
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.FAILED, exit_code=1)]
         errors = [_error(995.0, 62)]
         assert ErrorStatistics(errors, 1.0, 1).count(62) == 1
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.classify_jobs()[1] == (True, (62,))
         assert analyzer.table2() == [Table2Row(62, 1, 1)]
 
@@ -101,7 +105,7 @@ class TestTable2:
             _job(2, 2_000.0, 3_000.0),  # encounters but survives
         ]
         errors = [_error(990.0), _error(2_500.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         (row,) = analyzer.table2()
         assert row.xid == int(Xid.GSP)
         assert row.jobs_encountering == 2
@@ -110,7 +114,7 @@ class TestTable2:
 
     def test_total_gpu_failed(self):
         jobs = [_job(1, 0.0, 1_000.0, state=JobState.NODE_FAIL, exit_code=1)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), [_error(990.0)])
+        analyzer = JobImpactAnalyzer(_database(jobs), [_error(990.0)])
         assert analyzer.total_gpu_failed() == 1
 
     def test_dataset_table2_probabilities(self, study):
@@ -127,7 +131,7 @@ class TestTable3:
             _job(2, 0.0, 1_200.0),
             _job(3, 0.0, 600.0, gpus=[("n1", "0000:07:00"), ("n1", "0000:46:00")]),
         ]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), [])
+        analyzer = JobImpactAnalyzer(_database(jobs), [])
         rows = {r.label: r for r in analyzer.table3()}
         assert rows["1"].count == 2
         assert rows["2-4"].count == 1
@@ -139,13 +143,13 @@ class TestTable3:
             _job(1, 0.0, 3_600.0, name="train_resnet50"),
             _job(2, 0.0, 3_600.0, name="namd_run"),
         ]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), [])
+        analyzer = JobImpactAnalyzer(_database(jobs), [])
         row = analyzer.table3()[0]
         assert row.ml_gpu_hours == pytest.approx(1.0)
         assert row.non_ml_gpu_hours == pytest.approx(1.0)
 
     def test_empty_bucket_rendered_as_zero(self):
-        analyzer = JobImpactAnalyzer(SlurmDatabase([_job(1, 0.0, 10.0)]), [])
+        analyzer = JobImpactAnalyzer(_database([_job(1, 0.0, 10.0)]), [])
         rows = {r.label: r for r in analyzer.table3()}
         assert rows["256+"].count == 0
 
@@ -157,7 +161,7 @@ class TestFigure9:
             _job(2, 0.0, 7_200.0, state=JobState.FAILED, exit_code=1),  # gpu-failed
         ]
         errors = [_error(7_190.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         histogram = analyzer.elapsed_histogram(edges_minutes=(0, 60, 240))
         assert histogram.completed == (1, 0)
         assert histogram.gpu_failed == (0, 1)
@@ -166,19 +170,19 @@ class TestFigure9:
         jobs = [_job(1, 0.0, 7_200.0, state=JobState.FAILED, exit_code=1,
                      gpus=[("n1", "0000:07:00"), ("n2", "0000:07:00")])]
         errors = [_error(7_190.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         assert analyzer.lost_node_hours() == pytest.approx(4.0)
 
     def test_errors_vs_duration_series(self):
         jobs = [_job(1, 0.0, 120_000.0)]  # 2,000 min, completed
         errors = [_error(t) for t in (1_000.0, 2_000.0, 3_000.0)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), errors)
+        analyzer = JobImpactAnalyzer(_database(jobs), errors)
         series = analyzer.errors_vs_duration(edges_minutes=(0, 1_000, 4_000))
         assert series["completed"][1][1] == pytest.approx(3.0)
 
     def test_non_gpu_failures_excluded_from_figure9b(self):
         jobs = [_job(1, 0.0, 60_000.0, state=JobState.FAILED, exit_code=1)]
-        analyzer = JobImpactAnalyzer(SlurmDatabase(jobs), [])
+        analyzer = JobImpactAnalyzer(_database(jobs), [])
         series = analyzer.errors_vs_duration(edges_minutes=(0, 4_000))
         assert series["completed"][0][1] == 0.0
         assert series["gpu_failed"][0][1] == 0.0
@@ -318,7 +322,8 @@ class _PerJobReference:
         }
 
 
-_GPUS = (("n1", "0000:07:00"), ("n1", "0000:46:00"), ("n2", "0000:07:00"))
+_GPUS = (("n1", "0000:07:00"), ("n1", "0000:46:00"), ("n2", "0000:07:00"),
+         ("n2", "0000:46:00"), ("n3", "0000:07:00"))
 _FATES = (
     (JobState.COMPLETED, 0),
     (JobState.COMPLETED, 1),
@@ -337,7 +342,7 @@ _job_specs = st.lists(
         st.integers(0, 60).map(lambda k: 5.0 * k),
         st.sampled_from((0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 60.0, 300.0, 7_200.0,
                          6_000_000.0)),
-        st.lists(st.integers(0, len(_GPUS) - 1), min_size=1, max_size=3, unique=True),
+        st.lists(st.integers(0, len(_GPUS) - 1), min_size=1, max_size=4, unique=True),
         st.integers(0, len(_FATES) - 1),
         st.integers(0, len(_NAMES) - 1),
     ),
@@ -355,6 +360,10 @@ _error_specs = st.lists(
 # One job meets XID 31, then 48: tied Table-2 rows keep the set's order.
 @example(job_specs=[(0.0, 300.0, [1, 0], 0, 1)],
          error_specs=[(0, 10.0, 48), (1, 5.0, 31), (1, 20.0, 62)])
+# 31 and 79 share a slot of a small set, so its order is insertion order:
+# the second GPU's code is met first, in allocation order.
+@example(job_specs=[(0.0, 300.0, [1, 0], 0, 1), (0.0, 300.0, [2, 3], 0, 1)],
+         error_specs=[(0, 10.0, 79), (1, 50.0, 31), (3, 5.0, 79), (2, 60.0, 31)])
 @settings(max_examples=300, deadline=None)
 def test_join_matches_the_per_job_reference(job_specs, error_specs):
     jobs = [
@@ -364,7 +373,7 @@ def test_join_matches_the_per_job_reference(job_specs, error_specs):
         for job_id, (start, duration, gpus, fate, name) in enumerate(job_specs, 1)
     ]
     errors = [_error(t, xid, *_GPUS[g]) for g, t, xid in error_specs]
-    database = SlurmDatabase(jobs)
+    database = _database(jobs)
     analyzer = JobImpactAnalyzer(database, errors)
     reference = _PerJobReference(database, errors)
     assert list(analyzer.classify_jobs().items()) == list(

@@ -277,3 +277,28 @@ class TestVerify:
     def test_verify_rejects_unknown_ids(self, capsys):
         assert main(["verify", "nope", "--scale", "0.02"]) == 2
         assert "unknown experiment ids" in capsys.readouterr().out
+
+
+class TestOneJobRepresentation:
+    def test_study_builds_no_job_rows(self, tmp_path, capsys, monkeypatch):
+        """Jobs stay columns from the scheduler to Tables 2-3 and Figure 9:
+        neither study path constructs a JobRecord row."""
+        from repro.slurm import JobRecord, SlurmDatabase
+
+        out_dir = tmp_path / "data"
+        assert main(["synthesize", str(out_dir), "--scale", "0.004", "--seed", "3"]) == 0
+        made = []
+        init = JobRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JobRecord, "__init__", counting_init)
+        assert main(["study", "--dataset", str(out_dir), "--scale", "0.004",
+                     "--workers", "1", "--jobs", "1"]) == 0
+        assert main(["study", "--scale", "0.004", "--seed", "3"]) == 0
+        assert "Table 2" in capsys.readouterr().out
+        assert made == []
+        SlurmDatabase.load(out_dir / "slurm.jsonl").jobs[0]  # the row view counts
+        assert made == [1]

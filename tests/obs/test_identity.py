@@ -148,6 +148,39 @@ class TestTraceContents:
             assert "session.experiment" in block["spans"]
 
 
+class TestJobSpans:
+    def test_study_traces_one_slurm_load_and_one_job_join(self, runs, obs_dataset):
+        """The job side's two spans, each once, with counts taken from
+        the rows and the errors the study itself holds."""
+        from repro.faults.xid import is_studied
+        from repro.session import RunConfig, Session
+
+        data = read_trace_dir(runs[(1, 1, True)]["trace"])
+        by_id = {s["id"]: s for s in data.spans}
+
+        def ancestors(span):
+            while span.get("parent") in by_id:
+                span = by_id[span["parent"]]
+                yield span["name"]
+
+        (load,) = [s for s in data.spans if s["name"] == "slurm.load"]
+        (join,) = [s for s in data.spans if s["name"] == "jobimpact.join"]
+        assert "session.study.build" in set(ancestors(load))
+        assert "session.experiment" in set(ancestors(join))
+
+        study = Session(RunConfig(dataset=obs_dataset, scale=float(SCALE),
+                                  seed=int(SEED))).study
+        jobs = list(study.slurm_db.jobs)
+        error_gpus = {e.gpu_key for e in study.errors if is_studied(e.xid)}
+        pairs = sum(gpu in error_gpus for job in jobs for gpu in job.gpus)
+        assert pairs > 0
+        assert load["counters"] == {"slurm.jobs": len(jobs)}
+        assert join["counters"] == {
+            "jobimpact.pairs": pairs,
+            "jobimpact.gpu_failed": study.job_impact().total_gpu_failed(),
+        }
+
+
 #: The substrate's program spans: one per synthesis phase.
 SYNTHESIS_SPANS = (
     "datasets.workload",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.slurm.accounting import SlurmDatabase
-from repro.slurm.job import JobRecord, JobState
+from repro.slurm.job import JobRecord, JobState, JobTable
 from repro.slurm.workload import SIZE_BUCKETS, WorkloadConfig, WorkloadModel
 
 
@@ -66,7 +66,7 @@ def job_records(draw):
 @settings(max_examples=60, deadline=None)
 def test_database_round_trip_preserves_everything(jobs, tmp_path_factory):
     path = tmp_path_factory.mktemp("db") / "db.jsonl"
-    database = SlurmDatabase(jobs, window_seconds=1e6)
+    database = SlurmDatabase(JobTable.from_records(jobs), window_seconds=1e6)
     database.save(path)
     loaded = SlurmDatabase.load(path)
     assert len(loaded) == len(database)

@@ -1,8 +1,10 @@
-"""Job record semantics."""
+"""Job rows and the columnar job table."""
 
 import pytest
 
-from repro.slurm.job import ExitCode, JobRecord, JobState
+import numpy as np
+
+from repro.slurm.job import ExitCode, JobRecord, JobState, JobTable
 
 
 def _job(**kw):
@@ -41,19 +43,54 @@ class TestJobRecord:
         assert not _job(exit_code=1).succeeded
         assert not _job(state=JobState.TIMEOUT).succeeded
 
-    def test_failed_at_truncates_and_records_truth(self):
-        failed = _job().failed_at(1_000.0, xid=119, exit_code=int(ExitCode.GENERIC),
-                                  state=JobState.NODE_FAIL)
-        assert failed.end_time == 1_000.0
-        assert failed.truth_failed_by_xid == 119
-        assert failed.state is JobState.NODE_FAIL
-        assert not failed.succeeded
-
-    def test_failed_at_clamps_to_job_lifetime(self):
-        early = _job().failed_at(10.0, 31, 139, JobState.FAILED)
-        assert early.end_time == 100.0  # not before start
-        late = _job().failed_at(10_000.0, 31, 139, JobState.FAILED)
-        assert late.end_time == 3_700.0  # not after natural end
-
     def test_segfault_exit_code_matches_incident1(self):
         assert int(ExitCode.SEGFAULT) == 139
+
+
+class TestJobTable:
+    def _table(self):
+        return JobTable.from_records([
+            _job(),
+            _job(job_id=2, gpus=(("gpua003", "0000:07:00"),), n_gpus=1, name="namd"),
+            _job(job_id=3, start_time=500.0, end_time=400.0, gpus=(), n_gpus=0),
+        ])
+
+    def test_rows_round_trip(self):
+        rows = [_job(truth_failed_by_xid=79, state=JobState.TIMEOUT),
+                _job(job_id=9, gpus=(), n_gpus=0)]
+        table = JobTable.from_records(rows)
+        assert list(table) == rows
+        assert table[-1] == rows[-1]
+
+    def test_derived_columns_match_the_rows(self):
+        table = self._table()
+        assert table.elapsed.tolist() == [j.elapsed for j in table]
+        assert table.succeeded.tolist() == [j.succeeded for j in table]
+        assert table.n_nodes.tolist() == [2, 1, 0]
+        assert table.alloc_job.tolist() == [0, 0, 0, 0, 1]
+
+    def test_take_gathers_allocations(self):
+        table = self._table()
+        taken = table.take(np.array([2, 0, 1]))
+        assert list(taken) == [table[2], table[0], table[1]]
+
+    def test_failed_truncates_and_records_truth(self):
+        table = self._table()
+        failed = table.failed([0], [1_000.0], [119], [JobState.NODE_FAIL],
+                              [int(ExitCode.GENERIC)])
+        job = failed[0]
+        assert job.end_time == 1_000.0
+        assert job.truth_failed_by_xid == 119
+        assert job.state is JobState.NODE_FAIL
+        assert not job.succeeded
+        # A new table: the one it came from still holds the natural fate.
+        assert table[0].end_time == 3_700.0 and table[0].succeeded
+        assert failed[1] == table[1]
+
+    def test_failed_clamps_to_job_lifetime(self):
+        table = self._table()
+        failed = table.failed([0, 1], [10.0, 10_000.0], [31, 31],
+                              [JobState.FAILED] * 2, [139, 139])
+        early, late = failed[0], failed[1]
+        assert early.end_time == 100.0  # not before start
+        assert late.end_time == 3_700.0  # not after natural end

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import DeltaShape, build_delta_cluster
-from repro.slurm.job import JobRecord, JobSpec, JobState
+from repro.slurm.job import JobRecord, JobSpec, JobState, JobTable
 from repro.slurm.scheduler import GpuScheduler, OccupancyIndex, PARTITIONS
 from repro.slurm.workload import WorkloadConfig, WorkloadModel
 
@@ -309,7 +309,7 @@ class TestOccupancyIndex:
         assert 0.0 < util < 1.0
 
     def test_empty_index(self):
-        occupancy = OccupancyIndex([], window_seconds=100.0)
+        occupancy = OccupancyIndex(JobTable.from_records(()), window_seconds=100.0)
         rng = np.random.default_rng(0)
         gpus, times = occupancy.sample_busy(rng, 5)
         assert gpus == [] and times.size == 0
@@ -450,7 +450,7 @@ class TestMatchesHeapReference:
         scheduler = GpuScheduler(_MEDIUM_CLUSTER, blackouts=blackouts)
         schedule = scheduler.schedule(specs, window)
         jobs, dropped = _heap_schedule(scheduler, specs, window)
-        assert schedule.jobs == jobs
+        assert list(schedule.jobs) == jobs
         assert schedule.dropped_jobs == dropped
 
     def test_dropped_job_returns_its_gpus_ready_at_its_would_be_start(self):
@@ -472,6 +472,6 @@ class TestMatchesHeapReference:
         schedule = scheduler.schedule(specs, 10 * 3600.0)
         assert schedule.dropped_jobs == 1
         assert schedule.jobs[0].gpus == (min(set(a100) - x_gpus),)
-        assert (schedule.jobs, schedule.dropped_jobs) == _heap_schedule(
+        assert (list(schedule.jobs), schedule.dropped_jobs) == _heap_schedule(
             scheduler, specs, 10 * 3600.0
         )
