@@ -154,6 +154,12 @@ register(Command(
         ExitCase("slurm.jsonl cut mid-line",
                  ("experiment", "table2", "--dataset", "{bad_slurm}/cut",
                   "--scale", "0.004"), 2),
+        ExitCase("slurm.jsonl is a directory",
+                 ("experiment", "table2", "--dataset", "{bad_slurm}/dir",
+                  "--scale", "0.004"), 2),
+        ExitCase("logs is a file",
+                 ("experiment", "table2", "--dataset", "{logs_file}",
+                  "--scale", "0.004"), 2),
     ),
 ))
 
@@ -182,6 +188,12 @@ register(Command(
                   "--scale", "0.004"), 2),
         ExitCase("slurm.jsonl cut mid-line",
                  ("verify", "table2", "--dataset", "{bad_slurm}/cut",
+                  "--scale", "0.004"), 2),
+        ExitCase("slurm.jsonl is a directory",
+                 ("verify", "table2", "--dataset", "{bad_slurm}/dir",
+                  "--scale", "0.004"), 2),
+        ExitCase("logs is a file",
+                 ("verify", "table2", "--dataset", "{logs_file}",
                   "--scale", "0.004"), 2),
     ),
 ))

@@ -39,8 +39,9 @@ class ExitCase:
     """One executable example of the exit-code contract.
 
     ``argv`` may reference fixture placeholders (``{dataset}``,
-    ``{logs}``, ``{no_logs}``, ``{cut}`` — a dataset whose one ``.log.gz``
-    is cut short — ``{built_store}``, ``{demo_store}``, ``{traced}``,
+    ``{logs}``, ``{no_logs}``, ``{logs_file}`` — a dataset whose ``logs``
+    is a file — ``{cut}`` — a dataset whose one ``.log.gz`` is cut short —
+    ``{bad_slurm}``, ``{built_store}``, ``{demo_store}``, ``{traced}``,
     ``{tmp}``, ``{absent}``) that the contract tests resolve against a
     small shared dataset.
     """

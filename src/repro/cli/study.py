@@ -173,6 +173,10 @@ register(Command(
                  ("study", "--dataset", "{bad_slurm}/kind", "--scale", "0.004"), 2),
         ExitCase("slurm job row without a name",
                  ("study", "--dataset", "{bad_slurm}/name", "--scale", "0.004"), 2),
+        ExitCase("slurm.jsonl is a directory",
+                 ("study", "--dataset", "{bad_slurm}/dir", "--scale", "0.004"), 2),
+        ExitCase("logs is a file",
+                 ("study", "--dataset", "{logs_file}", "--scale", "0.004"), 2),
     ),
 ))
 

@@ -130,12 +130,18 @@ class Session:
         from repro.pipeline import FileSetSource
         from repro.slurm import SlurmDatabase
 
-        for path in (dataset_dir, dataset_dir / "slurm.jsonl", dataset_dir / "logs"):
+        for path, is_kind, kind in (
+            (dataset_dir, Path.is_dir, "directory"),
+            (dataset_dir / "slurm.jsonl", Path.is_file, "file"),
+            (dataset_dir / "logs", Path.is_dir, "directory"),
+        ):
             if not path.exists():
                 raise SessionError(
                     f"--dataset: {path} does not exist (the 'synthesize' "
                     "command writes a dataset directory)"
                 )
+            if not is_kind(path):
+                raise SessionError(f"--dataset: {path} is not a {kind}")
         config = self.config
         slurm_db = SlurmDatabase.load(dataset_dir / "slurm.jsonl")
         window_hours = AMPERE_CALIBRATION.window_hours(config.scale)

@@ -152,10 +152,20 @@ _RUN, _WRITE, _DOWN, _STALL = "run", "write", "down", "stall"
 class WhatIfEngine:
     """Simulate one training run; ``run()`` returns its :class:`RunMetrics`."""
 
-    def __init__(self, config: SimulationConfig, rng: np.random.Generator) -> None:
+    def __init__(
+        self,
+        config: SimulationConfig,
+        model: FailureModel,
+        rng: np.random.Generator,
+    ) -> None:
+        if model.profile.name != config.profile.name:
+            raise ValueError(
+                f"failure model is for profile {model.profile.name!r}, "
+                f"the run for {config.profile.name!r}"
+            )
         self.config = config
         self.rng = rng
-        self.model = FailureModel(config.profile)
+        self.model = model
         self.node_sizes: Tuple[int, ...] = allocate_job(
             config.job.n_gpus, config.job.partition
         )
@@ -252,9 +262,6 @@ class WhatIfEngine:
             rework += unsafe_progress(t)
             volatile = 0.0
             pending_commit = 0.0
-            if not cfg.policy.checkpointing:
-                # Restart from zero: durable progress never existed.
-                pass
             segment += 1  # invalidate the segment's scheduled events
             phase = _DOWN
             failure_started = t
@@ -412,7 +419,7 @@ class WhatIfEngine:
         return RunMetrics(
             completed=completed,
             wall_hours=clock,
-            useful_hours=durable if completed else durable,
+            useful_hours=durable,
             n_gpus=self.total_gpus,
             checkpoint_write_hours=ckpt_write,
             rework_hours=rework,
@@ -432,12 +439,18 @@ class WhatIfEngine:
 
 
 def simulate_training_run(
-    config: SimulationConfig, *, seed: int = 7, replica: int = 0
+    config: SimulationConfig,
+    model: FailureModel,
+    *,
+    seed: int = 7,
+    replica: int = 0,
 ) -> RunMetrics:
     """One replica, on its own named stream of ``seed``.
 
     The stream path includes profile, policy, and replica index, so adding
     replicas (or running them on any worker) never perturbs existing ones.
+    ``model`` is read-only, so one built for ``config.profile`` serves
+    every replica of it.
     """
     rng = spawn_rng(seed, "sim", config.profile.name, config.policy.name, str(replica))
-    return WhatIfEngine(config, rng).run()
+    return WhatIfEngine(config, model, rng).run()

@@ -150,8 +150,9 @@ class AllocationFailureState:
 class FailureModel:
     """Per-profile failure rates plus chain resolution.
 
-    Stateless across runs; :meth:`allocation_state` samples the per-run
-    offender lottery and returns the mutable view the engine works with.
+    Read-only after construction, so one instance serves every run of its
+    profile; :meth:`allocation_state` samples the per-run offender lottery
+    and returns the mutable view the engine works with.
     """
 
     def __init__(self, profile: CalibrationProfile) -> None:

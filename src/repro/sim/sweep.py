@@ -8,6 +8,11 @@ worker runs it, and aggregation consumes replicas sorted by index — so
 hash of the sweep's *semantic* config (scenario, policy, job overrides,
 seed — everything except the replica count), so growing ``replicas`` or
 re-running after an interruption reuses every replica already on disk.
+
+A scenario's :class:`~repro.sim.failures.FailureModel` depends on its
+profile alone and is read-only, so each process that runs replicas builds
+it once, on its first replica, and every later replica and sweep of that
+scenario reuses it.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.results.artifact import RunManifest
 from repro.sim.engine import SimulationConfig, simulate_training_run
+from repro.sim.failures import FailureModel
 from repro.sim.metrics import RunMetrics, aggregate_metrics
-from repro.sim.scenarios import build_scenario
+from repro.sim.scenarios import SCENARIOS, build_scenario
 from repro.util.fanout import ordered_map
 
 
@@ -90,11 +96,26 @@ class SweepResult:
         return out
 
 
+@lru_cache(maxsize=32)
+def _scenario_model(scenario: str) -> FailureModel:
+    """The scenario's failure model, built once per process.
+
+    Its interrupt-probability estimate walks 512 chains per root XID
+    (5,120 for the Ampere profile), which costs more than a short replica.
+    Pool workers build their own on their first replica.
+    """
+    with obs.span("sim.model", scenario=scenario) as span:
+        model = FailureModel(SCENARIOS[scenario].profile_factory())
+        span.add("sim.root_xids", len(model.base_rates.keys() | model.offender_rates.keys()))
+    return model
+
+
 def _run_replica(sweep: SweepConfig, replica: int) -> Tuple[int, Dict[str, object]]:
     """One replica (module-level so pool workers can pickle it)."""
     with obs.span("sim.replica", replica=replica, policy=sweep.policy):
         metrics = simulate_training_run(
-            sweep.build(), seed=sweep.seed, replica=replica
+            sweep.build(), _scenario_model(sweep.scenario),
+            seed=sweep.seed, replica=replica,
         )
     return replica, metrics.to_dict()
 

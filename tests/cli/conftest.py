@@ -1,9 +1,9 @@
 """Fixtures resolving the registry's ExitCase placeholders.
 
 Each :class:`~repro.cli.registry.ExitCase` argv may reference
-``{dataset}``, ``{logs}``, ``{no_logs}``, ``{cut}``, ``{bad_slurm}``,
-``{built_store}``, ``{demo_store}``, ``{traced}``, ``{tmp}`` and
-``{absent}``; the
+``{dataset}``, ``{logs}``, ``{no_logs}``, ``{logs_file}``, ``{cut}``,
+``{bad_slurm}``, ``{built_store}``, ``{demo_store}``, ``{traced}``,
+``{tmp}`` and ``{absent}``; the
 session-scoped fixtures here build the small shared artifacts once so
 the contract suite stays fast.
 """
@@ -40,6 +40,15 @@ def contract_dataset_without_logs(contract_dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def contract_dataset_logs_file(contract_dataset, tmp_path_factory):
+    """A dataset directory whose ``logs`` is a regular file."""
+    directory = tmp_path_factory.mktemp("cli-contract-logs-file")
+    shutil.copy(contract_dataset / "slurm.jsonl", directory)
+    (directory / "logs").write_text("not a directory\n")
+    return directory
+
+
+@pytest.fixture(scope="session")
 def contract_cut_dataset(contract_dataset, tmp_path_factory):
     """A dataset whose logs/ holds three of the contract dataset's node
     logs and a fourth gzipped and cut in half."""
@@ -58,7 +67,8 @@ def contract_cut_dataset(contract_dataset, tmp_path_factory):
 def contract_bad_slurm(contract_dataset, tmp_path_factory):
     """Dataset directories sharing the contract dataset's logs, each with
     one defect in slurm.jsonl: ``cut`` ends mid-line, ``kind`` holds a row
-    of an unknown kind, ``name`` a job row without a name."""
+    of an unknown kind, ``name`` a job row without a name, and in ``dir``
+    slurm.jsonl is a directory."""
     base = tmp_path_factory.mktemp("cli-contract-bad-slurm")
     lines = (contract_dataset / "slurm.jsonl").read_text().splitlines(keepends=True)
     job = json.loads(lines[1])
@@ -72,6 +82,8 @@ def contract_bad_slurm(contract_dataset, tmp_path_factory):
         (base / name).mkdir()
         (base / name / "logs").symlink_to(contract_dataset / "logs")
         (base / name / "slurm.jsonl").write_text("".join(text))
+    (base / "dir" / "slurm.jsonl").mkdir(parents=True)
+    (base / "dir" / "logs").symlink_to(contract_dataset / "logs")
     return base
 
 
@@ -106,12 +118,14 @@ def contract_trace(contract_dataset, tmp_path_factory):
 
 @pytest.fixture
 def placeholders(contract_dataset, contract_dataset_without_logs,
-                 contract_cut_dataset, contract_bad_slurm, contract_store,
-                 contract_demo_store, contract_trace, tmp_path):
+                 contract_dataset_logs_file, contract_cut_dataset,
+                 contract_bad_slurm, contract_store, contract_demo_store,
+                 contract_trace, tmp_path):
     return {
         "dataset": contract_dataset,
         "logs": contract_dataset / "logs",
         "no_logs": contract_dataset_without_logs,
+        "logs_file": contract_dataset_logs_file,
         "cut": contract_cut_dataset,
         "bad_slurm": contract_bad_slurm,
         "built_store": contract_store,

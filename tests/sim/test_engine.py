@@ -1,5 +1,6 @@
 """The what-if engine: placement, progress accounting, policy behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.faults.calibration import AMPERE_CALIBRATION
@@ -8,9 +9,11 @@ from repro.sim import engine
 from repro.sim.engine import (
     SimulationConfig,
     TrainingJobConfig,
+    WhatIfEngine,
     allocate_job,
     simulate_training_run,
 )
+from repro.sim.failures import FailureModel
 from repro.sim.policies import CheckpointRestart, NoCheckpoint
 from repro.sim.scenarios import build_scenario
 
@@ -57,7 +60,7 @@ class TestQuietWorld:
             job=TrainingJobConfig(n_gpus=32, useful_hours=10.0),
             policy=CheckpointRestart(),
         )
-        metrics = simulate_training_run(config, seed=1)
+        metrics = simulate_training_run(config, FailureModel(quiet_profile), seed=1)
         assert metrics.completed
         assert metrics.wall_hours == pytest.approx(10.0)
         assert metrics.goodput == pytest.approx(1.0)
@@ -70,7 +73,7 @@ class TestQuietWorld:
             job=TrainingJobConfig(n_gpus=32, useful_hours=10.0),
             policy=CheckpointRestart(interval_hours=2.0),
         )
-        metrics = simulate_training_run(config, seed=1)
+        metrics = simulate_training_run(config, FailureModel(quiet_profile), seed=1)
         assert metrics.completed
         # Checkpoints at 2/4/6/8 h, none at the end.
         assert metrics.n_checkpoints == 4
@@ -81,16 +84,19 @@ class TestQuietWorld:
 class TestMeasuredWorld:
     def test_deterministic_per_seed_and_replica(self):
         config = build_scenario("a100-256", "ckpt", n_gpus=64, useful_hours=24.0)
-        a = simulate_training_run(config, seed=7, replica=3)
-        b = simulate_training_run(config, seed=7, replica=3)
-        c = simulate_training_run(config, seed=7, replica=4)
+        model = FailureModel(config.profile)
+        a = simulate_training_run(config, model, seed=7, replica=3)
+        b = simulate_training_run(config, model, seed=7, replica=3)
+        c = simulate_training_run(config, model, seed=7, replica=4)
         assert a == b
         assert a != c
 
     @pytest.mark.parametrize("policy", ["ckpt", "spare:2", "elastic"])
     def test_recovered_job_completes(self, policy):
         config = build_scenario("a100-256", policy, n_gpus=64, useful_hours=24.0)
-        metrics = simulate_training_run(config, seed=7, replica=1)
+        metrics = simulate_training_run(
+            config, FailureModel(config.profile), seed=7, replica=1
+        )
         assert metrics.completed
         assert metrics.useful_hours == pytest.approx(24.0)
         assert metrics.wall_hours >= 24.0
@@ -101,8 +107,9 @@ class TestMeasuredWorld:
         # committed checkpoint writes, and recovery downtime — plus at most
         # one aborted write per interruption.
         config = build_scenario("a100-256", "ckpt", n_gpus=128, useful_hours=48.0)
+        model = FailureModel(config.profile)
         for replica in range(4):
-            m = simulate_training_run(config, seed=11, replica=replica)
+            m = simulate_training_run(config, model, seed=11, replica=replica)
             assert m.completed
             accounted = (
                 m.useful_hours
@@ -115,7 +122,7 @@ class TestMeasuredWorld:
 
     def test_downtime_implies_interruptions(self):
         config = build_scenario("a100-512", "ckpt", useful_hours=48.0)
-        m = simulate_training_run(config, seed=3, replica=0)
+        m = simulate_training_run(config, FailureModel(config.profile), seed=3, replica=0)
         if m.n_interruptions:
             assert m.downtime_hours > 0
             assert m.ettr_hours == pytest.approx(
@@ -131,14 +138,14 @@ class TestMeasuredWorld:
             job=TrainingJobConfig(n_gpus=512, useful_hours=50.0),
             policy=NoCheckpoint(),
         )
-        metrics = simulate_training_run(config, seed=5)
+        metrics = simulate_training_run(config, FailureModel(AMPERE_CALIBRATION), seed=5)
         assert not metrics.completed
         assert metrics.wall_hours == pytest.approx(50.0 * 2.0 + 100.0)
         assert metrics.goodput < 1.0
 
     def test_hot_spare_swaps_and_evictions_bounded(self):
         config = build_scenario("a100-512", "spare:4", useful_hours=72.0)
-        m = simulate_training_run(config, seed=2, replica=0)
+        m = simulate_training_run(config, FailureModel(config.profile), seed=2, replica=0)
         assert m.n_spare_swaps <= m.n_inoperable
         assert m.offenders_evicted <= min(m.offenders_drawn, m.n_spare_swaps)
 
@@ -147,13 +154,19 @@ class TestMeasuredWorld:
         # on a fleet whose failure mass is offender-concentrated.
         plain = build_scenario("a100-256", "ckpt", useful_hours=72.0)
         spare = build_scenario("a100-256", "spare:4", useful_hours=72.0)
+        model = FailureModel(plain.profile)
         n = 6
         plain_goodput = sum(
-            simulate_training_run(plain, seed=7, replica=i).goodput
+            simulate_training_run(plain, model, seed=7, replica=i).goodput
             for i in range(n)
         )
         spare_goodput = sum(
-            simulate_training_run(spare, seed=7, replica=i).goodput
+            simulate_training_run(spare, model, seed=7, replica=i).goodput
             for i in range(n)
         )
         assert spare_goodput > plain_goodput
+
+    def test_a_model_for_another_profile_is_refused(self, quiet_profile):
+        config = build_scenario("h100-256", "ckpt", n_gpus=32, useful_hours=12.0)
+        with pytest.raises(ValueError, match="delta-h100"):
+            WhatIfEngine(config, FailureModel(quiet_profile), np.random.default_rng(0))
